@@ -362,15 +362,15 @@ class TierStore:
 
     def flush_writeback(self) -> int:
         """Copy queued learned entries still in ONDEMAND to CLOUD, preserving
-        versions. Returns the number of entries written."""
+        versions and evicting CLOUD's least recently used entries to fit its
+        capacity. Returns the number of entries written."""
         written = 0
         ondemand = self._tiers[TierId.ONDEMAND]
         for key in sorted(self._writeback):
             entry = ondemand.get(key)
             if entry is None or entry.provenance != "learned":
                 continue
-            self._tiers[TierId.CLOUD].pop(key, None)
-            self._tiers[TierId.CLOUD][key] = entry
+            self._insert(TierId.CLOUD, entry)
             written += 1
         self._writeback.clear()
         return written

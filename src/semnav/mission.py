@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -137,12 +138,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.max_ticks <= 0:
             raise ScenarioError("max_ticks must be > 0")
-        if self.dt <= 0:
-            raise ScenarioError("dt must be > 0")
-        if self.noise_sigma < 0:
-            raise ScenarioError("noise_sigma must be >= 0")
-        if self.resolution <= 0:
-            raise ScenarioError("resolution must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ScenarioError("dt must be a finite number > 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ScenarioError("noise_sigma must be a finite number >= 0")
+        if not 0 < self.resolution < math.inf:
+            raise ScenarioError("resolution must be a finite number > 0")
         if not self.goal:
             raise ScenarioError("mission goal must contain at least one fact")
         for fact in self.goal:
@@ -166,13 +167,25 @@ _TIER_BY_NAME = {tier.name.lower(): tier for tier in TierId}
 
 
 def _typed(section: str, key: str, raw: str, kind: type) -> object:
+    """raw as an int or a finite float; ScenarioError otherwise."""
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ScenarioError(
-            f"[{section}] {key} must be {'an integer' if kind is int else 'a number'}, "
+            f"[{section}] {key} must be {'an integer' if kind is int else 'a finite number'}, "
             f"got '{raw}'"
-        ) from None
+        )
+    return value
+
+
+def _sensor(spec_type: type, **fields: object) -> object:
+    """A sensor spec, its range checks reported as a ScenarioError."""
+    try:
+        return spec_type(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"[sensors] {exc}") from None
 
 
 def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
@@ -184,7 +197,8 @@ def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
         missing = {"lidar.range", "lidar.fov", "lidar.beams"} - lidar_keys
         if missing:
             raise ScenarioError(f"[sensors] incomplete lidar block, missing {sorted(missing)}")
-        lidar = Lidar2dSpec(
+        lidar = _sensor(
+            Lidar2dSpec,
             range_m=_typed("sensors", "lidar.range", items["lidar.range"], float),
             fov=_typed("sensors", "lidar.fov", items["lidar.fov"], float),
             beam_count=_typed("sensors", "lidar.beams", items["lidar.beams"], int),
@@ -193,7 +207,8 @@ def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
         missing = {"semantic.range", "semantic.fov"} - semantic_keys
         if missing:
             raise ScenarioError(f"[sensors] incomplete semantic block, missing {sorted(missing)}")
-        semantic = Semantic3dSpec(
+        semantic = _sensor(
+            Semantic3dSpec,
             range_m=_typed("sensors", "semantic.range", items["semantic.range"], float),
             fov=_typed("sensors", "semantic.fov", items["semantic.fov"], float),
         )
@@ -600,6 +615,7 @@ class MissionEngine:
         # differences between the two planners.
         path = rs.extract_path() if initial is not None else None
         waypoints = cells_to_points(dmap, path) if path else []
+        pending: set[tuple[int, int]] = set()  # changed since the last repair
         stall = 0
 
         while True:
@@ -612,16 +628,20 @@ class MissionEngine:
                 scan = lidar_scan(ws, scenario.sensor_spec)
                 changed = dmap.update_dynamic_layer(scan, ws.robot.pose, ws.tick)
             if changed:
-                here = dmap.cell_of(ws.robot.pose.position)
-                new_path = replan_incremental(rs, changed, here)
-                # The incremental planner's state is repaired on every
-                # change; the driven path is only swapped (and a replan
-                # counted) once its remaining stretch stops being drivable,
-                # so equal-cost extraction flips don't register as replans.
+                pending |= changed
+                # The driven path is kept while its remaining stretch stays
+                # drivable. Only once it is blocked, or while the robot has
+                # none, is the incremental planner repaired with every cell
+                # changed since its last repair, and its path swapped in (a
+                # replan counted), so equal-cost extraction flips don't
+                # register as replans.
                 if path is not None and self._ahead_is_blocked(path, ws.robot.pose):
                     self._episode("OBSTACLE_DETECTED")
                     path = None
                 if path is None:
+                    here = dmap.cell_of(ws.robot.pose.position)
+                    new_path = replan_incremental(rs, pending, here)
+                    pending.clear()
                     if new_path is not None:
                         self.replans += 1
                         self._episode("REPLAN", subject=destination)

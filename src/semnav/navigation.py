@@ -16,6 +16,12 @@ sqrt(2) being irrational makes that pair unique per length. All searches
 here therefore carry costs as integer pairs and compare them exactly, so
 the initial planner, the incremental replanner, and any from-scratch
 re-check agree on optimal cost bit-for-bit.
+
+The incremental replanner is repaired lazily: the drive loop batches the
+cells that change while its path stays drivable and repairs only once that
+path is blocked or the robot has none. While start and goal lie in
+different connected components it runs no search at all, and a repair's
+changes stay queued for the first call that finds them connected again.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.ndimage import distance_transform_edt, label
 
 from .geometry import Point2, Pose2, normalize_angle
 from .mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
@@ -315,7 +321,8 @@ class ReplanState:
     The search runs backward from the goal, so per-cell g values estimate
     remaining cost-to-goal and survive robot movement; km compensates the
     heuristic as the start slides. After each repair the extracted path
-    cost equals a from-scratch plan on the same costmap.
+    cost equals a from-scratch plan on the same costmap. While start and
+    goal are disconnected no search runs, here or in a repair.
     """
 
     def __init__(self, dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]):
@@ -331,7 +338,8 @@ class ReplanState:
         self._heap: list[tuple[ExactCost, ExactCost, int, tuple[int, int]]] = []
         self._key_of: dict[tuple[int, int], tuple[ExactCost, ExactCost]] = {}
         self._push(goal, self._calc_key(goal))
-        self._compute()
+        if _connected(dmap, start, goal):
+            self._compute()
 
     # -- queue helpers --
 
@@ -425,13 +433,35 @@ class ReplanState:
         return path
 
 
+def _connected(dmap: DrivingMap, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True when cells a and b are traversable and lie in one 4-connected
+    component of the traversable cells. A diagonal move needs both of its
+    cardinal cells traversable, so these are the components of the move
+    graph: a and b are connected exactly when some path joins them."""
+    if not dmap.traversable(*a) or not dmap.traversable(*b):
+        return False
+    mask = dmap.static < UNKNOWN_COST
+    if dmap.dynamic:
+        cols, rows = zip(*dmap.dynamic)
+        mask[rows, cols] = False
+    labels, _ = label(mask)
+    return labels[a[1], a[0]] == labels[b[1], b[0]]
+
+
 def replan_incremental(
     rs: ReplanState,
     changed_cells: set[tuple[int, int]],
     new_start: tuple[int, int] | None = None,
 ) -> list[tuple[int, int]] | None:
     """Repair the search after costmap changes (and optionally a moved
-    start), then extract the current optimal path."""
+    start), then extract the current optimal path.
+
+    The changed cells are always queued, but the search itself is skipped
+    (returning None) while start and goal are disconnected: there is no
+    path to find, and a repair would only drain the goal's component. The
+    queued inconsistencies are repaired by the first call that sees start
+    and goal connected again.
+    """
     if new_start is not None and new_start != rs.start:
         if not rs.dmap.in_bounds(*new_start):
             raise ValueError("new start must lie inside the map")
@@ -446,6 +476,8 @@ def replan_incremental(
             nxt = (cell[0] + dc, cell[1] + dr)
             if rs.dmap.in_bounds(*nxt):
                 rs._update_vertex(nxt)
+    if not _connected(rs.dmap, rs.start, rs.goal):
+        return None
     rs._compute()
     return rs.extract_path()
 

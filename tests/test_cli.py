@@ -205,6 +205,32 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("dt = 0.1", "dt = nan"),
+        ("noise_sigma = 0.0", "noise_sigma = nan"),
+        ("lidar.range = 6.0", "lidar.range = inf"),
+        ("lidar.beams = 181", "lidar.beams = 0"),
+        ("semantic.fov = 1.2", "semantic.fov = nan"),
+        ("semantic.fov = 1.2", "semantic.fov = 7.0"),
+    ],
+)
+def test_invalid_scenario_value_is_usage_error(tmp_path, capsys, line, bad):
+    text = Path(DEMO_SCENARIO).read_text()
+    assert line in text
+    sick = tmp_path / "sick.scenario"
+    sick.write_text(text.replace(line, bad))
+    assert main(["run", str(sick)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_non_finite_noise_override_is_usage_error(capsys):
+    assert main(["run", DEMO_SCENARIO, "--noise-sigma", "nan"]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

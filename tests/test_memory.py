@@ -227,6 +227,20 @@ class TestWriteBack:
         store.put(entry("env/learned_9", provenance="learned"), TierId.NETWORK)
         assert store.flush_writeback() == 0
 
+    def test_flush_respects_cloud_capacity(self):
+        store = TierStore({
+            TierId.STM: TierConfig(2, 0),
+            TierId.ONDEMAND: TierConfig(8, 1),
+            TierId.NETWORK: TierConfig(8, 5),
+            TierId.CLOUD: TierConfig(2, 50),
+        })
+        for i in range(5):
+            store.put(entry(f"env/learned_{i}", provenance="learned"), TierId.ONDEMAND)
+        assert store.flush_writeback() == 5
+        assert store.used_units(TierId.CLOUD) == 2
+        assert [e.key for e in store.entries(TierId.CLOUD)] == ["env/learned_3", "env/learned_4"]
+        assert store.stats.per_tier[TierId.CLOUD].evictions == 3
+
 
 class TestSnapshot:
     def test_empty_round_trip(self):

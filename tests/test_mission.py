@@ -435,6 +435,38 @@ def test_timeout_reports_distinct_failure_code(tmp_path):
 
 # --- report serialization ---
 
+TOUR_GOAL = (
+    "inspected(booth_1),inspected(booth_2),inspected(booth_3),inspected(booth_4),"
+    "waited(hall_b),at(robot,lobby)"
+)
+
+
+@pytest.mark.parametrize(
+    "edits, digest, ticks, replans",
+    [
+        ({}, "e9f3f5f2e0966e8a", 141, 5),
+        ({"goal = at(robot,hall_b)": f"goal = {TOUR_GOAL}"}, "9da0a55e09b829c4", 311, 16),
+        # Lidar noise: noisy hits stall the robot in hall B for about 35
+        # ticks, and the mission must still end in bounded wall time.
+        ({"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.05"},
+         "e727d0bc5927321e", 218, 5),
+    ],
+    ids=["demo", "tour", "noise_0.05_seed_0"],
+)
+def test_mission_trace_digest_is_pinned(tmp_path, edits, digest, ticks, replans):
+    text = DEMO_SCENARIO.read_text()
+    for line, replacement in edits.items():
+        assert line in text
+        text = text.replace(line, replacement)
+    path = tmp_path / "pinned.scenario"
+    path.write_text(text)
+    report = execute_mission(load_scenario(path)).report
+    assert report.success
+    assert (report.trace_digest, report.ticks_used, report.replan_count) == (
+        digest, ticks, replans
+    )
+
+
 def test_report_json_is_canonical(demo_run):
     text = report_to_json(demo_run.report)
     assert text.endswith("\n")

@@ -481,6 +481,50 @@ def test_replan_unreachable_after_walling_off():
     assert path is not None and path_cost(dmap, path) == fresh[1]
 
 
+def test_replan_skips_search_while_start_is_cut_off():
+    dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
+    start, goal = (0, 4), (11, 4)
+    rs = ReplanState(dmap, start, goal)
+    g_before = dict(rs.g)
+    # wall the start in, and at the same time block the straight route
+    # everywhere but a gap in the top row
+    fence = {(1, 4), (0, 3), (0, 5)}
+    barrier = {(6, row) for row in range(7)}
+    for cell in fence | barrier:
+        dmap.dynamic[cell] = 10**9
+    assert replan_incremental(rs, fence | barrier) is None
+    assert rs.g == g_before  # no expansion ran
+    # reopening only the fence must still route round the barrier, so the
+    # barrier's deferred inconsistencies were kept and are repaired now
+    for cell in fence:
+        del dmap.dynamic[cell]
+    path = replan_incremental(rs, fence)
+    fresh = plan_global(dmap, start, goal)
+    assert path is not None and path_cost(dmap, path) == fresh[1]
+    assert (6, 7) in path
+
+
+def test_initial_search_skipped_while_start_is_cut_off():
+    dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
+    for row in range(8):
+        dmap.dynamic[(4, row)] = 10**9
+    rs = ReplanState(dmap, (0, 4), (7, 4))
+    assert rs.g == {} and rs.extract_path() is None
+    del dmap.dynamic[(4, 6)]
+    path = replan_incremental(rs, {(4, 6)})
+    fresh = plan_global(dmap, (0, 4), (7, 4))
+    assert path is not None and path_cost(dmap, path) == fresh[1]
+
+
+def test_replan_skips_search_when_goal_is_blocked():
+    dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
+    rs = ReplanState(dmap, (0, 4), (7, 4))
+    g_before = dict(rs.g)
+    dmap.dynamic[(7, 4)] = 10**9
+    assert replan_incremental(rs, {(7, 4)}) is None
+    assert rs.g == g_before
+
+
 # --- waypoint following ---
 
 def test_follow_at_goal_reports_reached():

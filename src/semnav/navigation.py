@@ -22,6 +22,19 @@ cells that change while its path stays drivable and repairs only once that
 path is blocked or the robot has none. While start and goal lie in
 different connected components it runs no search at all, and a repair's
 changes stay queued for the first call that finds them connected again.
+
+Searches run on a padded flat index. The map keeps its static costs once
+more as a row-major Python list framed by a LETHAL border, so cell
+(col, row) sits at (row+1)*(width+2) + col+1: no move needs a bounds check,
+and the index is monotone in row-major order, so it breaks heap ties
+exactly as the row-major cell order does. Each search entry point
+(plan_global, ReplanState, replan_incremental, extract_path) takes one
+snapshot, a copy of that list with the dynamic cells overlaid, and expands
+neighbours on it with one helper, _moves; cells become (col, row) pairs
+only at the API boundary. The dynamic layer stays a {cell: expiry} dict
+and the only source of truth, since callers write it directly: a snapshot
+taken per call needs no invalidation. The static array is never written
+after it is built.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ UNKNOWN_COST = 253
 INSCRIBED = 200
 DEFAULT_TTL = 30
 
-# fixed neighbor order: cardinals first, then diagonals
+# the eight neighbours of a cell, as (dcol, drow)
 _OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -172,6 +185,10 @@ class DrivingMap:
 
         self.static = static
         self.dynamic: dict[tuple[int, int], int] = {}  # cell -> expiry tick
+        self.stride = self.width + 2
+        padded = np.full((self.height + 2, self.stride), LETHAL, dtype=np.int16)
+        padded[1:-1, 1:-1] = static
+        self._padded: list[int] = padded.ravel().tolist()
 
     # -- cost queries --
 
@@ -181,7 +198,7 @@ class DrivingMap:
     def composite(self, col: int, row: int) -> int:
         if (col, row) in self.dynamic:
             return LETHAL
-        return int(self.static[row, col])
+        return self._padded[self.index((col, row))]
 
     def traversable(self, col: int, row: int) -> bool:
         return self.in_bounds(col, row) and self.composite(col, row) < UNKNOWN_COST
@@ -198,8 +215,24 @@ class DrivingMap:
             self.origin.y + (row + 0.5) * self.resolution,
         )
 
-    def cell_index(self, cell: tuple[int, int]) -> int:
-        return cell[1] * self.width + cell[0]
+    # -- padded flat index --
+
+    def index(self, cell: tuple[int, int]) -> int:
+        return (cell[1] + 1) * self.stride + cell[0] + 1
+
+    def cell(self, index: int) -> tuple[int, int]:
+        row, col = divmod(index, self.stride)
+        return (col - 1, row - 1)
+
+    def snapshot(self) -> list[int]:
+        """The composite costmap as a padded flat list, taken afresh from
+        the static costs and the dynamic layer (in-bounds cells only, as
+        update_dynamic_layer keeps it) as they stand now."""
+        costs = self._padded.copy()
+        stride = self.stride
+        for col, row in self.dynamic:
+            costs[(row + 1) * stride + col + 1] = LETHAL
+        return costs
 
     # -- dynamic layer --
 
@@ -237,38 +270,53 @@ class DrivingMap:
         }
 
 
-def edge_cost(dmap: DrivingMap, u: tuple[int, int], v: tuple[int, int]) -> int | None:
-    """Cost bucket of the move u→v (the destination's composite), or None if
-    the move is invalid: either endpoint blocked, or a diagonal squeezing
-    past a blocked cardinal cell."""
-    if not dmap.traversable(*u) or not dmap.traversable(*v):
-        return None
-    dc, dr = v[0] - u[0], v[1] - u[1]
-    if dc != 0 and dr != 0:
-        if not dmap.traversable(u[0] + dc, u[1]) or not dmap.traversable(u[0], u[1] + dr):
-            return None
-    return dmap.composite(*v)
+def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int, bool]]:
+    """Every legal move out of cell i of a padded snapshot, as (index, cost
+    of the cell entered, diagonal), cardinals first, then diagonals: none
+    when i itself is blocked, and a diagonal only past two open cardinal
+    cells. The LETHAL border makes bounds checks unnecessary."""
+    if costs[i] >= UNKNOWN_COST:
+        return []
+    moves = []
+    east, west, north, south = i + 1, i - 1, i + stride, i - stride
+    e = costs[east] < UNKNOWN_COST
+    w = costs[west] < UNKNOWN_COST
+    n = costs[north] < UNKNOWN_COST
+    s = costs[south] < UNKNOWN_COST
+    if e:
+        moves.append((east, costs[east], False))
+    if w:
+        moves.append((west, costs[west], False))
+    if n:
+        moves.append((north, costs[north], False))
+    if s:
+        moves.append((south, costs[south], False))
+    for ok, j in (
+        (e and n, north + 1), (e and s, south + 1), (w and n, north - 1), (w and s, south - 1)
+    ):
+        if ok and costs[j] < UNKNOWN_COST:
+            moves.append((j, costs[j], True))
+    return moves
 
 
-def _neighbors(dmap: DrivingMap, cell: tuple[int, int]):
-    col, row = cell
-    for dc, dr in _OFFSETS:
-        v = (col + dc, row + dr)
-        if not dmap.in_bounds(*v):
-            continue
-        c = edge_cost(dmap, cell, v)
-        if c is not None:
-            yield v, c, dc != 0 and dr != 0
+def _octile(stride: int, i: int, j: int) -> ExactCost:
+    # divmod gives (row, col); octile is symmetric in the two axes and the
+    # padding offsets cancel, so this is octile() of the unpadded cells
+    return octile(divmod(i, stride), divmod(j, stride))
 
 
 def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> ExactCost:
     """Canonical cost of a cell path on the current composite costmap."""
     total = ZERO
-    for u, v in zip(path, path[1:]):
-        c = edge_cost(dmap, u, v)
-        if c is None:
+    for (uc, ur), (vc, vr) in zip(path, path[1:]):
+        diagonal = uc != vc and ur != vr
+        if (
+            not dmap.traversable(uc, ur)
+            or not dmap.traversable(vc, vr)
+            or (diagonal and not (dmap.traversable(vc, ur) and dmap.traversable(uc, vr)))
+        ):
             return INFINITE
-        total = total.step(c, u[0] != v[0] and u[1] != v[1])
+        total = total.step(dmap.composite(vc, vr), diagonal)
     return total
 
 
@@ -280,38 +328,41 @@ def plan_global(
     Ties pop in (f, h, row-major index) order, so identical inputs give an
     identical cell sequence, not merely an identical cost.
     """
-    if not dmap.traversable(*start) or not dmap.traversable(*goal):
+    if not dmap.in_bounds(*start) or not dmap.in_bounds(*goal):
         return None
-    g: dict[tuple[int, int], ExactCost] = {start: ZERO}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
-    h0 = octile(start, goal)
-    heap: list[tuple[ExactCost, ExactCost, int, tuple[int, int]]] = [
-        (h0, h0, dmap.cell_index(start), start)
-    ]
+    costs = dmap.snapshot()
+    stride = dmap.stride
+    si, gi = dmap.index(start), dmap.index(goal)
+    if costs[si] >= UNKNOWN_COST or costs[gi] >= UNKNOWN_COST:
+        return None
+    g: dict[int, ExactCost] = {si: ZERO}
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
+    h0 = _octile(stride, si, gi)
+    heap: list[tuple[ExactCost, ExactCost, int]] = [(h0, h0, si)]
     while heap:
-        _, _, _, cell = heapq.heappop(heap)
-        if cell in closed:
+        _, _, i = heapq.heappop(heap)
+        if i in closed:
             continue
-        closed.add(cell)
-        if cell == goal:
-            path = [cell]
-            while cell != start:
-                cell = parent[cell]
-                path.append(cell)
+        closed.add(i)
+        if i == gi:
+            path = [i]
+            while i != si:
+                i = parent[i]
+                path.append(i)
             path.reverse()
-            return path, g[goal]
-        g_cur = g[cell]
-        for nxt, cost, diagonal in _neighbors(dmap, cell):
-            if nxt in closed:
+            return [dmap.cell(i) for i in path], g[gi]
+        g_cur = g[i]
+        for j, cost, diagonal in _moves(costs, stride, i):
+            if j in closed:
                 continue
             ng = g_cur.step(cost, diagonal)
-            incumbent = g.get(nxt)
+            incumbent = g.get(j)
             if incumbent is None or ng < incumbent:
-                g[nxt] = ng
-                parent[nxt] = cell
-                h = octile(nxt, goal)
-                heapq.heappush(heap, (ng.plus(h), h, dmap.cell_index(nxt), nxt))
+                g[j] = ng
+                parent[j] = i
+                h = _octile(stride, j, gi)
+                heapq.heappush(heap, (ng.plus(h), h, j))
     return None
 
 
@@ -323,6 +374,9 @@ class ReplanState:
     heuristic as the start slides. After each repair the extracted path
     cost equals a from-scratch plan on the same costmap. While start and
     goal are disconnected no search runs, here or in a repair.
+
+    g, rhs and the queue are keyed by the map's padded flat index; each
+    entry point takes one costmap snapshot and hands it down.
     """
 
     def __init__(self, dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]):
@@ -333,104 +387,111 @@ class ReplanState:
         self.goal = goal
         self.km = ZERO
         self._last_start = start
-        self.g: dict[tuple[int, int], ExactCost] = {}
-        self.rhs: dict[tuple[int, int], ExactCost] = {goal: ZERO}
-        self._heap: list[tuple[ExactCost, ExactCost, int, tuple[int, int]]] = []
-        self._key_of: dict[tuple[int, int], tuple[ExactCost, ExactCost]] = {}
-        self._push(goal, self._calc_key(goal))
+        self._goal_index = dmap.index(goal)
+        self.g: dict[int, ExactCost] = {}
+        self.rhs: dict[int, ExactCost] = {self._goal_index: ZERO}
+        self._heap: list[tuple[ExactCost, ExactCost, int]] = []
+        self._key_of: dict[int, tuple[ExactCost, ExactCost]] = {}
+        self._push(self._goal_index, self._calc_key(self._goal_index))
         if _connected(dmap, start, goal):
-            self._compute()
+            self._compute(dmap.snapshot())
 
     # -- queue helpers --
 
-    def _calc_key(self, cell: tuple[int, int]) -> tuple[ExactCost, ExactCost]:
-        m = self.g.get(cell, INFINITE)
-        r = self.rhs.get(cell, INFINITE)
+    def _calc_key(self, i: int) -> tuple[ExactCost, ExactCost]:
+        m = self.g.get(i, INFINITE)
+        r = self.rhs.get(i, INFINITE)
         if r < m:
             m = r
         if m.is_inf:
             return (INFINITE, INFINITE)
-        return (m.plus(octile(self.start, cell)).plus(self.km), m)
+        h = _octile(self.dmap.stride, self.dmap.index(self.start), i)
+        return (m.plus(h).plus(self.km), m)
 
-    def _push(self, cell: tuple[int, int], key: tuple[ExactCost, ExactCost]) -> None:
-        self._key_of[cell] = key
-        heapq.heappush(self._heap, (key[0], key[1], self.dmap.cell_index(cell), cell))
+    def _push(self, i: int, key: tuple[ExactCost, ExactCost]) -> None:
+        self._key_of[i] = key
+        heapq.heappush(self._heap, (key[0], key[1], i))
 
-    def _peek(self) -> tuple[tuple[ExactCost, ExactCost], tuple[int, int]] | None:
+    def _peek(self) -> tuple[tuple[ExactCost, ExactCost], int] | None:
         while self._heap:
-            k1, k2, _, cell = self._heap[0]
-            current = self._key_of.get(cell)
+            k1, k2, i = self._heap[0]
+            current = self._key_of.get(i)
             if current is not None and current == (k1, k2):
-                return (k1, k2), cell
+                return (k1, k2), i
             heapq.heappop(self._heap)  # stale or removed entry
         return None
 
-    def _update_vertex(self, cell: tuple[int, int]) -> None:
-        if cell != self.goal:
+    def _update_vertex(self, costs: list[int], i: int) -> None:
+        if i != self._goal_index:
             best = INFINITE
-            for nxt, cost, diagonal in _neighbors(self.dmap, cell):
-                cand = self.g.get(nxt, INFINITE).step(cost, diagonal)
+            for j, cost, diagonal in _moves(costs, self.dmap.stride, i):
+                g_next = self.g.get(j)
+                if g_next is None or g_next.is_inf:
+                    continue
+                cand = g_next.step(cost, diagonal)
                 if cand < best:
                     best = cand
-            self.rhs[cell] = best
-        self._key_of.pop(cell, None)
-        if self.g.get(cell, INFINITE) != self.rhs.get(cell, INFINITE):
-            self._push(cell, self._calc_key(cell))
+            self.rhs[i] = best
+        self._key_of.pop(i, None)
+        if self.g.get(i, INFINITE) != self.rhs.get(i, INFINITE):
+            self._push(i, self._calc_key(i))
 
-    def _compute(self) -> None:
+    def _compute(self, costs: list[int]) -> None:
+        stride = self.dmap.stride
+        si = self.dmap.index(self.start)
         while True:
-            g_start = self.g.get(self.start, INFINITE)
-            rhs_start = self.rhs.get(self.start, INFINITE)
+            g_start = self.g.get(si, INFINITE)
+            rhs_start = self.rhs.get(si, INFINITE)
             top = self._peek()
             if top is None:
                 break
-            key, cell = top
-            start_key = self._calc_key(self.start)
+            key, i = top
+            start_key = self._calc_key(si)
             if not (key < start_key or rhs_start != g_start):
                 break
             heapq.heappop(self._heap)
-            self._key_of.pop(cell, None)
-            fresh = self._calc_key(cell)
+            self._key_of.pop(i, None)
+            fresh = self._calc_key(i)
             if key < fresh:
-                self._push(cell, fresh)
+                self._push(i, fresh)
                 continue
-            if self.g.get(cell, INFINITE) > self.rhs.get(cell, INFINITE):
-                self.g[cell] = self.rhs.get(cell, INFINITE)
-                for nxt, _, _ in _neighbors(self.dmap, cell):
-                    self._update_vertex(nxt)
+            if self.g.get(i, INFINITE) > self.rhs.get(i, INFINITE):
+                self.g[i] = self.rhs.get(i, INFINITE)
             else:
-                self.g[cell] = INFINITE
-                self._update_vertex(cell)
-                for nxt, _, _ in _neighbors(self.dmap, cell):
-                    self._update_vertex(nxt)
+                self.g[i] = INFINITE
+                self._update_vertex(costs, i)
+            for j, _, _ in _moves(costs, stride, i):
+                self._update_vertex(costs, j)
 
     def extract_path(self) -> list[tuple[int, int]] | None:
-        if not self.dmap.traversable(*self.start):
+        return self._extract(self.dmap.snapshot())
+
+    def _extract(self, costs: list[int]) -> list[tuple[int, int]] | None:
+        dmap = self.dmap
+        i = dmap.index(self.start)
+        if costs[i] >= UNKNOWN_COST or self.rhs.get(i, INFINITE).is_inf:
             return None
-        if self.rhs.get(self.start, INFINITE).is_inf:
-            return None
-        path = [self.start]
-        cell = self.start
-        limit = self.dmap.width * self.dmap.height
-        while cell != self.goal:
+        path = [i]
+        limit = dmap.width * dmap.height
+        while i != self._goal_index:
             best = None
-            best_key: tuple[ExactCost, int] | None = None
-            for nxt, cost, diagonal in _neighbors(self.dmap, cell):
-                g_next = self.g.get(nxt, INFINITE)
+            best_through = INFINITE
+            for j, cost, diagonal in _moves(costs, dmap.stride, i):
+                g_next = self.g.get(j, INFINITE)
                 if g_next.is_inf:
                     continue
                 through = g_next.step(cost, diagonal)
-                key = (through, self.dmap.cell_index(nxt))
-                if best_key is None or key[0] < best_key[0] or (
-                    key[0] == best_key[0] and key[1] < best_key[1]
+                # ties go to the lower (row-major) index
+                if best is None or through < best_through or (
+                    through == best_through and j < best
                 ):
-                    best = nxt
-                    best_key = key
+                    best = j
+                    best_through = through
             if best is None or len(path) > limit:
                 return None
-            cell = best
-            path.append(cell)
-        return path
+            i = best
+            path.append(i)
+        return [dmap.cell(i) for i in path]
 
 
 def _connected(dmap: DrivingMap, a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -462,24 +523,25 @@ def replan_incremental(
     queued inconsistencies are repaired by the first call that sees start
     and goal connected again.
     """
+    dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
-        if not rs.dmap.in_bounds(*new_start):
+        if not dmap.in_bounds(*new_start):
             raise ValueError("new start must lie inside the map")
         rs.km = rs.km.plus(octile(rs._last_start, new_start))
         rs._last_start = new_start
         rs.start = new_start
-    for cell in changed_cells:
-        if not rs.dmap.in_bounds(*cell):
+    costs = dmap.snapshot()
+    for col, row in changed_cells:
+        if not dmap.in_bounds(col, row):
             continue
-        rs._update_vertex(cell)
+        rs._update_vertex(costs, dmap.index((col, row)))
         for dc, dr in _OFFSETS:
-            nxt = (cell[0] + dc, cell[1] + dr)
-            if rs.dmap.in_bounds(*nxt):
-                rs._update_vertex(nxt)
-    if not _connected(rs.dmap, rs.start, rs.goal):
+            if dmap.in_bounds(col + dc, row + dr):
+                rs._update_vertex(costs, dmap.index((col + dc, row + dr)))
+    if not _connected(dmap, rs.start, rs.goal):
         return None
-    rs._compute()
-    return rs.extract_path()
+    rs._compute(costs)
+    return rs._extract(costs)
 
 
 # -- waypoint following --
@@ -548,30 +610,3 @@ def follow_step(
         normalize_angle(pose.heading + omega * dt),
     )
     return FollowResult((v, omega), RobotState(new_pose, v, omega), False)
-
-
-# -- exports --
-
-def costmap_to_pgm(dmap: DrivingMap) -> bytes:
-    """Composite costmap in the same P5 convention as the metric layer:
-    lethal 0, unknown 128, otherwise brightness falling with cost."""
-    values = np.empty((dmap.height, dmap.width), dtype=np.uint8)
-    for row in range(dmap.height):
-        for col in range(dmap.width):
-            c = dmap.composite(col, row)
-            if c >= LETHAL:
-                values[row, col] = 0
-            elif c == UNKNOWN_COST:
-                values[row, col] = 128
-            else:
-                values[row, col] = 255 - c
-    header = f"P5\n{dmap.width} {dmap.height}\n255\n".encode("ascii")
-    return header + np.flipud(values).tobytes()
-
-
-def path_to_csv(dmap: DrivingMap, path: list[tuple[int, int]]) -> str:
-    lines = ["index,col,row,x,y"]
-    for i, cell in enumerate(path):
-        p = dmap.center_of(*cell)
-        lines.append(f"{i},{cell[0]},{cell[1]},{p.x:.9f},{p.y:.9f}")
-    return "\n".join(lines) + "\n"

@@ -7,10 +7,12 @@ import configparser
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semnav.learning import NEW_OBJECT
 from semnav.memory import TierId, UnknownSymbolError
+from semnav.navigation import DrivingMap
 from semnav.mission import (
     FAIL_TIMEOUT,
     FAIL_UNKNOWN_GOAL,
@@ -450,8 +452,17 @@ TOUR_GOAL = (
         # ticks, and the mission must still end in bounded wall time.
         ({"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.05"},
          "e727d0bc5927321e", 218, 5),
+        ({"seed = 7": "seed = 1", "noise_sigma = 0.0": "noise_sigma = 0.05"},
+         "d20f71147d2559a3", 217, 5),
+        ({"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.05"},
+         "b1622c404f2ce462", 217, 7),
+        ({"seed = 7": "seed = 1", "noise_sigma = 0.0": "noise_sigma = 0.2"},
+         "1372fed87de751f5", 221, 4),
+        ({"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.2"},
+         "71cb81c5e7934e54", 222, 4),
     ],
-    ids=["demo", "tour", "noise_0.05_seed_0"],
+    ids=["demo", "tour", "noise_0.05_seed_0", "noise_0.05_seed_1", "noise_0.05_seed_2",
+         "noise_0.2_seed_1", "noise_0.2_seed_2"],
 )
 def test_mission_trace_digest_is_pinned(tmp_path, edits, digest, ticks, replans):
     text = DEMO_SCENARIO.read_text()
@@ -475,6 +486,17 @@ def test_report_json_is_canonical(demo_run):
     assert list(payload) == sorted(payload)
     assert payload["replan_count"] == demo_run.report.replan_count
     assert text == report_to_json(demo_run.report)  # stable
+
+
+def test_mission_never_writes_static_costmap():
+    # plan checks compare against the static layer as built, so a mission
+    # may change the dynamic layer only
+    engine = MissionEngine(load_scenario(DEMO_SCENARIO))
+    assert engine.run().report.success
+    assert engine.dmap.dynamic
+    fresh = DrivingMap(engine.emap.metric, engine.world.robot_radius)
+    assert engine.dmap.static.dtype == fresh.static.dtype
+    assert np.array_equal(engine.dmap.static, fresh.static)
 
 
 def test_reports_byte_identical_across_runs(demo_run):

@@ -30,11 +30,9 @@ from semnav.navigation import (
     ReplanState,
     RobotState,
     cells_to_points,
-    costmap_to_pgm,
     follow_step,
     octile,
     path_cost,
-    path_to_csv,
     plan_global,
     replan_incremental,
 )
@@ -338,11 +336,16 @@ def pick_free_cells(rng, dmap, count=2):
     return [free[rng.randrange(len(free))] for _ in range(count)]
 
 
+# Thin and non-square maps catch a width/height/stride mix-up in the padded
+# flat index and put most cells next to its border.
+NON_SQUARE = ((23, 7), (7, 23), (40, 3))
+
+
 def test_plan_global_matches_dijkstra_oracle():
     rng = random.Random(1234)
     agree = 0
-    for _ in range(40):
-        dmap = random_costmap(rng, width=20, height=20)
+    for width, height in [(20, 20)] * 40 + list(NON_SQUARE) * 10:
+        dmap = random_costmap(rng, width=width, height=height)
         start, goal = pick_free_cells(rng, dmap)
         grid = composite_grid(dmap)
         expected = dijkstra_pair_cost(grid, start, goal)
@@ -430,8 +433,8 @@ def toggle_cells(rng, dmap, count):
 
 def test_replan_equals_fresh_plan_after_random_toggles():
     rng = random.Random(90210)
-    for trial in range(60):
-        dmap = random_costmap(rng, width=16, height=16, obstacle_rate=0.15)
+    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
         for _ in range(rng.randint(1, 4)):
@@ -579,24 +582,7 @@ def test_follow_requires_waypoints():
 
 # --- exports ---
 
-def test_cells_to_points_and_csv():
+def test_cells_to_points():
     dmap = DrivingMap(open_map(4, 4, 0.5), robot_radius=0.4)
-    path = [(0, 0), (1, 1)]
-    points = cells_to_points(dmap, path)
-    assert points[0] == Point2(0.25, 0.25)
-    csv = path_to_csv(dmap, path)
-    lines = csv.splitlines()
-    assert lines[0] == "index,col,row,x,y"
-    assert lines[1] == "0,0,0,0.250000000,0.250000000"
-    assert lines[2] == "1,1,1,0.750000000,0.750000000"
-
-
-def test_costmap_pgm_layout():
-    rows = ["#.", ".?"]
-    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.7)
-    data = costmap_to_pgm(dmap)
-    assert data.startswith(b"P5\n2 2\n255\n")
-    pixels = data[len(b"P5\n2 2\n255\n"):]
-    # top image row = map row 1: free-with-inflation, unknown
-    assert pixels[1] == 128
-    assert pixels[2] == 0  # lethal at (0,0)
+    points = cells_to_points(dmap, [(0, 0), (1, 1)])
+    assert points == [Point2(0.25, 0.25), Point2(0.75, 0.75)]

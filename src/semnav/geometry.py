@@ -9,7 +9,7 @@ keeps rasterization deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def normalize_angle(theta: float) -> float:
@@ -74,9 +74,6 @@ class Footprint:
             area += a.x * b.y - b.x * a.y
         return 0.5 * area
 
-    def is_ccw(self) -> bool:
-        return self.signed_area() > 0.0
-
     def is_simple(self) -> bool:
         """True when no two non-adjacent edges intersect."""
         edges = self.edges()
@@ -116,11 +113,6 @@ class Footprint:
         xs = [p.x for p in self.vertices]
         ys = [p.y for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def rect_footprint(x0: float, y0: float, x1: float, y1: float) -> Footprint:
-    """Axis-aligned rectangle as a CCW footprint."""
-    return Footprint((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
 
 
 def _on_segment(p: Point2, a: Point2, b: Point2, eps: float = 1e-12) -> bool:
@@ -212,27 +204,6 @@ def ray_segment_intersection(
     u = ((a.x - ox) * dy - (a.y - oy) * dx) / denom
     if t >= 0.0 and -1e-12 <= u <= 1.0 + 1e-12:
         return t
-    return None
-
-
-def ray_circle_intersection(
-    ox: float, oy: float, dx: float, dy: float, cx: float, cy: float, radius: float
-) -> float | None:
-    """Nearest non-negative ray distance to a circle, or None when missed."""
-    fx = ox - cx
-    fy = oy - cy
-    b = fx * dx + fy * dy
-    c = fx * fx + fy * fy - radius * radius
-    disc = b * b - c
-    if disc < 0.0:
-        return None
-    sqrt_disc = math.sqrt(disc)
-    t1 = -b - sqrt_disc
-    t2 = -b + sqrt_disc
-    if t1 >= 0.0:
-        return t1
-    if t2 >= 0.0:
-        return t2
     return None
 
 

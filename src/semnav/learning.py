@@ -96,26 +96,7 @@ def parse_rules(text: str) -> list[Rule]:
     return rules
 
 
-def format_rules(rules: list[Rule]) -> str:
-    lines = []
-    for rule in rules:
-        body = ", ".join(format_fact(f) for f in rule.body)
-        lines.append(f"{format_fact(rule.head)} :- {body}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 # --- novelty detection ---
-
-def _stored_elements(store: TierStore) -> dict[str, ElementRecord]:
-    """Current env records across all tiers, without touching access stats
-    (the learning pass inspects knowledge, it does not consume it)."""
-    found: dict[str, ElementRecord] = {}
-    for tier in TierId:
-        for entry in store.entries(tier):
-            if entry.namespace == "env" and entry.name not in found:
-                found[entry.name] = entry.payload
-    return found
-
 
 _LEARNED_NAME = re.compile(r"^learned_(\d+)$")
 
@@ -144,7 +125,8 @@ def detect_novelty(
     a match displaced by more than displacement_threshold → DISPLACED_OBJECT;
     otherwise the detection is old news.
     """
-    stored = _stored_elements(store)
+    # peek, not get: the learning pass inspects knowledge, it does not consume it
+    stored = {e.name: e.payload for e in store.peek().values() if e.namespace == "env"}
     events: list[NoveltyEvent] = []
     next_index = _next_learned_index(store)
     for det in detections:
@@ -294,16 +276,16 @@ def commit_learned(
     with learned provenance; log each event into the episodic layer."""
     evictions_before = store.stats.per_tier[TierId.ONDEMAND].evictions
     written = 0
-    stored = _stored_elements(store)
+    stored = store.peek()
     for event in events:
         if event.kind == NEW_OBJECT:
             record = _new_record(event, emap)
         else:
-            prior = stored.get(event.symbol)
+            prior = stored.get(f"env/{event.symbol}")
             if prior is None:
                 log.warning("displaced symbol '%s' vanished from the store", event.symbol)
                 continue
-            record = _displaced_record(prior, event.position)
+            record = _displaced_record(prior.payload, event.position)
         store.put(
             StoredEntry(key=f"env/{event.symbol}", payload=record, provenance="learned"),
             TierId.ONDEMAND,

@@ -77,13 +77,11 @@ class SensorSpec:
             raise ValueError("a robot needs at least one sensor")
 
 
-@dataclass
-class MetricLayer:
-    resolution: float
-    origin: Point2
-    width: int
-    height: int
-    cells: np.ndarray  # shape (height, width), values FREE/OCCUPIED/UNKNOWN
+class GridFrame:
+    """Cell maths of a width x height grid of square cells `resolution`
+    meters on a side, whose cell (0, 0) has its lower-left corner at
+    `origin`. The metric layer and the driving map inherit it, so one
+    definition serves both."""
 
     def cell_of(self, p: Point2) -> tuple[int, int]:
         return (
@@ -99,6 +97,15 @@ class MetricLayer:
 
     def in_bounds(self, col: int, row: int) -> bool:
         return 0 <= col < self.width and 0 <= row < self.height
+
+
+@dataclass
+class MetricLayer(GridFrame):
+    resolution: float
+    origin: Point2
+    width: int
+    height: int
+    cells: np.ndarray  # shape (height, width), values FREE/OCCUPIED/UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,6 @@ class EpisodeEvent:
 class EpisodicLayer:
     events: list[EpisodeEvent] = field(default_factory=list)
 
-    def last_tick(self) -> int:
-        return self.events[-1].tick if self.events else 0
-
 
 @dataclass
 class SemanticEpisodicMap:
@@ -221,44 +225,41 @@ def _grid_bounds(footprints: list[Footprint], resolution: float) -> tuple[Point2
 
 
 def build_metric_layer(
-    elements: list[ElementRecord],
-    resolution: float,
-    bounds: tuple[Point2, int, int] | None = None,
-) -> MetricLayer:
+    elements: list[ElementRecord], resolution: float
+) -> tuple[MetricLayer, dict[str, frozenset[tuple[int, int]]]]:
     """Occupied = static non-space footprints; Free = space footprints minus
-    Occupied; Unknown = everything else."""
+    Occupied; Unknown = everything else. Also returns the cells of every
+    footprint, keyed by symbol and not clipped to the grid, so that no
+    caller has to rasterize a footprint twice."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    footprints = [e.explicit.model2d for e in elements if e.explicit.model2d is not None]
-    if bounds is None:
-        if not footprints:
-            raise MapError("cannot size a metric layer with no footprints")
-        origin, width, height = _grid_bounds(footprints, resolution)
-    else:
-        origin, width, height = bounds
+    drawn = [e for e in elements if e.explicit.model2d is not None]
+    if not drawn:
+        raise MapError("cannot size a metric layer with no footprints")
+    origin, width, height = _grid_bounds([e.explicit.model2d for e in drawn], resolution)
+    footprint_cells = {
+        e.symbol: frozenset(rasterize_footprint(e.explicit.model2d, resolution, origin))
+        for e in drawn
+    }
 
     cells = np.full((height, width), UNKNOWN, dtype=np.uint8)
 
-    def paint(fp: Footprint, value: int, only_over: int | None = None) -> None:
-        for col, row in rasterize_footprint(fp, resolution, origin):
+    def paint(rec: ElementRecord, value: int) -> None:
+        for col, row in footprint_cells[rec.symbol]:
             if 0 <= col < width and 0 <= row < height:
-                if only_over is None or cells[row, col] == only_over:
-                    cells[row, col] = value
+                cells[row, col] = value
 
-    for rec in elements:
-        if rec.is_space and rec.explicit.model2d is not None:
-            paint(rec.explicit.model2d, FREE)
-    for rec in elements:
-        if (
-            not rec.is_space
-            and rec.explicit.model2d is not None
-            and rec.explicit.physical.is_static
-        ):
-            paint(rec.explicit.model2d, OCCUPIED)
+    for rec in drawn:
+        if rec.is_space:
+            paint(rec, FREE)
+    for rec in drawn:
+        if not rec.is_space and rec.explicit.physical.is_static:
+            paint(rec, OCCUPIED)
 
-    return MetricLayer(
+    metric = MetricLayer(
         resolution=resolution, origin=origin, width=width, height=height, cells=cells
     )
+    return metric, footprint_cells
 
 
 def build_topology_layer(
@@ -335,27 +336,25 @@ def generate_map(
     metric_inputs = list(spaces)
     if has_lidar:
         metric_inputs += [r for r in records if not r.is_space]
-    metric = build_metric_layer(metric_inputs, resolution)
+    metric, footprint_cells = build_metric_layer(metric_inputs, resolution)
 
     relations = [rel for rec in records for rel in rec.implicit]
     topology = build_topology_layer(spaces, relations)
 
     semantic = SemanticLayer()
     for rec in records:
-        footprint_cells: frozenset[tuple[int, int]] | None = None
+        # the metric layer drew exactly the footprints a sensor can relate
+        # to the map: every space's, and the rest only with a lidar
+        cells = footprint_cells.get(rec.symbol)
         semantic_class: str | None = None
-        if rec.explicit.model2d is not None and (rec.is_space or has_lidar):
-            footprint_cells = frozenset(
-                rasterize_footprint(rec.explicit.model2d, resolution, metric.origin)
-            )
         if rec.explicit.model3d is not None and has_semantic:
             semantic_class = rec.explicit.model3d.semantic_class
-        if not rec.is_space and footprint_cells is None and semantic_class is None:
+        if not rec.is_space and cells is None and semantic_class is None:
             continue  # no sensor can relate this element to the map
         semantic.annotations[rec.symbol] = Annotation(
             class_label=rec.symbolic.class_label,
             space=rec.symbol if rec.is_space else _containing_space(rec, spaces),
-            footprint_cells=footprint_cells,
+            footprint_cells=cells,
             semantic_class=semantic_class,
         )
 

@@ -16,7 +16,7 @@ from enum import IntEnum
 
 from .world import WorldError
 
-NAMESPACES = ("env", "behavior", "knowledge", "map")
+NAMESPACES = ("env", "behavior", "knowledge")
 
 
 class TierId(IntEnum):
@@ -38,40 +38,6 @@ class OversizeEntryError(ValueError):
 
 class SnapshotError(ValueError):
     """Malformed snapshot document; the tier is left unchanged."""
-
-
-@dataclass(frozen=True)
-class MapTile:
-    """Grid patch payload for the map namespace. Rows are strings over
-    {F, O, U} (free/occupied/unknown), row 0 = lowest y."""
-
-    col0: int
-    row0: int
-    rows: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("map tile needs at least one row")
-        width = len(self.rows[0])
-        if width == 0 or any(len(r) != width for r in self.rows):
-            raise ValueError("map tile rows must be non-empty and equal length")
-        if any(set(r) - set("FOU") for r in self.rows):
-            raise ValueError("map tile cells must be F, O, or U")
-
-    def to_text(self) -> str:
-        return f"{self.col0},{self.row0};" + "|".join(self.rows)
-
-    @staticmethod
-    def from_text(text: str) -> "MapTile":
-        head, _, body = text.partition(";")
-        parts = head.split(",")
-        if len(parts) != 2 or not body:
-            raise ValueError(f"bad map tile text '{text}'")
-        try:
-            col0, row0 = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad map tile origin '{head}'") from None
-        return MapTile(col0, row0, tuple(body.split("|")))
 
 
 @dataclass(frozen=True)
@@ -122,6 +88,20 @@ DEFAULT_CONFIGS: dict[TierId, TierConfig] = {
 }
 
 
+def merged_configs(
+    overrides: dict[TierId, TierConfig] | None = None,
+) -> dict[TierId, TierConfig]:
+    """DEFAULT_CONFIGS with overrides applied. Raises ValueError unless
+    latencies are non-decreasing from STM to CLOUD."""
+    configs = dict(DEFAULT_CONFIGS)
+    if overrides:
+        configs.update(overrides)
+    for faster, slower in zip(sorted(TierId), sorted(TierId)[1:]):
+        if configs[faster].latency > configs[slower].latency:
+            raise ValueError("latencies must be non-decreasing from STM to CLOUD")
+    return configs
+
+
 @dataclass(frozen=True)
 class FetchResult:
     entry: StoredEntry
@@ -170,8 +150,6 @@ def encode_payload(namespace: str, payload: object) -> str:
         from .planner import format_fact
 
         return format_fact(payload)
-    if namespace == "map":
-        return payload.to_text()  # type: ignore[union-attr]
     raise ValueError(f"unknown namespace '{namespace}'")
 
 
@@ -188,8 +166,6 @@ def decode_payload(namespace: str, text: str) -> object:
         from .planner import parse_fact
 
         return parse_fact(text)
-    if namespace == "map":
-        return MapTile.from_text(text)
     raise ValueError(f"unknown namespace '{namespace}'")
 
 
@@ -225,12 +201,7 @@ class TierStore:
     """Four-tier LRU store with probe/promote lookup semantics."""
 
     def __init__(self, configs: dict[TierId, TierConfig] | None = None):
-        self.configs = dict(DEFAULT_CONFIGS)
-        if configs:
-            self.configs.update(configs)
-        for faster, slower in zip(sorted(TierId), sorted(TierId)[1:]):
-            if self.configs[faster].latency > self.configs[slower].latency:
-                raise ValueError("latencies must be non-decreasing from STM to CLOUD")
+        self.configs = merged_configs(configs)
         # key -> entry, insertion order = recency (first = least recent)
         self._tiers: dict[TierId, OrderedDict[str, StoredEntry]] = {
             tier: OrderedDict() for tier in TierId
@@ -244,17 +215,21 @@ class TierStore:
         """Entries in recency order, least recent first."""
         return list(self._tiers[tier].values())
 
-    def contains(self, key: str, tier: TierId) -> bool:
-        return key in self._tiers[tier]
-
     def used_units(self, tier: TierId) -> int:
         return sum(e.size_units for e in self._tiers[tier].values())
 
     def keys_anywhere(self) -> set[str]:
-        out: set[str] = set()
+        return set(self.peek())
+
+    def peek(self) -> dict[str, StoredEntry]:
+        """Every stored entry by key, the first copy in TierId order, without
+        probing: no statistics or recency change. Copies of one key across
+        tiers share a version, so any copy serves."""
+        found: dict[str, StoredEntry] = {}
         for tier in TierId:
-            out.update(self._tiers[tier])
-        return out
+            for key, entry in self._tiers[tier].items():
+                found.setdefault(key, entry)
+        return found
 
     # -- core operations --
 
@@ -320,18 +295,14 @@ class TierStore:
     def _relation_edges(self) -> dict[str, set[str]]:
         """Undirected symbol adjacency from every env record's relations."""
         edges: dict[str, set[str]] = {}
-        seen: set[str] = set()
-        for tier in TierId:
-            for key, entry in self._tiers[tier].items():
-                if entry.namespace != "env" or key in seen:
+        for entry in self.peek().values():
+            if entry.namespace != "env":
+                continue
+            for rel in entry.payload.implicit:  # type: ignore[attr-defined]
+                if rel.predicate not in ("inside", "adjacent", "connected"):
                     continue
-                seen.add(key)
-                record = entry.payload
-                for rel in record.implicit:  # type: ignore[attr-defined]
-                    if rel.predicate not in ("inside", "adjacent", "connected"):
-                        continue
-                    edges.setdefault(rel.subject, set()).add(rel.object)
-                    edges.setdefault(rel.object, set()).add(rel.subject)
+                edges.setdefault(rel.subject, set()).add(rel.object)
+                edges.setdefault(rel.object, set()).add(rel.subject)
         return edges
 
     def prefetch_mission(self, goal_symbol: str, depth: int | None = None) -> set[str]:

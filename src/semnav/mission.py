@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,6 +37,7 @@ from .memory import (
     TierId,
     TierStore,
     UnknownSymbolError,
+    merged_configs,
 )
 from .navigation import (
     DrivingMap,
@@ -180,12 +182,13 @@ def _typed(section: str, key: str, raw: str, kind: type) -> object:
     return value
 
 
-def _sensor(spec_type: type, **fields: object) -> object:
-    """A sensor spec, its range checks reported as a ScenarioError."""
+def _checked(section: str, build: Callable[..., object], **fields: object) -> object:
+    """build(**fields), its range checks reported as a ScenarioError of the
+    section the fields came from."""
     try:
-        return spec_type(**fields)
+        return build(**fields)
     except ValueError as exc:
-        raise ScenarioError(f"[sensors] {exc}") from None
+        raise ScenarioError(f"[{section}] {exc}") from None
 
 
 def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
@@ -197,7 +200,8 @@ def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
         missing = {"lidar.range", "lidar.fov", "lidar.beams"} - lidar_keys
         if missing:
             raise ScenarioError(f"[sensors] incomplete lidar block, missing {sorted(missing)}")
-        lidar = _sensor(
+        lidar = _checked(
+            "sensors",
             Lidar2dSpec,
             range_m=_typed("sensors", "lidar.range", items["lidar.range"], float),
             fov=_typed("sensors", "lidar.fov", items["lidar.fov"], float),
@@ -207,7 +211,8 @@ def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
         missing = {"semantic.range", "semantic.fov"} - semantic_keys
         if missing:
             raise ScenarioError(f"[sensors] incomplete semantic block, missing {sorted(missing)}")
-        semantic = _sensor(
+        semantic = _checked(
+            "sensors",
             Semantic3dSpec,
             range_m=_typed("sensors", "semantic.range", items["semantic.range"], float),
             fov=_typed("sensors", "semantic.fov", items["semantic.fov"], float),
@@ -218,7 +223,6 @@ def _build_sensor_spec(items: dict[str, str]) -> SensorSpec:
 
 
 def _build_tier_configs(items: dict[str, str]) -> dict[TierId, TierConfig]:
-    configs = dict(DEFAULT_CONFIGS)
     knobs: dict[TierId, dict[str, object]] = {}
     for key, raw in items.items():
         tier_name, _, knob = key.partition(".")
@@ -230,13 +234,16 @@ def _build_tier_configs(items: dict[str, str]) -> dict[TierId, TierConfig]:
         else:
             value = _typed("tiers", key, raw, int)
         knobs.setdefault(tier, {})[knob] = value
-    for tier, overrides in knobs.items():
-        base = configs[tier]
-        configs[tier] = TierConfig(
-            capacity=overrides.get("capacity", base.capacity),
-            latency=overrides.get("latency", base.latency),
+    configs = {
+        tier: _checked(
+            "tiers",
+            TierConfig,
+            capacity=overrides.get("capacity", DEFAULT_CONFIGS[tier].capacity),
+            latency=overrides.get("latency", DEFAULT_CONFIGS[tier].latency),
         )
-    return configs
+        for tier, overrides in knobs.items()
+    }
+    return _checked("tiers", merged_configs, overrides=configs)
 
 
 def load_scenario(path: Path | str) -> Scenario:
@@ -396,22 +403,12 @@ def seed_store(
     return store
 
 
-def _peek_entries(store: TierStore) -> dict[str, StoredEntry]:
-    """All stored entries keyed by key, without touching fetch statistics.
-    Copies of one key across tiers share a version, so any copy serves."""
-    entries: dict[str, StoredEntry] = {}
-    for tier in TierId:
-        for entry in store.entries(tier):
-            entries.setdefault(entry.key, entry)
-    return entries
-
-
 def initial_facts(store: TierStore, start_space: str) -> frozenset[Fact]:
     """Symbolic mission state from long-term memory: the robot's location,
     every element relation (connectivity symmetrized — corridors carry
     traffic both ways), and all stored knowledge facts."""
     facts = {Fact("at", ("robot", start_space))}
-    for entry in _peek_entries(store).values():
+    for entry in store.peek().values():
         if entry.namespace == "env":
             for rel in entry.payload.implicit:
                 facts.add(Fact(rel.predicate, (rel.subject, rel.object)))
@@ -741,8 +738,3 @@ class MissionEngine:
 def execute_mission(scenario: Scenario) -> MissionRun:
     """Run one mission and keep every artifact (report, store, map, trace)."""
     return MissionEngine(scenario).run()
-
-
-def run_mission(scenario: Scenario) -> MissionReport:
-    """Run one mission; the report alone."""
-    return execute_mission(scenario).report

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt, label
 
 from .geometry import Point2, Pose2, normalize_angle
-from .mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
+from .mapgen import OCCUPIED, UNKNOWN, GridFrame, MetricLayer
 
 LETHAL = 254
 UNKNOWN_COST = 253
@@ -84,11 +84,6 @@ class ExactCost:
         if diagonal:
             return ExactCost(self.a, self.b + 100 + cell_cost)
         return ExactCost(self.a + 100 + cell_cost, self.b)
-
-    def to_meters(self, resolution: float) -> float:
-        if self.is_inf:
-            return math.inf
-        return resolution * (self.a + self.b * math.sqrt(2)) / 100.0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactCost):
@@ -142,7 +137,7 @@ def octile(a: tuple[int, int], b: tuple[int, int]) -> ExactCost:
     return ExactCost(100 * (hi - lo), 100 * lo)
 
 
-class DrivingMap:
+class DrivingMap(GridFrame):
     """Static + inflation + dynamic costmap over a metric layer."""
 
     def __init__(self, metric: MetricLayer, robot_radius: float, ttl: int = DEFAULT_TTL):
@@ -192,9 +187,6 @@ class DrivingMap:
 
     # -- cost queries --
 
-    def in_bounds(self, col: int, row: int) -> bool:
-        return 0 <= col < self.width and 0 <= row < self.height
-
     def composite(self, col: int, row: int) -> int:
         if (col, row) in self.dynamic:
             return LETHAL
@@ -202,18 +194,6 @@ class DrivingMap:
 
     def traversable(self, col: int, row: int) -> bool:
         return self.in_bounds(col, row) and self.composite(col, row) < UNKNOWN_COST
-
-    def cell_of(self, p: Point2) -> tuple[int, int]:
-        return (
-            int(math.floor((p.x - self.origin.x) / self.resolution)),
-            int(math.floor((p.y - self.origin.y) / self.resolution)),
-        )
-
-    def center_of(self, col: int, row: int) -> Point2:
-        return Point2(
-            self.origin.x + (col + 0.5) * self.resolution,
-            self.origin.y + (row + 0.5) * self.resolution,
-        )
 
     # -- padded flat index --
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 log = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VAR_RE = re.compile(r"\?[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -360,20 +359,3 @@ def _reconstruct(parent, key) -> list[GroundAction]:
         out.append(action)
     out.reverse()
     return out
-
-
-def validate_plan(initial_facts, plan_: BehaviorPlan, goal) -> tuple[bool, str | None]:
-    """Replay the plan; returns (ok, first violation message)."""
-    state = set(initial_facts)
-    for i, action in enumerate(plan_.actions):
-        missing = action.preconditions - state
-        if missing:
-            fact = sorted(format_fact(f) for f in missing)[0]
-            return False, f"step {i} {action.name}: precondition {fact} not satisfied"
-        state -= action.del_effects
-        state |= action.add_effects
-    remaining = set(goal) - state
-    if remaining:
-        fact = sorted(format_fact(f) for f in remaining)[0]
-        return False, f"goal fact {fact} not achieved"
-    return True, None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Footprint, Point2, Pose2, point_in_footprint
 
@@ -400,28 +400,6 @@ def _serialize_record(rec: ElementRecord, out: list[str]) -> None:
     for rel in rec.implicit:
         out.append(f'    <relation pred="{rel.predicate}" object="{rel.object}"/>')
     out.append(f"  </{tag}>")
-
-
-def serialize_world(world: WorldDescription) -> str:
-    """Canonical document text; parse_world(serialize_world(w)) == w."""
-    out: list[str] = [f'<world name="{world.name}">']
-    for record in world.all_elements():
-        _serialize_record(record, out)
-    for actor in world.actors:
-        out.append(
-            f'  <actor id="{actor.symbol}" class="{actor.class_label}" '
-            f'speed="{_fmt(actor.speed)}" radius="{_fmt(actor.footprint_radius)}">'
-        )
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in actor.waypoints)
-        out.append(f"    <waypoints>{pts}</waypoints>")
-        out.append("  </actor>")
-    spawn = world.robot_spawn
-    out.append(
-        f'  <robot spawn="{_fmt(spawn.x)} {_fmt(spawn.y)} {_fmt(spawn.heading)}" '
-        f'radius="{_fmt(world.robot_radius)}"/>'
-    )
-    out.append("</world>")
-    return "\n".join(out) + "\n"
 
 
 def serialize_element(rec: ElementRecord) -> str:

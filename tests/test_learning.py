@@ -18,7 +18,6 @@ from semnav.learning import (
     Rule,
     commit_learned,
     detect_novelty,
-    format_rules,
     infer_facts,
     parse_rules,
 )
@@ -81,11 +80,6 @@ def test_parse_rules_happy_path():
     assert len(rules) == 1
     assert rules[0].head == parse_fact("near(?x,?t)")
     assert rules[0].body == (parse_fact("inside(?x,?s)"), parse_fact("adjacent(?s,?t)"))
-
-
-def test_parse_rules_round_trip():
-    text = "near(?x,?t) :- inside(?x,?s), adjacent(?s,?t)\nflagged(a) :- seen(a)\n"
-    assert format_rules(parse_rules(text)) == text
 
 
 def test_parse_rules_rejects_missing_separator():

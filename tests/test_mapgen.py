@@ -9,7 +9,8 @@ from importlib import resources
 
 import pytest
 
-from semnav.geometry import Footprint, Point2, Pose2, point_in_footprint
+from semnav import mapgen
+from semnav.geometry import Footprint, Point2, Pose2, point_in_footprint, rasterize_footprint
 from semnav.mapgen import (
     FREE,
     OCCUPIED,
@@ -131,7 +132,7 @@ def test_metric_layer_matches_cell_oracle_on_random_rectangles():
             obstacles.append(fp)
             records.append(make_record(f"crate_{i}", "crate", fp))
         res = rng.choice([0.1, 0.25, 0.5])
-        layer = build_metric_layer(records, res)
+        layer, _ = build_metric_layer(records, res)
         for row in range(layer.height):
             for col in range(layer.width):
                 expected = oracle_code(layer.center_of(col, row), spaces, obstacles)
@@ -141,7 +142,7 @@ def test_metric_layer_matches_cell_oracle_on_random_rectangles():
 def test_metric_layer_ignores_non_static_footprints():
     space = make_record("room", "space", rect(0, 0, 2, 2), is_space=True)
     person = make_record("p1", "person", rect(0.9, 0.9, 1.1, 1.1), is_static=False)
-    layer = build_metric_layer([space, person], 0.2)
+    layer, _ = build_metric_layer([space, person], 0.2)
     col, row = layer.cell_of(Point2(1.0, 1.0))
     assert layer.cells[row, col] == FREE
     assert not (layer.cells == OCCUPIED).any()
@@ -149,7 +150,7 @@ def test_metric_layer_ignores_non_static_footprints():
 
 def test_metric_layer_grid_alignment_and_bounds():
     space = make_record("room", "space", rect(0, 0, 16, 8), is_space=True)
-    layer = build_metric_layer([space], 0.1)
+    layer, _ = build_metric_layer([space], 0.1)
     assert (layer.origin.x, layer.origin.y) == (0.0, 0.0)
     assert (layer.width, layer.height) == (160, 80)
     assert (layer.cells == FREE).all()
@@ -282,6 +283,28 @@ def test_generate_map_no_spaces_in_closure():
         generate_map(store, LIDAR_ONLY, "crate_1")
 
 
+def test_generate_map_rasterizes_each_footprint_once(monkeypatch):
+    calls = []
+
+    def counting(footprint, resolution, origin):
+        calls.append(footprint)
+        return rasterize_footprint(footprint, resolution, origin)
+
+    monkeypatch.setattr(mapgen, "rasterize_footprint", counting)
+    world = demo_world()
+    emap = generate_map(seeded_store(world), BOTH, "hall_b")
+    drawn = {
+        symbol: ann.footprint_cells
+        for symbol, ann in emap.semantic.annotations.items()
+        if ann.footprint_cells is not None
+    }
+    assert len(calls) == len(drawn) == 16
+    # annotations keep each footprint's cells whole, not clipped to the grid
+    for symbol, cells in drawn.items():
+        footprint = world.find(symbol).explicit.model2d
+        assert cells == rasterize_footprint(footprint, 0.1, emap.metric.origin)
+
+
 def test_generate_map_depth_zero_covers_only_goal_space():
     world = demo_world()
     emap = generate_map(seeded_store(world), BOTH, "lobby", prefetch_depth=0)
@@ -320,7 +343,7 @@ def test_map_satisfies_planner_grounding_protocol():
 # --- episodes ---
 
 def empty_map():
-    metric = build_metric_layer(
+    metric, _ = build_metric_layer(
         [make_record("room", "space", rect(0, 0, 1, 1), is_space=True)], 0.5
     )
     return SemanticEpisodicMap(
@@ -355,7 +378,7 @@ def test_episode_event_validation():
 def test_pgm_export_layout():
     space = make_record("room", "space", rect(0, 0, 1, 0.5), is_space=True)
     crate = make_record("crate", "crate", rect(0, 0, 0.5, 0.25))
-    layer = build_metric_layer([space, crate], 0.25)
+    layer, _ = build_metric_layer([space, crate], 0.25)
     data = metric_to_pgm(layer)
     assert data.startswith(b"P5\n4 2\n255\n")
     pixels = data[len(b"P5\n4 2\n255\n"):]
@@ -388,6 +411,6 @@ def test_unknown_value_report():
     # a cell outside every space is reported unknown, not free
     space = make_record("room", "space", rect(0, 0, 1, 1), is_space=True)
     far = make_record("annex", "space", rect(3, 3, 4, 4), is_space=True)
-    layer = build_metric_layer([space, far], 0.5)
+    layer, _ = build_metric_layer([space, far], 0.5)
     col, row = layer.cell_of(Point2(2.0, 2.0))
     assert layer.cells[row, col] == UNKNOWN

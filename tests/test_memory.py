@@ -8,10 +8,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.memory import (
     DEFAULT_CONFIGS,
-    MapTile,
     OversizeEntryError,
     SnapshotError,
     StoredEntry,
@@ -23,17 +24,14 @@ from semnav.memory import (
 from semnav.planner import Fact, parse_behavior_db
 from semnav.world import parse_world
 
-from oracles import ReplayTierModel, bfs_closure
+from oracles import ReplayTierModel, bfs_closure, resident
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "semnav" / "data"
-
-
-def tile(n: int) -> MapTile:
-    return MapTile(n, 0, ("F",))
+FACT = Fact("seen", ("booth_1",))
 
 
 def entry(key: str, size: int = 1, provenance: str = "authored") -> StoredEntry:
-    return StoredEntry(key=key, payload=tile(0), size_units=size, provenance=provenance)
+    return StoredEntry(key=key, payload=FACT, size_units=size, provenance=provenance)
 
 
 def small_store(**caps) -> TierStore:
@@ -49,33 +47,33 @@ def small_store(**caps) -> TierStore:
 class TestLookup:
     def test_stm_hit_is_free(self):
         store = small_store()
-        store.put(entry("map/a"), TierId.STM)
-        result = store.get("map/a")
+        store.put(entry("knowledge/a"), TierId.STM)
+        result = store.get("knowledge/a")
         assert result.served_from is TierId.STM
         assert result.accumulated_latency == 0
 
     def test_cloud_hit_pays_full_chain_and_promotes(self):
         store = TierStore()
-        store.put(entry("map/a"), TierId.CLOUD)
-        result = store.get("map/a")
+        store.put(entry("knowledge/a"), TierId.CLOUD)
+        result = store.get("knowledge/a")
         assert result.served_from is TierId.CLOUD
         assert result.accumulated_latency == 0 + 1 + 5 + 50
         for tier in TierId:
-            assert store.contains("map/a", tier)
+            assert resident(store, "knowledge/a", tier)
         # second lookup is now a free STM hit
-        assert store.get("map/a").accumulated_latency == 0
+        assert store.get("knowledge/a").accumulated_latency == 0
 
     def test_not_found_returns_none_and_counts_misses(self):
         store = TierStore()
-        assert store.get("map/nope") is None
+        assert store.get("knowledge/nope") is None
         for tier in TierId:
             assert store.stats.per_tier[tier].misses == 1
             assert store.stats.per_tier[tier].hits == 0
 
     def test_miss_counted_only_on_probed_tiers(self):
         store = TierStore()
-        store.put(entry("map/a"), TierId.ONDEMAND)
-        store.get("map/a")
+        store.put(entry("knowledge/a"), TierId.ONDEMAND)
+        store.get("knowledge/a")
         assert store.stats.per_tier[TierId.STM].misses == 1
         assert store.stats.per_tier[TierId.ONDEMAND].hits == 1
         assert store.stats.per_tier[TierId.NETWORK].misses == 0
@@ -85,52 +83,52 @@ class TestLookup:
 class TestPutAndEviction:
     def test_put_then_present(self):
         store = small_store()
-        store.put(entry("map/a"), TierId.ONDEMAND)
-        assert store.contains("map/a", TierId.ONDEMAND)
+        store.put(entry("knowledge/a"), TierId.ONDEMAND)
+        assert resident(store, "knowledge/a", TierId.ONDEMAND)
         assert store.stats.per_tier[TierId.ONDEMAND].evictions == 0
 
     def test_lru_eviction_order(self):
         store = small_store(ondemand=2)
-        store.put(entry("map/a"), TierId.ONDEMAND)
-        store.put(entry("map/b"), TierId.ONDEMAND)
-        store.get("map/a")  # refresh a
-        store.put(entry("map/c"), TierId.ONDEMAND)
-        assert not store.contains("map/b", TierId.ONDEMAND)
-        assert store.contains("map/a", TierId.ONDEMAND)
-        assert store.contains("map/c", TierId.ONDEMAND)
+        store.put(entry("knowledge/a"), TierId.ONDEMAND)
+        store.put(entry("knowledge/b"), TierId.ONDEMAND)
+        store.get("knowledge/a")  # refresh a
+        store.put(entry("knowledge/c"), TierId.ONDEMAND)
+        assert not resident(store, "knowledge/b", TierId.ONDEMAND)
+        assert resident(store, "knowledge/a", TierId.ONDEMAND)
+        assert resident(store, "knowledge/c", TierId.ONDEMAND)
 
     def test_oversize_rejected(self):
         store = small_store(ondemand=3)
         with pytest.raises(OversizeEntryError):
-            store.put(entry("map/big", size=4), TierId.ONDEMAND)
+            store.put(entry("knowledge/big", size=4), TierId.ONDEMAND)
 
     def test_overwrite_bumps_version(self):
         store = small_store()
         for expected in (1, 2, 3):
-            store.put(entry("map/a"), TierId.ONDEMAND)
+            store.put(entry("knowledge/a"), TierId.ONDEMAND)
             assert store.entries(TierId.ONDEMAND)[-1].version == expected
 
     def test_put_invalidates_stale_copies(self):
         store = TierStore()
-        store.put(entry("map/a"), TierId.CLOUD)
-        store.get("map/a")  # copies everywhere
-        store.put(entry("map/a"), TierId.ONDEMAND)  # version 2
-        result = store.get("map/a")
+        store.put(entry("knowledge/a"), TierId.CLOUD)
+        store.get("knowledge/a")  # copies everywhere
+        store.put(entry("knowledge/a"), TierId.ONDEMAND)  # version 2
+        result = store.get("knowledge/a")
         assert result.entry.version == 2
         assert result.served_from is TierId.ONDEMAND
 
     def test_capacity_respected_by_size_units(self):
         store = small_store(ondemand=3)
-        store.put(entry("map/a", size=2), TierId.ONDEMAND)
-        store.put(entry("map/b", size=2), TierId.ONDEMAND)
+        store.put(entry("knowledge/a", size=2), TierId.ONDEMAND)
+        store.put(entry("knowledge/b", size=2), TierId.ONDEMAND)
         assert store.used_units(TierId.ONDEMAND) <= 3
-        assert not store.contains("map/a", TierId.ONDEMAND)
+        assert not resident(store, "knowledge/a", TierId.ONDEMAND)
 
     def test_bad_keys_rejected(self):
         with pytest.raises(ValueError):
-            StoredEntry(key="bogus", payload=tile(0))
+            StoredEntry(key="bogus", payload=FACT)
         with pytest.raises(ValueError):
-            StoredEntry(key="wrongns/x", payload=tile(0))
+            StoredEntry(key="wrongns/x", payload=FACT)
 
 
 class TestPrefetch:
@@ -220,7 +218,7 @@ class TestWriteBack:
         store = TierStore()
         store.put(entry("env/wall"), TierId.ONDEMAND)
         assert store.flush_writeback() == 0
-        assert not store.contains("env/wall", TierId.CLOUD)
+        assert not resident(store, "env/wall", TierId.CLOUD)
 
     def test_learned_outside_ondemand_not_queued(self):
         store = TierStore()
@@ -252,18 +250,20 @@ class TestSnapshot:
 
     def test_round_trip_preserves_entries_and_recency(self):
         store = small_store(ondemand=3)
-        store.put(entry("map/a"), TierId.ONDEMAND)
-        store.put(entry("map/b"), TierId.ONDEMAND)
-        store.put(entry("map/c"), TierId.ONDEMAND)
-        store.get("map/a")  # recency now b, c, a
+        store.put(entry("knowledge/a"), TierId.ONDEMAND)
+        store.put(entry("knowledge/b"), TierId.ONDEMAND)
+        store.put(entry("knowledge/c"), TierId.ONDEMAND)
+        store.get("knowledge/a")  # recency now b, c, a
         doc = store.snapshot(TierId.ONDEMAND)
 
         other = small_store(ondemand=3)
         other.load_snapshot(doc, TierId.ONDEMAND)
-        assert [e.key for e in other.entries(TierId.ONDEMAND)] == ["map/b", "map/c", "map/a"]
+        assert [e.key for e in other.entries(TierId.ONDEMAND)] == [
+            "knowledge/b", "knowledge/c", "knowledge/a"
+        ]
         # recency is real: next insert evicts b (the least recent)
-        other.put(entry("map/d"), TierId.ONDEMAND)
-        assert not other.contains("map/b", TierId.ONDEMAND)
+        other.put(entry("knowledge/d"), TierId.ONDEMAND)
+        assert not resident(other, "knowledge/b", TierId.ONDEMAND)
 
     def test_all_payload_namespaces_round_trip(self):
         world = parse_world((DATA / "convention_center.world").read_text())
@@ -279,7 +279,6 @@ class TestSnapshot:
             StoredEntry(key="knowledge/near", payload=Fact("near", ("booth_1", "lobby"))),
             TierId.NETWORK,
         )
-        store.put(StoredEntry(key="map/tile_0", payload=MapTile(2, -3, ("FOU", "FFF"))), TierId.NETWORK)
         doc = store.snapshot(TierId.NETWORK)
         other = TierStore()
         other.load_snapshot(doc, TierId.NETWORK)
@@ -308,7 +307,7 @@ class TestSnapshot:
 
     def test_record_count_mismatch_rejected(self):
         store = small_store()
-        store.put(entry("map/a"), TierId.STM)
+        store.put(entry("knowledge/a"), TierId.STM)
         doc = store.snapshot(TierId.STM)
         with pytest.raises(SnapshotError):
             store.load_snapshot(doc.replace("STM 1", "STM 2"), TierId.STM)
@@ -325,7 +324,7 @@ class TestTraceAgainstReplayModel:
         store = TierStore(configs)
         model = ReplayTierModel(configs)
         rng = random.Random(99)
-        keys = [f"map/k{i}" for i in range(12)]
+        keys = [f"knowledge/k{i}" for i in range(12)]
 
         for step in range(2000):
             key = rng.choice(keys)
@@ -344,7 +343,7 @@ class TestTraceAgainstReplayModel:
                     assert got.served_from is tier
                     assert got.accumulated_latency == latency
                     assert got.entry.version == version
-                    assert store.contains(key, TierId.STM)
+                    assert resident(store, key, TierId.STM)
             for tier in TierId:
                 cap = configs[tier].capacity
                 if cap is not None:
@@ -358,6 +357,45 @@ class TestTraceAgainstReplayModel:
             assert stat.evictions == model.evictions[tier]
             assert stat.latency == model.latency[tier]
         assert store._writeback == model.writeback
+
+
+KEYS = st.sampled_from([f"knowledge/k{i}" for i in range(6)])
+OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"), KEYS, st.integers(1, 3),
+            st.sampled_from(["authored", "learned"]), st.sampled_from(list(TierId)),
+        ),
+        st.tuples(st.just("get"), KEYS),
+        st.tuples(st.just("flush")),
+    ),
+    min_size=10,  # shorter runs rarely fill a tier and then flush past it
+    max_size=60,
+)
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(capacities=st.lists(st.integers(1, 5), min_size=4, max_size=4), ops=OPS)
+def test_no_tier_ever_holds_more_than_its_capacity(capacities, ops):
+    configs = {
+        tier: TierConfig(capacity, latency)
+        for tier, capacity, latency in zip(TierId, capacities, (0, 1, 5, 50))
+    }
+    store = TierStore(configs)
+    for op in ops:
+        if op[0] == "put":
+            _, key, size, provenance, tier = op
+            if size > configs[tier].capacity:
+                with pytest.raises(OversizeEntryError):
+                    store.put(entry(key, size, provenance), tier)
+            else:
+                store.put(entry(key, size, provenance), tier)
+        elif op[0] == "get":
+            store.get(op[1])
+        else:
+            store.flush_writeback()
+        for tier in TierId:
+            assert store.used_units(tier) <= configs[tier].capacity, (op, tier)
 
 
 class TestConfig:

@@ -30,7 +30,6 @@ from semnav.mission import (
     load_scenario,
     report_to_json,
     resolve_input,
-    run_mission,
     seed_store,
 )
 from semnav.planner import Fact, parse_behavior_db
@@ -246,7 +245,7 @@ def test_trivial_mission_goal_already_satisfied(tmp_path):
 
 def test_unknown_goal_symbol_fails_before_any_ticks(tmp_path):
     sc = load_scenario(write_scenario(tmp_path, goal="at(robot,atrium_9)"))
-    report = run_mission(sc)
+    report = execute_mission(sc).report
     assert not report.success
     assert report.failure_code == FAIL_UNKNOWN_GOAL
     assert report.ticks_used == 0
@@ -256,7 +255,7 @@ def test_unknown_goal_symbol_fails_before_any_ticks(tmp_path):
 def test_goal_no_action_can_achieve_is_unsolvable(tmp_path):
     # wall_south exists in the store, but no behavior moves the robot onto it
     sc = load_scenario(write_scenario(tmp_path, goal="at(robot,wall_south)"))
-    report = run_mission(sc)
+    report = execute_mission(sc).report
     assert not report.success
     assert report.failure_code == FAIL_UNSOLVABLE
     assert report.ticks_used == 0
@@ -420,7 +419,7 @@ def test_blocked_edge_triggers_task_level_replan_with_detour(tmp_path):
 
 def test_sealed_edge_without_detour_is_unreachable(tmp_path):
     sc = _scenario_for(tmp_path, TWO_ROOM_SEALED, "at(robot,room_b)", 1200)
-    report = run_mission(sc)
+    report = execute_mission(sc).report
     assert not report.success
     assert report.failure_code == FAIL_UNREACHABLE
     assert report.replan_count == 1  # the one failed task-level replan
@@ -429,7 +428,7 @@ def test_sealed_edge_without_detour_is_unreachable(tmp_path):
 
 def test_timeout_reports_distinct_failure_code(tmp_path):
     sc = _scenario_for(tmp_path, TWO_ROOM_SEALED, "at(robot,room_b)", 30)
-    report = run_mission(sc)
+    report = execute_mission(sc).report
     assert not report.success
     assert report.failure_code == FAIL_TIMEOUT
     assert report.ticks_used == 30

@@ -111,9 +111,6 @@ def test_exact_cost_comparisons_match_decimal_oracle():
 def test_exact_cost_infinity_and_conversion():
     assert ZERO < INFINITE and not INFINITE < ZERO
     assert INFINITE == INFINITE and INFINITE.plus(ZERO).is_inf
-    assert ExactCost(100, 0).to_meters(1.0) == 1.0
-    assert ExactCost(0, 900).to_meters(1.0) == pytest.approx(9 * math.sqrt(2), rel=1e-12)
-    assert INFINITE.to_meters(0.1) == math.inf
     assert ExactCost(150, 0).step(0, False) == ExactCost(250, 0)
     assert ExactCost(0, 0).step(53, True) == ExactCost(0, 153)
 
@@ -279,7 +276,6 @@ def test_diagonal_run_on_empty_grid():
     path, cost = result
     assert len(path) == 10
     assert cost == ExactCost(0, 900)
-    assert cost.to_meters(1.0) == pytest.approx(9 * math.sqrt(2), rel=1e-12)
 
 
 def test_goal_surrounded_by_lethal_is_unreachable():

@@ -22,10 +22,9 @@ from semnav.planner import (
     parse_behavior_db,
     parse_fact,
     plan,
-    validate_plan,
 )
 
-from oracles import enumerate_optimal_plans, optimal_plan_cost, replay_plan
+from oracles import enumerate_optimal_plans, optimal_plan_cost, replay_plan, validate_plan
 
 DB = """
 action navigate(?from:space, ?to:space)

@@ -9,13 +9,7 @@ import random
 
 import pytest
 
-from semnav.geometry import (
-    Footprint,
-    Point2,
-    Pose2,
-    ray_circle_intersection,
-    ray_segment_intersection,
-)
+from semnav.geometry import Footprint, Point2, Pose2, ray_segment_intersection
 from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
 from semnav.navigation import RobotState
 from semnav.simulator import (
@@ -28,6 +22,8 @@ from semnav.simulator import (
     trace_hash,
     trace_to_csv,
 )
+
+from oracles import oracle_ray_circle
 from semnav.world import (
     ActorScript,
     ElementRecord,
@@ -193,8 +189,7 @@ def oracle_beam(ws, angle_world, range_max):
             best = t
     for actor in ws.world.actors:
         c = ws.actor_positions[actor.symbol]
-        t = ray_circle_intersection(pose.x, pose.y, dx, dy, c.x, c.y,
-                                    actor.footprint_radius)
+        t = oracle_ray_circle(pose.x, pose.y, dx, dy, c.x, c.y, actor.footprint_radius)
         if t is not None and 1e-9 <= t < best:
             best = t
     return best

@@ -13,13 +13,38 @@ from semnav.world import (
     PhysicalInfo,
     Relation,
     SymbolicModel,
+    WorldDescription,
     WorldSchemaError,
     WorldSemanticError,
     WorldSyntaxError,
+    _fmt,
+    _serialize_record,
     parse_world,
-    serialize_world,
     validate_world,
 )
+
+
+def serialize_world(world: WorldDescription) -> str:
+    """Canonical document text; parse_world(serialize_world(w)) == w."""
+    out: list[str] = [f'<world name="{world.name}">']
+    for record in world.all_elements():
+        _serialize_record(record, out)
+    for actor in world.actors:
+        out.append(
+            f'  <actor id="{actor.symbol}" class="{actor.class_label}" '
+            f'speed="{_fmt(actor.speed)}" radius="{_fmt(actor.footprint_radius)}">'
+        )
+        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in actor.waypoints)
+        out.append(f"    <waypoints>{pts}</waypoints>")
+        out.append("  </actor>")
+    spawn = world.robot_spawn
+    out.append(
+        f'  <robot spawn="{_fmt(spawn.x)} {_fmt(spawn.y)} {_fmt(spawn.heading)}" '
+        f'radius="{_fmt(world.robot_radius)}"/>'
+    )
+    out.append("</world>")
+    return "\n".join(out) + "\n"
+
 
 MINIMAL = """
 <world name="tiny">

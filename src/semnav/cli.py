@@ -19,13 +19,19 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .mapgen import MapError, generate_map, layers_to_text, metric_sidecar, metric_to_pgm
+from .mapgen import (
+    MapError,
+    episodic_log,
+    generate_map,
+    layers_to_text,
+    metric_sidecar,
+    metric_to_pgm,
+)
 from .memory import OversizeEntryError, UnknownSymbolError
 from .mission import (
     MissionEngine,
     Scenario,
     ScenarioError,
-    episodic_log,
     goal_anchor,
     initial_facts,
     load_scenario,

@@ -190,40 +190,3 @@ def rasterize_footprint(
                 cells.add((ix, iy))
     return cells
 
-
-def ray_segment_intersection(
-    ox: float, oy: float, dx: float, dy: float, a: Point2, b: Point2
-) -> float | None:
-    """Distance along the unit ray (ox,oy)+t*(dx,dy) to segment ab, or None."""
-    ex = b.x - a.x
-    ey = b.y - a.y
-    denom = dx * ey - dy * ex
-    if abs(denom) < 1e-15:
-        return None
-    t = ((a.x - ox) * ey - (a.y - oy) * ex) / denom
-    u = ((a.x - ox) * dy - (a.y - oy) * dx) / denom
-    if t >= 0.0 and -1e-12 <= u <= 1.0 + 1e-12:
-        return t
-    return None
-
-
-def segment_crosses_any(
-    p: Point2, q: Point2, edges: list[tuple[Point2, Point2]]
-) -> bool:
-    """True when segment pq properly intersects any of the edges.
-
-    Touching an edge exactly at q (the target point) does not count, so a
-    detection reference point lying on geometry is not self-occluded.
-    """
-    dx = q.x - p.x
-    dy = q.y - p.y
-    length = math.hypot(dx, dy)
-    if length < 1e-12:
-        return False
-    ux = dx / length
-    uy = dy / length
-    for a, b in edges:
-        t = ray_segment_intersection(p.x, p.y, ux, uy, a, b)
-        if t is not None and 1e-9 < t < length - 1e-9:
-            return True
-    return False

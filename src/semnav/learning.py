@@ -110,19 +110,12 @@ def _next_learned_index(store: TierStore) -> int:
     return highest + 1
 
 
-def detect_novelty(
-    detections: list[Detection],
-    store: TierStore,
-    tick: int,
-    *,
-    match_radius: float = MATCH_RADIUS,
-    displacement_threshold: float = DISPLACEMENT_THRESHOLD,
-) -> list[NoveltyEvent]:
+def detect_novelty(detections: list[Detection], store: TierStore, tick: int) -> list[NoveltyEvent]:
     """Compare one sensor frame against stored knowledge.
 
     A detection matches the nearest stored element of the same semantic
-    class within match_radius. No match → NEW_OBJECT (symbol `learned_<n>`);
-    a match displaced by more than displacement_threshold → DISPLACED_OBJECT;
+    class within MATCH_RADIUS. No match → NEW_OBJECT (symbol `learned_<n>`);
+    a match displaced by more than DISPLACEMENT_THRESHOLD → DISPLACED_OBJECT;
     otherwise the detection is old news.
     """
     # peek, not get: the learning pass inspects knowledge, it does not consume it
@@ -141,7 +134,7 @@ def detect_novelty(
             if position is None:
                 continue
             d = position.distance_to(det.position)
-            if d <= match_radius and (best is None or d < best[0]):
+            if d <= MATCH_RADIUS and (best is None or d < best[0]):
                 best = (d, symbol, position)
         if best is None:
             events.append(
@@ -155,7 +148,7 @@ def detect_novelty(
                 )
             )
             next_index += 1
-        elif best[0] > displacement_threshold:
+        elif best[0] > DISPLACEMENT_THRESHOLD:
             events.append(
                 NoveltyEvent(
                     kind=DISPLACED_OBJECT,

@@ -389,6 +389,15 @@ def metric_sidecar(metric: MetricLayer) -> str:
     )
 
 
+def episodic_log(emap: SemanticEpisodicMap) -> str:
+    """Episodic layer as one canonical line per event."""
+    return "".join(
+        f"{e.tick} {e.kind} {e.pose.x:.9f} {e.pose.y:.9f} {e.pose.heading:.9f} "
+        f"{e.subject if e.subject is not None else '-'}\n"
+        for e in emap.episodic.events
+    )
+
+
 def layers_to_text(emap: SemanticEpisodicMap) -> str:
     """Canonical dump of the non-metric layers: stable ordering and fixed
     decimal formatting so repeated generation is byte-identical."""
@@ -408,10 +417,4 @@ def layers_to_text(emap: SemanticEpisodicMap) -> str:
             parts.append(f"semantic_class={ann.semantic_class}")
         lines.append(" ".join(parts))
     lines.append("[episodic]")
-    for ev in emap.episodic.events:
-        subject = ev.subject or "-"
-        lines.append(
-            f"{ev.tick} {ev.kind} {ev.pose.x:.9f} {ev.pose.y:.9f} "
-            f"{ev.pose.heading:.9f} {subject}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + episodic_log(emap)

@@ -40,6 +40,7 @@ from .memory import (
     merged_configs,
 )
 from .navigation import (
+    GOAL_TOLERANCE,
     DrivingMap,
     ReplanState,
     cells_to_points,
@@ -79,10 +80,6 @@ DATA_DIR_ENV = "SEMNAV_DATA_DIR"
 # edge is declared blocked and the task planner is re-run. Two dynamic-layer
 # lifetimes: a crossing actor clears well within one.
 BLOCKED_TICKS = 60
-
-# A navigate action counts as arrived within this distance of the target
-# cell center; matches the waypoint follower's stopping tolerance.
-GOAL_TOLERANCE = 0.15
 
 FAIL_UNKNOWN_GOAL = "unknown goal symbol"
 FAIL_UNSOLVABLE = "unsolvable"
@@ -359,17 +356,6 @@ def report_to_json(report: MissionReport) -> str:
         "trace_digest": report.trace_digest,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def episodic_log(emap: SemanticEpisodicMap) -> str:
-    """Episodic layer as one canonical line per event."""
-    lines = []
-    for e in emap.episodic.events:
-        subject = e.subject if e.subject is not None else "-"
-        lines.append(
-            f"{e.tick} {e.kind} {e.pose.x:.9f} {e.pose.y:.9f} {e.pose.heading:.9f} {subject}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass

@@ -544,18 +544,18 @@ def cells_to_points(dmap: DrivingMap, path: list[tuple[int, int]]) -> list[Point
     return [dmap.center_of(*cell) for cell in path]
 
 
-def follow_step(
-    state: RobotState,
-    waypoints: list[Point2],
-    dt: float,
-    *,
-    v_max: float = 1.0,
-    omega_max: float = 1.5,
-    lookahead: float = 0.5,
-    goal_tol: float = 0.15,
-    turn_gain: float = 3.0,
-) -> FollowResult:
-    """Rotate-then-drive pursuit of the furthest waypoint within lookahead.
+# Pure-pursuit limits: forward speed (m/s), turn rate (rad/s), how far ahead
+# along the path to aim (m), the stopping distance to the last waypoint (m)
+# and the turn rate per radian of heading error.
+V_MAX = 1.0
+OMEGA_MAX = 1.5
+LOOKAHEAD = 0.5
+GOAL_TOLERANCE = 0.15
+TURN_GAIN = 3.0
+
+
+def follow_step(state: RobotState, waypoints: list[Point2], dt: float) -> FollowResult:
+    """Rotate-then-drive pursuit of the furthest waypoint within LOOKAHEAD.
 
     Large heading error (> 90°) turns in place; otherwise forward speed
     scales with the cosine of the error. The returned new_state is the pure
@@ -566,7 +566,7 @@ def follow_step(
         raise ValueError("follow_step needs at least one waypoint")
     pose = state.pose
     here = pose.position
-    if here.distance_to(waypoints[-1]) <= goal_tol:
+    if here.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
         return FollowResult((0.0, 0.0), RobotState(pose, 0.0, 0.0), True)
 
     nearest = min(
@@ -574,15 +574,15 @@ def follow_step(
     )
     target = waypoints[nearest]
     for i in range(nearest, len(waypoints)):
-        if here.distance_to(waypoints[i]) <= lookahead:
+        if here.distance_to(waypoints[i]) <= LOOKAHEAD:
             target = waypoints[i]
 
     err = normalize_angle(math.atan2(target.y - here.y, target.x - here.x) - pose.heading)
     if abs(err) <= math.pi / 2:
-        v = v_max * max(0.0, math.cos(err))
+        v = V_MAX * max(0.0, math.cos(err))
     else:
         v = 0.0
-    omega = max(-omega_max, min(omega_max, turn_gain * err))
+    omega = max(-OMEGA_MAX, min(OMEGA_MAX, TURN_GAIN * err))
 
     new_pose = Pose2(
         pose.x + v * math.cos(pose.heading) * dt,

@@ -6,7 +6,9 @@ seed): actors follow their waypoint cycles, sensor geometry is solved in
 closed form rather than sampled on a grid, and the only randomness is the
 optional lidar range noise drawn from one seeded generator. Space footprints
 are floor regions, not obstacles — only static non-space elements and actor
-disks return lidar echoes or occlude the semantic sensor.
+disks return lidar echoes or occlude the semantic sensor. The static walls are
+built once per world; one ray–segment kernel serves the lidar, the motion
+clamp and line of sight.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    Point2,
-    Pose2,
-    normalize_angle,
-    ray_segment_intersection,
-    segment_crosses_any,
-)
+from .geometry import Point2, Pose2, normalize_angle
 from .learning import Detection
 from .mapgen import SensorSpec
 from .navigation import RobotState
@@ -53,9 +49,48 @@ class SemanticFrame:
     detections: tuple[Detection, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Walls:
+    """Boundary segments of every static non-space footprint, as arrays:
+    start (ax, ay), direction to the end (ex, ey) and owning element symbol."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, world: WorldDescription) -> Walls:
+        edges = [
+            (rec.symbol, a, b)
+            for rec in world.elements
+            if not rec.is_space and rec.explicit.physical.is_static and rec.explicit.model2d
+            for a, b in rec.explicit.model2d.edges()
+        ]
+        rows = np.asarray([(a.x, a.y, b.x - a.x, b.y - a.y) for _, a, b in edges], dtype=float)
+        ax, ay, ex, ey = rows.reshape(-1, 4).T
+        return cls(ax, ay, ex, ey, np.asarray([owner for owner, _, _ in edges], dtype=object))
+
+    def ray_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
+        """Distance t along each unit ray (ox, oy) + t*(dx, dy) to each
+        segment, one row per ray, or inf where the ray's line misses the
+        segment. t may be negative (behind the origin); callers window it."""
+        dx = np.asarray(dx, dtype=float).reshape(-1, 1)
+        dy = np.asarray(dy, dtype=float).reshape(-1, 1)
+        wx, wy = self.ax - ox, self.ay - oy
+        denom = dx * self.ey - dy * self.ex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (wx * self.ey - wy * self.ex) / denom
+            u = (wx * dy - wy * dx) / denom
+        hit = (np.abs(denom) >= 1e-15) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+        return np.where(hit, t, np.inf)
+
+
 @dataclass
 class WorldState:
     world: WorldDescription
+    walls: Walls  # built once: the world is immutable
     tick: int
     robot: RobotState
     actor_positions: dict[str, Point2]
@@ -83,6 +118,7 @@ def make_world_state(
         raise ValueError("noise_sigma must be >= 0")
     ws = WorldState(
         world=world,
+        walls=Walls.of(world),
         tick=0,
         robot=RobotState(world.robot_spawn),
         actor_positions={a.symbol: a.waypoints[0] for a in world.actors},
@@ -94,20 +130,6 @@ def make_world_state(
     )
     ws.trace.append(_trace_record(ws, 0.0, 0.0))
     return ws
-
-
-def static_edges(
-    world: WorldDescription, exclude_symbol: str | None = None
-) -> list[tuple[Point2, Point2]]:
-    """Boundary segments of all static non-space footprints."""
-    edges: list[tuple[Point2, Point2]] = []
-    for rec in world.elements:
-        if rec.is_space or rec.symbol == exclude_symbol:
-            continue
-        if not rec.explicit.physical.is_static or rec.explicit.model2d is None:
-            continue
-        edges.extend(rec.explicit.model2d.edges())
-    return edges
 
 
 def _advance_actor(
@@ -158,14 +180,10 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
     if abs(move) > 1e-15:
         ux = math.cos(pose.heading) * (1.0 if move >= 0 else -1.0)
         uy = math.sin(pose.heading) * (1.0 if move >= 0 else -1.0)
-        length = abs(move)
-        nearest = None
-        for a, b in static_edges(ws.world):
-            t = ray_segment_intersection(pose.x, pose.y, ux, uy, a, b)
-            if t is not None and t <= length and (nearest is None or t < nearest):
-                nearest = t
-        if nearest is not None:
-            allowed = max(0.0, nearest - _MIN_HIT)
+        t = ws.walls.ray_hits(pose.x, pose.y, ux, uy)[0]
+        t = t[(t >= 0.0) & (t <= abs(move))]
+        if t.size:
+            allowed = max(0.0, float(t.min()) - _MIN_HIT)
             new_x = pose.x + ux * allowed
             new_y = pose.y + uy * allowed
             ws.static_collisions += 1
@@ -203,28 +221,8 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     absolute = np.asarray(rel) + pose.heading
     dx = np.cos(absolute)
     dy = np.sin(absolute)
-    best = np.full(len(rel), np.inf)
-
-    edges = static_edges(ws.world)
-    if edges:
-        ax = np.asarray([a.x for a, _ in edges])
-        ay = np.asarray([a.y for a, _ in edges])
-        ex = np.asarray([b.x - a.x for a, b in edges])
-        ey = np.asarray([b.y - a.y for a, b in edges])
-        denom = dx[:, None] * ey[None, :] - dy[:, None] * ex[None, :]
-        t_num = (ax - pose.x) * ey - (ay - pose.y) * ex  # per edge
-        u_num = (ax - pose.x)[None, :] * dy[:, None] - (ay - pose.y)[None, :] * dx[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = t_num[None, :] / denom
-            u = u_num / denom
-        valid = (
-            (np.abs(denom) >= 1e-15)
-            & (t >= _MIN_HIT)
-            & (u >= -1e-12)
-            & (u <= 1.0 + 1e-12)
-        )
-        t = np.where(valid, t, np.inf)
-        best = np.minimum(best, t.min(axis=1))
+    t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
+    best = np.where(t >= _MIN_HIT, t, np.inf).min(axis=1, initial=np.inf)
 
     for actor in ws.world.actors:
         center = ws.actor_positions[actor.symbol]
@@ -267,9 +265,13 @@ def _visible(ws: WorldState, spec: SensorSpec, point: Point2,
     bearing = math.atan2(point.y - pose.y, point.x - pose.x)
     if gap > 1e-12 and abs(normalize_angle(bearing - pose.heading)) > sem.fov / 2 + 1e-12:
         return False
-    return not segment_crosses_any(
-        pose.position, point, static_edges(ws.world, exclude_symbol=own_symbol)
-    )
+    if gap < 1e-12:
+        return True
+    t = ws.walls.ray_hits(pose.x, pose.y, (point.x - pose.x) / gap, (point.y - pose.y) / gap)[0]
+    # a segment properly between the sensor and the point occludes it, unless
+    # it bounds the point's own element
+    between = (t > 1e-9) & (t < gap - 1e-9)
+    return not (ws.walls.owner[between] != own_symbol).any()
 
 
 def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:
@@ -278,34 +280,22 @@ def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:
     field-of-view boundary is inclusive."""
     if spec.semantic3d is None:
         raise ValueError("sensor spec has no 3D semantic sensor")
-    detections: list[Detection] = []
-    for rec in sorted(ws.world.elements, key=lambda r: r.symbol):
-        if rec.is_space or rec.explicit.model3d is None:
-            continue
-        point = rec.position()
-        if point is None:
-            continue  # geometry-free element: nothing to localize
-        if _visible(ws, spec, point, rec.symbol):
-            detections.append(
-                Detection(
-                    symbol=rec.symbol,
-                    semantic_class=rec.explicit.model3d.semantic_class,
-                    position=point,
-                    tick=ws.tick,
-                )
-            )
-    for actor in sorted(ws.world.actors, key=lambda a: a.symbol):
-        point = ws.actor_positions[actor.symbol]
-        if _visible(ws, spec, point, None):
-            detections.append(
-                Detection(
-                    symbol=None,
-                    semantic_class=actor.class_label,
-                    position=point,
-                    tick=ws.tick,
-                )
-            )
-    return SemanticFrame(tick=ws.tick, pose=ws.robot.pose, detections=tuple(detections))
+    # (symbol, class, reference point): elements, then actors, which report no
+    # symbol; a geometry-free element has no point and nothing to localize
+    targets = [
+        (rec.symbol, rec.explicit.model3d.semantic_class, rec.position())
+        for rec in sorted(ws.world.elements, key=lambda r: r.symbol)
+        if not rec.is_space and rec.explicit.model3d is not None
+    ] + [
+        (None, actor.class_label, ws.actor_positions[actor.symbol])
+        for actor in sorted(ws.world.actors, key=lambda a: a.symbol)
+    ]
+    detections = tuple(
+        Detection(symbol=symbol, semantic_class=label, position=point, tick=ws.tick)
+        for symbol, label, point in targets
+        if point is not None and _visible(ws, spec, point, symbol)
+    )
+    return SemanticFrame(tick=ws.tick, pose=ws.robot.pose, detections=detections)
 
 
 # --- tracing ---

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from semnav.geometry import (
@@ -16,8 +17,8 @@ from semnav.geometry import (
     normalize_angle,
     point_in_footprint,
     rasterize_footprint,
-    ray_segment_intersection,
 )
+from semnav.simulator import Walls
 
 
 def rect_footprint(x0: float, y0: float, x1: float, y1: float) -> Footprint:
@@ -233,20 +234,29 @@ class TestRasterize:
             assert got == expected
 
 
+def ray_hit(ox, oy, dx, dy, a, b):
+    """The wall kernel's distance along one ray to one segment a-b."""
+    walls = Walls(np.array([a.x]), np.array([a.y]), np.array([b.x - a.x]),
+                  np.array([b.y - a.y]), np.array(["s"], dtype=object))
+    return float(walls.ray_hits(ox, oy, dx, dy)[0, 0])
+
+
 class TestRays:
     def test_ray_hits_segment_head_on(self):
-        t = ray_segment_intersection(0, 0, 1, 0, Point2(2, -1), Point2(2, 1))
+        t = ray_hit(0, 0, 1, 0, Point2(2, -1), Point2(2, 1))
         assert t == pytest.approx(2.0)
 
     def test_ray_misses_parallel_segment(self):
-        assert ray_segment_intersection(0, 0, 1, 0, Point2(1, 1), Point2(3, 1)) is None
+        assert ray_hit(0, 0, 1, 0, Point2(1, 1), Point2(3, 1)) == math.inf
 
     def test_ray_behind_origin(self):
-        assert ray_segment_intersection(0, 0, 1, 0, Point2(-2, -1), Point2(-2, 1)) is None
+        # the line crosses behind the origin: a negative distance, which
+        # every caller's window (t >= 0 or more) rejects
+        assert ray_hit(0, 0, 1, 0, Point2(-2, -1), Point2(-2, 1)) == pytest.approx(-2.0)
 
     def test_random_rays_against_sampled_marching(self):
-        """March along each ray in small steps and compare the first hit
-        bracket with the analytic intersection distance."""
+        """Every finite distance the kernel returns, ahead of the origin or
+        behind it, puts the hit point on the segment."""
         rng = random.Random(23)
         for _ in range(300):
             a = Point2(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -255,9 +265,8 @@ class TestRays:
                 continue
             ang = rng.uniform(-math.pi, math.pi)
             dx, dy = math.cos(ang), math.sin(ang)
-            t = ray_segment_intersection(0.0, 0.0, dx, dy, a, b)
-            if t is None:
+            t = ray_hit(0.0, 0.0, dx, dy, a, b)
+            if t == math.inf:
                 continue
-            assert t >= 0.0
             hit = Point2(t * dx, t * dy)
             assert _point_segment_distance(hit, a, b) < 1e-7

@@ -15,12 +15,10 @@ from semnav.mapgen import (
     FREE,
     OCCUPIED,
     UNKNOWN,
-    Annotation,
     EpisodeEvent,
     EpisodicLayer,
     Lidar2dSpec,
     MapError,
-    MetricLayer,
     Semantic3dSpec,
     SemanticEpisodicMap,
     SemanticLayer,
@@ -34,7 +32,7 @@ from semnav.mapgen import (
     metric_sidecar,
     metric_to_pgm,
 )
-from semnav.memory import StoredEntry, TierConfig, TierId, TierStore, UnknownSymbolError
+from semnav.memory import StoredEntry, TierId, TierStore, UnknownSymbolError
 from semnav.planner import ground_actions, parse_action_template
 from semnav.world import (
     ElementRecord,

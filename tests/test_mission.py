@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semnav.learning import NEW_OBJECT
+from semnav.mapgen import episodic_log
 from semnav.memory import TierId, UnknownSymbolError
 from semnav.navigation import DrivingMap
 from semnav.mission import (
@@ -19,11 +19,9 @@ from semnav.mission import (
     FAIL_UNREACHABLE,
     FAIL_UNSOLVABLE,
     MissionEngine,
-    MissionReport,
     Scenario,
     ScenarioError,
     data_dir,
-    episodic_log,
     execute_mission,
     goal_anchor,
     initial_facts,

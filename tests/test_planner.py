@@ -4,13 +4,11 @@ oracles in oracles.py."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from semnav.planner import (
-    ActionTemplate,
     BehaviorPlan,
     Fact,
     GroundAction,

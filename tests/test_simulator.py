@@ -9,21 +9,18 @@ import random
 
 import pytest
 
-from semnav.geometry import Footprint, Point2, Pose2, ray_segment_intersection
+from semnav.geometry import Footprint, Point2, Pose2
 from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
-from semnav.navigation import RobotState
 from semnav.simulator import (
-    WorldState,
     lidar_scan,
     make_world_state,
     semantic_detect,
-    static_edges,
     step,
     trace_hash,
     trace_to_csv,
 )
 
-from oracles import oracle_ray_circle
+from oracles import oracle_ray_circle, oracle_ray_segment, segments_properly_cross
 from semnav.world import (
     ActorScript,
     ElementRecord,
@@ -118,6 +115,18 @@ def test_robot_clamps_at_wall_contact_and_counts_collision():
     assert ws.robot.pose.x < 3.0
 
 
+def test_wall_behind_the_motion_does_not_clamp_it():
+    world = tiny_world([wall("w", 0.0, 0, 0.2, 2)], spawn=Pose2(1.0, 1.0, 0.0))
+    ws = make_world_state(world)
+    step(ws, 0.1, (1.0, 0.0))  # driving away from the wall behind
+    assert ws.robot.pose.x == pytest.approx(1.1)
+    assert ws.static_collisions == 0
+    for _ in range(20):
+        step(ws, 0.1, (-1.0, 0.0))  # backing into it stops at its face
+    assert 0.2 <= ws.robot.pose.x <= 0.2 + 2e-9
+    assert ws.static_collisions >= 1
+
+
 def test_collision_oracle_on_random_drives():
     rng = random.Random(12)
     for case in range(30):
@@ -179,14 +188,17 @@ def test_lidar_requires_lidar_spec():
 
 
 def oracle_beam(ws, angle_world, range_max):
-    """Exhaustive scalar min over every edge and actor disk."""
+    """Exhaustive scalar min over every static footprint edge and actor disk."""
     pose = ws.robot.pose
     dx, dy = math.cos(angle_world), math.sin(angle_world)
     best = range_max
-    for a, b in static_edges(ws.world):
-        t = ray_segment_intersection(pose.x, pose.y, dx, dy, a, b)
-        if t is not None and 1e-9 <= t < best:
-            best = t
+    for rec in ws.world.elements:
+        if rec.is_space or not rec.explicit.physical.is_static:
+            continue
+        for a, b in rec.explicit.model2d.edges():
+            t = oracle_ray_segment(pose.x, pose.y, dx, dy, a, b)
+            if t is not None and 1e-9 <= t < best:
+                best = t
     for actor in ws.world.actors:
         c = ws.actor_positions[actor.symbol]
         t = oracle_ray_circle(pose.x, pose.y, dx, dy, c.x, c.y, actor.footprint_radius)
@@ -303,16 +315,6 @@ def test_element_own_footprint_does_not_occlude_it():
     assert [d.symbol for d in frame.detections] == ["bigbox"]
 
 
-def _ccw(a, b, c):
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _proper_cross(p, q, a, b):
-    d1, d2 = _ccw(p, q, a), _ccw(p, q, b)
-    d3, d4 = _ccw(a, b, p), _ccw(a, b, q)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 def test_occlusion_matches_segment_check_oracle():
     rng = random.Random(31337)
     spec = SensorSpec(semantic3d=Semantic3dSpec(50.0, 2 * math.pi))  # geometry only
@@ -329,7 +331,7 @@ def test_occlusion_matches_segment_check_oracle():
         frame = semantic_detect(make_world_state(world), spec)
         detected = any(d.symbol == "t" for d in frame.detections)
         blocked = any(
-            _proper_cross(spawn.position, target, a, b)
+            segments_properly_cross(spawn.position, target, a, b)
             for w in walls
             for a, b in w.explicit.model2d.edges()
         )

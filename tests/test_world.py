@@ -18,8 +18,8 @@ from semnav.world import (
     WorldSemanticError,
     WorldSyntaxError,
     _fmt,
-    _serialize_record,
     parse_world,
+    serialize_element,
     validate_world,
 )
 
@@ -28,7 +28,7 @@ def serialize_world(world: WorldDescription) -> str:
     """Canonical document text; parse_world(serialize_world(w)) == w."""
     out: list[str] = [f'<world name="{world.name}">']
     for record in world.all_elements():
-        _serialize_record(record, out)
+        out.append("  " + serialize_element(record))
     for actor in world.actors:
         out.append(
             f'  <actor id="{actor.symbol}" class="{actor.class_label}" '

@@ -3,13 +3,16 @@
 All coordinates are meters in a fixed world frame; headings are radians
 normalized into (-pi, pi]. Footprints are simple polygons stored with
 counter-clockwise winding. Boundary points count as inside everywhere, which
-keeps rasterization deterministic.
+keeps rasterization deterministic. One even-odd test serves a single point and,
+elementwise over numpy arrays, every cell center a footprint rasterizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def normalize_angle(theta: float) -> float:
@@ -115,15 +118,14 @@ class Footprint:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-def _on_segment(p: Point2, a: Point2, b: Point2, eps: float = 1e-12) -> bool:
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if abs(cross) > eps * max(1.0, abs(b.x - a.x) + abs(b.y - a.y)):
-        return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    if dot < -eps:
-        return False
-    sq_len = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return dot <= sq_len + eps
+def _on_segment(px, py, a: Point2, b: Point2, eps: float = 1e-12):
+    """Whether point (px, py) lies on segment a-b, within eps; px and py may
+    be floats or arrays, answered elementwise with the same arithmetic."""
+    ex, ey = b.x - a.x, b.y - a.y
+    cross = ex * (py - a.y) - ey * (px - a.x)
+    dot = (px - a.x) * ex + (py - a.y) * ey
+    sq_len = ex**2 + ey**2
+    return (abs(cross) <= eps * max(1.0, abs(ex) + abs(ey))) & (dot >= -eps) & (dot <= sq_len + eps)
 
 
 def _segments_intersect(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
@@ -136,34 +138,28 @@ def _segments_intersect(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     d4 = orient(p1, p2, p4)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
         return True
-    if d1 == 0 and _on_segment(p1, p3, p4):
-        return True
-    if d2 == 0 and _on_segment(p2, p3, p4):
-        return True
-    if d3 == 0 and _on_segment(p3, p1, p2):
-        return True
-    if d4 == 0 and _on_segment(p4, p1, p2):
-        return True
-    return False
+    return (
+        (d1 == 0 and _on_segment(p1.x, p1.y, p3, p4))
+        or (d2 == 0 and _on_segment(p2.x, p2.y, p3, p4))
+        or (d3 == 0 and _on_segment(p3.x, p3.y, p1, p2))
+        or (d4 == 0 and _on_segment(p4.x, p4.y, p1, p2))
+    )
+
+
+def _contains(px, py, f: Footprint):
+    """Even-odd containment of (px, py) in f, boundary inside; floats or arrays alike."""
+    on_edge = inside = False
+    for a, b in f.edges():
+        on_edge = on_edge | _on_segment(px, py, a, b)
+        if a.y != b.y:  # a horizontal edge never straddles py
+            x_cross = a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y)
+            inside = inside ^ (((b.y > py) != (a.y > py)) & (px < x_cross))
+    return on_edge | inside
 
 
 def point_in_footprint(p: Point2, f: Footprint) -> bool:
     """Even-odd containment test; points on the boundary count as inside."""
-    for a, b in f.edges():
-        if _on_segment(p, a, b):
-            return True
-    inside = False
-    pts = f.vertices
-    n = len(pts)
-    j = n - 1
-    for i in range(n):
-        yi, yj = pts[i].y, pts[j].y
-        if (yi > p.y) != (yj > p.y):
-            x_cross = pts[j].x + (p.y - yj) * (pts[i].x - pts[j].x) / (yi - yj)
-            if p.x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    return bool(_contains(p.x, p.y, f))
 
 
 def rasterize_footprint(
@@ -172,7 +168,8 @@ def rasterize_footprint(
     """Grid cells whose center lies in the footprint.
 
     Cell (ix, iy) covers [origin + ix*res, origin + (ix+1)*res) along x and
-    likewise along y; its center is sampled with point_in_footprint.
+    likewise along y. The centers of the footprint's bounding box are tested
+    in one array pass, and the set is built in row-major order.
     """
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -181,12 +178,7 @@ def rasterize_footprint(
     ix1 = math.ceil((max_x - origin.x) / resolution) + 1
     iy0 = math.floor((min_y - origin.y) / resolution) - 1
     iy1 = math.ceil((max_y - origin.y) / resolution) + 1
-    cells: set[tuple[int, int]] = set()
-    for iy in range(iy0, iy1 + 1):
-        cy = origin.y + (iy + 0.5) * resolution
-        for ix in range(ix0, ix1 + 1):
-            cx = origin.x + (ix + 0.5) * resolution
-            if point_in_footprint(Point2(cx, cy), f):
-                cells.add((ix, iy))
-    return cells
-
+    cx = origin.x + (np.arange(ix0, ix1 + 1) + 0.5) * resolution
+    cy = origin.y + (np.arange(iy0, iy1 + 1) + 0.5) * resolution
+    rows, cols = np.nonzero(_contains(cx[np.newaxis, :], cy[:, np.newaxis], f))
+    return set(zip((cols + ix0).tolist(), (rows + iy0).tolist()))

@@ -4,7 +4,8 @@ The costmap stacks three layers and takes their maximum per cell: a static
 layer from the metric map (occupied 254, unknown 253, free 0), an inflation
 layer around lethal cells (200 within the robot radius, decaying linearly to
 zero at twice the radius), and a dynamic layer of recent sensor hits (254
-with a time-to-live). Cells at or above 253 are untraversable.
+with a time-to-live), whose cells each scan yields in one numpy pass over its
+beams. Cells at or above 253 are untraversable.
 
 Moving into a cell costs step_length * (1 + composite/100) meters, where
 step_length is one resolution unit for cardinal moves and sqrt(2) units for
@@ -220,28 +221,31 @@ class DrivingMap(GridFrame):
         """Fold a lidar scan into the dynamic layer and age out old entries.
 
         Every hit lands as cost 254 with expiry tick + ttl unless the cell is
-        already static-lethal. Returns the cells whose composite cost differs
-        from before the call.
+        already static-lethal; hit cells are found for all beams at once and
+        folded in beam order. Returns the cells whose composite cost differs
+        from before the call. A non-finite hit point short of range_max
+        raises ValueError before anything changes.
         """
+        ranges = np.asarray(scan.ranges, dtype=float)
+        heading = pose.heading + np.asarray(scan.angles, dtype=float)
+        near = ~(ranges >= scan.range_max - 1e-9)  # a NaN range stays in, and fails below
+        dist = ranges[near]
+        hx = pose.x + dist * np.cos(heading[near])
+        hy = pose.y + dist * np.sin(heading[near])
+        if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
+            raise ValueError("non-finite lidar hit point")
+        col = np.floor((hx - self.origin.x) / self.resolution)
+        row = np.floor((hy - self.origin.y) / self.resolution)
+        inside = (col >= 0) & (col < self.width) & (row >= 0) & (row < self.height)
+        col, row = col[inside].astype(np.intp), row[inside].astype(np.intp)
+        free = self.static[row, col] != LETHAL
+        hits = zip(col[free].tolist(), row[free].tolist())
         affected: dict[tuple[int, int], int] = {}
-
         expired = [cell for cell, expiry in self.dynamic.items() if tick >= expiry]
         for cell in expired:
             affected.setdefault(cell, self.composite(*cell))
             del self.dynamic[cell]
-
-        for angle, dist in zip(scan.angles, scan.ranges):
-            if dist >= scan.range_max - 1e-9:
-                continue
-            heading = pose.heading + angle
-            hit = Point2(
-                pose.x + dist * math.cos(heading), pose.y + dist * math.sin(heading)
-            )
-            cell = self.cell_of(hit)
-            if not self.in_bounds(*cell):
-                continue
-            if self.static[cell[1], cell[0]] == LETHAL:
-                continue
+        for cell in hits:
             affected.setdefault(cell, self.composite(*cell))
             self.dynamic[cell] = tick + self.ttl
 

@@ -6,9 +6,10 @@ seed): actors follow their waypoint cycles, sensor geometry is solved in
 closed form rather than sampled on a grid, and the only randomness is the
 optional lidar range noise drawn from one seeded generator. Space footprints
 are floor regions, not obstacles — only static non-space elements and actor
-disks return lidar echoes or occlude the semantic sensor. The static walls are
-built once per world; one ray–segment kernel serves the lidar, the motion
-clamp and line of sight.
+disks return lidar echoes or occlude the semantic sensor. The static walls and
+the elements' reference points are built once per world; one ray–segment
+kernel serves the lidar, the motion clamp and, in one call per frame, every
+line of sight.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ class Walls:
 class WorldState:
     world: WorldDescription
     walls: Walls  # built once: the world is immutable
+    landmarks: tuple[tuple[str, str, Point2], ...]  # (symbol, class, point), by symbol
     tick: int
     robot: RobotState
     actor_positions: dict[str, Point2]
@@ -119,6 +121,13 @@ def make_world_state(
     ws = WorldState(
         world=world,
         walls=Walls.of(world),
+        # a geometry-free element has no reference point and nothing to localize
+        landmarks=tuple(
+            (rec.symbol, rec.explicit.model3d.semantic_class, rec.position())
+            for rec in sorted(world.elements, key=lambda r: r.symbol)
+            if not rec.is_space and rec.explicit.model3d is not None
+            and rec.explicit.model2d is not None
+        ),
         tick=0,
         robot=RobotState(world.robot_spawn),
         actor_positions={a.symbol: a.waypoints[0] for a in world.actors},
@@ -255,47 +264,42 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     )
 
 
-def _visible(ws: WorldState, spec: SensorSpec, point: Point2,
-             own_symbol: str | None) -> bool:
-    sem = spec.semantic3d
-    pose = ws.robot.pose
-    gap = pose.position.distance_to(point)
-    if gap > sem.range_m:
-        return False
-    bearing = math.atan2(point.y - pose.y, point.x - pose.x)
-    if gap > 1e-12 and abs(normalize_angle(bearing - pose.heading)) > sem.fov / 2 + 1e-12:
-        return False
-    if gap < 1e-12:
-        return True
-    t = ws.walls.ray_hits(pose.x, pose.y, (point.x - pose.x) / gap, (point.y - pose.y) / gap)[0]
-    # a segment properly between the sensor and the point occludes it, unless
-    # it bounds the point's own element
-    between = (t > 1e-9) & (t < gap - 1e-9)
-    return not (ws.walls.owner[between] != own_symbol).any()
-
-
 def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:
     """Elements and actors whose reference point lies in the sensor cone with
     clear line of sight. An element's own footprint never occludes it; the
     field-of-view boundary is inclusive."""
-    if spec.semantic3d is None:
+    sem = spec.semantic3d
+    if sem is None:
         raise ValueError("sensor spec has no 3D semantic sensor")
-    # (symbol, class, reference point): elements, then actors, which report no
-    # symbol; a geometry-free element has no point and nothing to localize
-    targets = [
-        (rec.symbol, rec.explicit.model3d.semantic_class, rec.position())
-        for rec in sorted(ws.world.elements, key=lambda r: r.symbol)
-        if not rec.is_space and rec.explicit.model3d is not None
-    ] + [
+    pose = ws.robot.pose
+    here = pose.position
+    # elements, then actors, which report no symbol
+    targets = ws.landmarks + tuple(
         (None, actor.class_label, ws.actor_positions[actor.symbol])
         for actor in sorted(ws.world.actors, key=lambda a: a.symbol)
-    ]
-    detections = tuple(
-        Detection(symbol=symbol, semantic_class=label, position=point, tick=ws.tick)
-        for symbol, label, point in targets
-        if point is not None and _visible(ws, spec, point, symbol)
     )
-    return SemanticFrame(tick=ws.tick, pose=ws.robot.pose, detections=detections)
+    # a segment properly between the sensor and a point occludes it, unless it
+    # bounds the point's own element; a point at the sensor is never occluded
+    in_cone, rays = [], []  # rays: (index in in_cone, dx, dy, gap, own symbol)
+    for symbol, label, point in targets:
+        gap = here.distance_to(point)
+        if gap > sem.range_m:
+            continue
+        bearing = math.atan2(point.y - pose.y, point.x - pose.x)
+        if gap > 1e-12 and abs(normalize_angle(bearing - pose.heading)) > sem.fov / 2 + 1e-12:
+            continue
+        if gap >= 1e-12:
+            rays.append((len(in_cone), (point.x - pose.x) / gap, (point.y - pose.y) / gap, gap, symbol))
+        in_cone.append(Detection(symbol=symbol, semantic_class=label, position=point, tick=ws.tick))
+    occluded = np.zeros(len(in_cone), dtype=bool)
+    if rays:
+        index, dx, dy, gap, own = zip(*rays)
+        t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
+        between = (t > 1e-9) & (t < np.reshape(gap, (-1, 1)) - 1e-9)
+        own = np.reshape(np.array(own, dtype=object), (-1, 1))
+        occluded[list(index)] = (between & (ws.walls.owner != own)).any(axis=1)
+    detections = tuple(d for d, hidden in zip(in_cone, occluded) if not hidden)
+    return SemanticFrame(tick=ws.tick, pose=pose, detections=detections)
 
 
 # --- tracing ---

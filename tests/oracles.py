@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from semnav.geometry import Point2
 from semnav.memory import TierId
 from semnav.planner import BehaviorPlan, format_fact
 
@@ -359,6 +360,78 @@ def dijkstra_pair_cost(grid, start, goal):
                     counter += 1
                     heapq.heappush(heap, (_PairPriority(*cand), counter, nxt))
     return None
+
+
+# --- point containment ----------------------------------------------------------
+
+def reference_on_segment(p, a, b, eps=1e-12):
+    """Whether p lies on segment a-b, within eps, one point at a time."""
+    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    if abs(cross) > eps * max(1.0, abs(b.x - a.x) + abs(b.y - a.y)):
+        return False
+    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
+    if dot < -eps:
+        return False
+    sq_len = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
+    return dot <= sq_len + eps
+
+
+def reference_point_in_footprint(p, f):
+    """Scalar even-odd containment, boundary inside: any edge through p
+    answers at once, then each edge straddling p.y toggles the parity when
+    its crossing lies right of p."""
+    for a, b in f.edges():
+        if reference_on_segment(p, a, b):
+            return True
+    inside = False
+    pts = f.vertices
+    n = len(pts)
+    j = n - 1
+    for i in range(n):
+        yi, yj = pts[i].y, pts[j].y
+        if (yi > p.y) != (yj > p.y):
+            x_cross = pts[j].x + (p.y - yj) * (pts[i].x - pts[j].x) / (yi - yj)
+            if p.x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+# --- dynamic costmap layer -------------------------------------------------------
+
+def reference_dynamic_fold(static, dynamic, origin, resolution, ttl, scan, pose, tick):
+    """One beam at a time, the fold of a scan into a {cell: expiry} dynamic
+    layer over a static cost grid (rows by columns): expire entries due at
+    tick, then mark each in-range hit cell that is inside the grid and not
+    static-lethal (254) until tick + ttl. Mutates dynamic and returns the
+    cells whose composite cost changed. A non-finite hit point raises
+    ValueError, through Point2."""
+    height, width = len(static), len(static[0])
+
+    def composite(cell):
+        return 254 if cell in dynamic else int(static[cell[1]][cell[0]])
+
+    affected = {}
+    expired = [cell for cell, expiry in dynamic.items() if tick >= expiry]
+    for cell in expired:
+        affected.setdefault(cell, composite(cell))
+        del dynamic[cell]
+    for angle, dist in zip(scan.angles, scan.ranges):
+        if dist >= scan.range_max - 1e-9:
+            continue
+        heading = pose.heading + angle
+        hit = Point2(pose.x + dist * math.cos(heading), pose.y + dist * math.sin(heading))
+        cell = (
+            int(math.floor((hit.x - origin.x) / resolution)),
+            int(math.floor((hit.y - origin.y) / resolution)),
+        )
+        if not (0 <= cell[0] < width and 0 <= cell[1] < height):
+            continue
+        if static[cell[1]][cell[0]] == 254:
+            continue
+        affected.setdefault(cell, composite(cell))
+        dynamic[cell] = tick + ttl
+    return {cell for cell, before in affected.items() if composite(cell) != before}
 
 
 # --- ray geometry -------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import reference_point_in_footprint
 from semnav.geometry import (
     Footprint,
     Point2,
@@ -203,6 +204,7 @@ class TestRasterize:
 
     def test_matches_exhaustive_center_scan(self):
         rng = random.Random(17)
+        cases = []
         for _ in range(40):
             pts = []
             while True:
@@ -212,9 +214,35 @@ class TestRasterize:
                     pts.reverse()
                 if abs(area) > 0.05:
                     break
-            fp = Footprint(tuple(pts))
             resolution = rng.choice([0.05, 0.1, 0.25])
             origin = Point2(rng.uniform(-1, 0), rng.uniform(-1, 0))
+            cases.append((Footprint(tuple(pts)), resolution, origin))
+        for resolution in (0.05, 0.1, 0.25):
+            for _ in range(10):
+                # concave L-shapes anywhere, then polygons whose vertices sit
+                # on cell centres, so edges run through centres and vertices
+                x, y = rng.uniform(0, 2), rng.uniform(0, 2)
+                w, h = rng.uniform(0.5, 2), rng.uniform(0.5, 2)
+                a, b = rng.uniform(0.1, 0.9) * w, rng.uniform(0.1, 0.9) * h
+                ell = [(x, y), (x + w, y), (x + w, y + b), (x + a, y + b),
+                       (x + a, y + h), (x, y + h)]
+                origin = Point2(rng.uniform(-1, 0), rng.uniform(-1, 0))
+                cases.append((_footprint(ell), resolution, origin))
+                c0, r0 = rng.randint(0, 8), rng.randint(0, 8)
+                w, h = rng.randint(2, 12), rng.randint(2, 12)
+                a, b = rng.randint(1, w - 1), rng.randint(1, h - 1)
+                shape = rng.choice([
+                    [(0, 0), (w, 0), (w, b), (a, b), (a, h), (0, h)],  # L
+                    [(0, 0), (w, 0), (a, h)],  # triangle, slanted edges
+                    [(0, 0), (w, 0), (w, h), (a, b), (0, h)],  # notched
+                ])
+                centres = [
+                    (origin.x + (c0 + c + 0.5) * resolution, origin.y + (r0 + r + 0.5) * resolution)
+                    for c, r in shape
+                ]
+                cases.append((_footprint(centres), resolution, origin))
+
+        for fp, resolution, origin in cases:
             got = rasterize_footprint(fp, resolution, origin)
 
             x0, y0, x1, y1 = fp.bounds()
@@ -229,9 +257,13 @@ class TestRasterize:
                         origin.x + (col + 0.5) * resolution,
                         origin.y + (row + 0.5) * resolution,
                     )
-                    if point_in_footprint(center, fp):
+                    if reference_point_in_footprint(center, fp):
                         expected.add((col, row))
             assert got == expected
+
+
+def _footprint(xy) -> Footprint:
+    return Footprint(tuple(Point2(x, y) for x, y in xy))
 
 
 def ray_hit(ox, oy, dx, dy, a, b):

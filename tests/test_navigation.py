@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cmp_sqrt2,
@@ -17,6 +19,7 @@ from oracles import (
     dijkstra_pair_cost,
     grid_edge_cost,
     inflation_oracle,
+    reference_dynamic_fold,
 )
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
@@ -265,6 +268,115 @@ def test_dynamic_layer_matches_full_recompute_oracle():
         }
         assert changed == diff, f"changed-set diverged at tick {tick}"
         previous = actual
+
+
+@st.composite
+def fold_cases(draw):
+    """A random map, ttl and a few ticks of scans from random poses. Beams
+    are random, exactly at or around the range cut, or aimed at a cell
+    centre in or just outside the grid, so they hit static-lethal cells,
+    leave the grid and re-mark cells across ticks."""
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    resolution = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    origin = Point2(draw(st.sampled_from([0.0, -1.0, 0.3])), draw(st.sampled_from([0.0, -0.7, 2.0])))
+    codes = draw(st.lists(st.sampled_from([FREE, FREE, FREE, OCCUPIED, UNKNOWN]),
+                          min_size=width * height, max_size=width * height))
+    metric = MetricLayer(resolution=resolution, origin=origin, width=width, height=height,
+                         cells=np.array(codes, dtype=np.uint8).reshape(height, width))
+    range_max = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    cut = range_max - 1e-9
+    # a few aim points shared by every tick, so that cells are hit again
+    aims = draw(st.lists(st.tuples(st.integers(-1, width), st.integers(-1, height)),
+                         min_size=1, max_size=3))
+    moving = draw(st.booleans())
+    frames, tick, pose = [], 0, None
+    for _ in range(draw(st.integers(1, 8))):
+        tick += draw(st.integers(1, 3))
+        if pose is None or moving:
+            pose = Pose2(
+                draw(st.floats(origin.x - 1.0, origin.x + width * resolution + 1.0)),
+                draw(st.floats(origin.y - 1.0, origin.y + height * resolution + 1.0)),
+                draw(st.floats(-math.pi, math.pi)),
+            )
+        angles, ranges = [], []
+        for kind in draw(st.lists(st.sampled_from(["random", "cut", "aimed"]), max_size=12)):
+            if kind == "aimed":
+                col, row = draw(st.sampled_from(aims))
+                target = Point2(origin.x + (col + 0.5) * resolution, origin.y + (row + 0.5) * resolution)
+                angles.append(math.atan2(target.y - pose.y, target.x - pose.x) - pose.heading)
+                ranges.append(pose.position.distance_to(target))
+                continue
+            angles.append(draw(st.floats(-math.pi, math.pi)))
+            if kind == "cut":
+                ranges.append(draw(st.sampled_from(
+                    [cut, range_max, math.nextafter(cut, 0.0), math.inf])))
+            else:
+                ranges.append(draw(st.floats(0.0, 1.5 * range_max)))
+        frames.append((tick, pose, FakeScan(tuple(angles), tuple(ranges), range_max)))
+    return metric, draw(st.integers(1, 4)), frames
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(case=fold_cases())
+def test_dynamic_fold_matches_per_beam_reference(case):
+    metric, ttl, frames = case
+    dmap = DrivingMap(metric, robot_radius=metric.resolution / 2, ttl=ttl)
+    static = dmap.static.tolist()
+    reference: dict[tuple[int, int], int] = {}
+    for tick, pose, scan in frames:
+        expected = reference_dynamic_fold(
+            static, reference, metric.origin, metric.resolution, ttl, scan, pose, tick
+        )
+        assert dmap.update_dynamic_layer(scan, pose, tick) == expected, tick
+        # insertion order too: the snapshot and connectivity walk the dict
+        assert list(dmap.dynamic.items()) == list(reference.items()), tick
+
+
+def test_dynamic_fold_edge_cases_match_reference():
+    rows = ["....", "..#.", "...."]
+    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5, ttl=3)
+    static = dmap.static.tolist()
+    pose = Pose2(0.5, 1.5, 0.0)
+    cut = 10.0 - 1e-9
+    empty = FakeScan((), (), 10.0)
+    # beams: a free cell, static-lethal (2, 1), exactly at the cut, off the
+    # grid ahead and behind, and (0, 2) above
+    full = FakeScan((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2),
+                    (1.0, 2.0, cut, 7.0, 3.0, 1.0), 10.0)
+    above = FakeScan((math.pi / 2,), (1.0,), 10.0)
+    frames = [(0, empty, set()), (1, full, {(1, 1), (0, 2)}), (2, above, set()),
+              (3, empty, set()), (4, empty, {(1, 1)}), (5, empty, {(0, 2)}), (6, empty, set())]
+    reference: dict[tuple[int, int], int] = {}
+    for tick, scan, changed in frames:
+        assert reference_dynamic_fold(
+            static, reference, Point2(0.0, 0.0), 1.0, 3, scan, pose, tick
+        ) == changed
+        assert dmap.update_dynamic_layer(scan, pose, tick) == changed, tick
+        assert list(dmap.dynamic.items()) == list(reference.items()), tick
+
+
+@pytest.mark.parametrize(
+    "angles, ranges",
+    [((0.0, 0.3), (1.0, math.nan)), ((0.0, 0.3), (1.0, -math.inf)), ((math.nan,), (1.0,))],
+    ids=["nan_range", "negative_inf_range", "nan_angle"],
+)
+def test_non_finite_beam_raises_and_changes_nothing(angles, ranges):
+    # a silent skip would hide a sensor fault
+    dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
+    with pytest.raises(ValueError):
+        dmap.update_dynamic_layer(FakeScan(angles, ranges, 10.0), Pose2(0.5, 0.5, 0.0), tick=0)
+    assert dmap.dynamic == {}
+
+
+def test_numpy_trig_matches_math_bitwise():
+    angles = np.random.default_rng(20).uniform(-2.0 * math.pi, 2.0 * math.pi, 200_000)
+    for vectorized, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        expected = np.array([scalar(a) for a in angles.tolist()])
+        assert np.array_equal(vectorized(angles).view(np.int64), expected.view(np.int64)), (
+            f"np.{vectorized.__name__} differs from math.{scalar.__name__} in the last bit on "
+            "this machine: the dynamic layer and the lidar compute beam headings with numpy, "
+            "and report identity with the scalar per-beam fold depends on the two agreeing"
+        )
 
 
 # --- global planning ---

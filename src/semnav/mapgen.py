@@ -14,6 +14,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -245,9 +246,10 @@ def build_metric_layer(
     cells = np.full((height, width), UNKNOWN, dtype=np.uint8)
 
     def paint(rec: ElementRecord, value: int) -> None:
-        for col, row in footprint_cells[rec.symbol]:
-            if 0 <= col < width and 0 <= row < height:
-                cells[row, col] = value
+        fp = footprint_cells[rec.symbol]
+        col, row = np.fromiter(chain.from_iterable(fp), np.intp, 2 * len(fp)).reshape(-1, 2).T
+        inside = (col >= 0) & (col < width) & (row >= 0) & (row < height)
+        cells[row[inside], col[inside]] = value
 
     for rec in drawn:
         if rec.is_space:

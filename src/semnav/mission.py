@@ -647,12 +647,14 @@ class MissionEngine:
     def _ahead_is_blocked(self, path: list[tuple[int, int]], pose: Pose2) -> bool:
         """True when the path's remaining stretch (from the cell nearest the
         robot onward) is no longer drivable on the current costmap."""
-        here = pose.position
+        dmap = self.dmap
+        ox, oy, res = dmap.origin.x, dmap.origin.y, dmap.resolution
+        # the operands of center_of(...).distance_to(pose), without the Point2s
         nearest = min(
-            range(len(path)),
-            key=lambda i: (self.dmap.center_of(*path[i]).distance_to(here), i),
-        )
-        return path_cost(self.dmap, path[nearest:]).is_inf
+            (math.hypot(ox + (col + 0.5) * res - pose.x, oy + (row + 0.5) * res - pose.y), i)
+            for i, (col, row) in enumerate(path)
+        )[1]
+        return path_cost(dmap, path[nearest:]) is None
 
     def _replan_behavior(self, blocked_src: str, blocked_dst: str) -> list[GroundAction] | None:
         """Topology-level replan after a blocked edge: drop the connectivity

@@ -13,10 +13,19 @@ diagonal ones; diagonal moves additionally require both adjacent cardinal
 cells to be traversable. Because every edge weight is (100 + c) or
 (100 + c) * sqrt(2) scaled by resolution/100, any path length is exactly
 resolution * (a + b*sqrt(2)) / 100 for non-negative integers a and b, and
-sqrt(2) being irrational makes that pair unique per length. All searches
-here therefore carry costs as integer pairs and compare them exactly, so
-the initial planner, the incremental replanner, and any from-scratch
-re-check agree on optimal cost bit-for-bit.
+sqrt(2) being irrational makes that pair unique per length.
+
+All searches carry such a cost as one Python int, C(a, b) = a*UA + b*UB
+with UA = 2**120 and UB = floor(sqrt(2) * 2**80) * 2**40 + 1. The encoding
+is linear, so a move adds a precomputed STRAIGHT[c] or DIAG[c] and equal
+pairs give equal ints whatever the order of the sums. C / 2**120 lies within
+b * 2**-80 of a + b*sqrt(2), while two distinct pairs with a + b <= S differ
+by at least 1 / (2*sqrt(2)*S); so comparing ints orders costs exactly as the
+reals do while S < 4.6e11 (PAIR_SUM_LIMIT). UB is 1 modulo 2**40 and UA
+is 0, so b = C & (2**40 - 1) and a = (C - b*UB) >> 120 decode a cost. INF is
+math.inf, which compares correctly with any int. The initial planner, the
+incremental replanner, and any from-scratch re-check therefore agree on
+optimal cost bit-for-bit.
 
 The incremental replanner is repaired lazily: the drive loop batches the
 cells that change while its path stays drivable and repairs only once that
@@ -43,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt, label
@@ -55,87 +65,43 @@ UNKNOWN_COST = 253
 INSCRIBED = 200
 DEFAULT_TTL = 30
 
-# the eight neighbours of a cell, as (dcol, drow)
-_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+# a cell and its eight neighbours, as (dcol, drow)
+_NEIGHBOURHOOD = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-class ExactCost:
-    """A length of the form (a + b*sqrt(2)) scaled units, a and b integers.
-
-    Comparisons are exact integer sign analysis, never floating point, so
-    equal-cost ties and orderings are decided identically everywhere.
-    """
-
-    __slots__ = ("a", "b", "is_inf")
-
-    def __init__(self, a: int = 0, b: int = 0, is_inf: bool = False):
-        self.a = a
-        self.b = b
-        self.is_inf = is_inf
-
-    def plus(self, other: "ExactCost") -> "ExactCost":
-        if self.is_inf or other.is_inf:
-            return INFINITE
-        return ExactCost(self.a + other.a, self.b + other.b)
-
-    def step(self, cell_cost: int, diagonal: bool) -> "ExactCost":
-        """This cost extended by one move into a cell of the given cost."""
-        if self.is_inf:
-            return INFINITE
-        if diagonal:
-            return ExactCost(self.a, self.b + 100 + cell_cost)
-        return ExactCost(self.a + 100 + cell_cost, self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactCost):
-            return NotImplemented
-        if self.is_inf or other.is_inf:
-            return self.is_inf and other.is_inf
-        return self.a == other.a and self.b == other.b
-
-    def __lt__(self, other: "ExactCost") -> bool:
-        if self.is_inf:
-            return False
-        if other.is_inf:
-            return True
-        da = self.a - other.a
-        db = self.b - other.b
-        # sign of da + db*sqrt(2)
-        if da >= 0 and db >= 0:
-            return False
-        if da <= 0 and db <= 0:
-            return not (da == 0 and db == 0)
-        if da > 0:  # db < 0: negative iff da < -db*sqrt(2) iff da^2 < 2*db^2
-            return da * da < 2 * db * db
-        # da < 0, db > 0: negative iff -da > db*sqrt(2) iff da^2 > 2*db^2
-        return da * da > 2 * db * db
-
-    def __le__(self, other: "ExactCost") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "ExactCost") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "ExactCost") -> bool:
-        return not self < other
-
-    def __repr__(self) -> str:
-        if self.is_inf:
-            return "ExactCost(inf)"
-        return f"ExactCost({self.a}, {self.b})"
+# Exact path costs as ints (see the module docstring).
+UA = 1 << 120
+UB = (math.isqrt(2 << 160) << 40) + 1
+B_MASK = (1 << 40) - 1
+INF = math.inf
+# Orders are exact while every compared cost has a + b below this; a search
+# key adds g (a path), h (an octile distance) and km, and the map and km
+# each get half of it.
+PAIR_SUM_LIMIT = 460_000_000_000
+# The cost of one move into a cell of cost c < UNKNOWN_COST.
+STRAIGHT = tuple((100 + c) * UA for c in range(UNKNOWN_COST))
+DIAG = tuple((100 + c) * UB for c in range(UNKNOWN_COST))
 
 
-ZERO = ExactCost()
-INFINITE = ExactCost(is_inf=True)
+class PathCost(NamedTuple):
+    """A path length of (a + b*sqrt(2)) scaled units."""
+
+    a: int
+    b: int
 
 
-def octile(a: tuple[int, int], b: tuple[int, int]) -> ExactCost:
+def decode(cost: int) -> PathCost:
+    b = cost & B_MASK
+    return PathCost((cost - b * UB) >> 120, b)
+
+
+def octile(a: tuple[int, int], b: tuple[int, int]) -> int:
     """Octile distance in scaled units: admissible since every move costs at
     least (100) straight or (100)*sqrt(2) diagonal."""
     dc = abs(a[0] - b[0])
     dr = abs(a[1] - b[1])
     lo, hi = (dc, dr) if dc < dr else (dr, dc)
-    return ExactCost(100 * (hi - lo), 100 * lo)
+    return (hi - lo) * STRAIGHT[0] + lo * DIAG[0]
 
 
 class DrivingMap(GridFrame):
@@ -151,6 +117,9 @@ class DrivingMap(GridFrame):
             )
         if ttl <= 0:
             raise ValueError("ttl must be > 0")
+        w, h = metric.width, metric.height
+        if 352 * w * h + 100 * (w + h) > PAIR_SUM_LIMIT // 2:
+            raise ValueError(f"a {w} x {h} map is too large for exact path costs")
         self.resolution = metric.resolution
         self.origin = metric.origin
         self.width = metric.width
@@ -254,11 +223,11 @@ class DrivingMap(GridFrame):
         }
 
 
-def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int, bool]]:
-    """Every legal move out of cell i of a padded snapshot, as (index, cost
-    of the cell entered, diagonal), cardinals first, then diagonals: none
-    when i itself is blocked, and a diagonal only past two open cardinal
-    cells. The LETHAL border makes bounds checks unnecessary."""
+def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
+    """Every legal move out of cell i of a padded snapshot, as (index, exact
+    cost of the move), cardinals first, then diagonals: none when i itself
+    is blocked, and a diagonal only past two open cardinal cells. The LETHAL
+    border makes bounds checks unnecessary."""
     if costs[i] >= UNKNOWN_COST:
         return []
     moves = []
@@ -268,30 +237,31 @@ def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int, bool]]
     n = costs[north] < UNKNOWN_COST
     s = costs[south] < UNKNOWN_COST
     if e:
-        moves.append((east, costs[east], False))
+        moves.append((east, STRAIGHT[costs[east]]))
     if w:
-        moves.append((west, costs[west], False))
+        moves.append((west, STRAIGHT[costs[west]]))
     if n:
-        moves.append((north, costs[north], False))
+        moves.append((north, STRAIGHT[costs[north]]))
     if s:
-        moves.append((south, costs[south], False))
+        moves.append((south, STRAIGHT[costs[south]]))
     for ok, j in (
         (e and n, north + 1), (e and s, south + 1), (w and n, north - 1), (w and s, south - 1)
     ):
         if ok and costs[j] < UNKNOWN_COST:
-            moves.append((j, costs[j], True))
+            moves.append((j, DIAG[costs[j]]))
     return moves
 
 
-def _octile(stride: int, i: int, j: int) -> ExactCost:
+def _octile(stride: int, i: int, j: int) -> int:
     # divmod gives (row, col); octile is symmetric in the two axes and the
     # padding offsets cancel, so this is octile() of the unpadded cells
     return octile(divmod(i, stride), divmod(j, stride))
 
 
-def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> ExactCost:
-    """Canonical cost of a cell path on the current composite costmap."""
-    total = ZERO
+def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
+    """Canonical cost of a cell path on the current composite costmap; None
+    when one of its moves is not allowed."""
+    a = b = 0
     for (uc, ur), (vc, vr) in zip(path, path[1:]):
         diagonal = uc != vc and ur != vr
         if (
@@ -299,14 +269,17 @@ def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> ExactCost:
             or not dmap.traversable(vc, vr)
             or (diagonal and not (dmap.traversable(vc, ur) and dmap.traversable(uc, vr)))
         ):
-            return INFINITE
-        total = total.step(dmap.composite(vc, vr), diagonal)
-    return total
+            return None
+        if diagonal:
+            b += 100 + dmap.composite(vc, vr)
+        else:
+            a += 100 + dmap.composite(vc, vr)
+    return PathCost(a, b)
 
 
 def plan_global(
     dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
-) -> tuple[list[tuple[int, int]], ExactCost] | None:
+) -> tuple[list[tuple[int, int]], PathCost] | None:
     """A* over the composite costmap; None when the goal is unreachable.
 
     Ties pop in (f, h, row-major index) order, so identical inputs give an
@@ -319,11 +292,11 @@ def plan_global(
     si, gi = dmap.index(start), dmap.index(goal)
     if costs[si] >= UNKNOWN_COST or costs[gi] >= UNKNOWN_COST:
         return None
-    g: dict[int, ExactCost] = {si: ZERO}
+    g: dict[int, int] = {si: 0}
     parent: dict[int, int] = {}
     closed: set[int] = set()
     h0 = _octile(stride, si, gi)
-    heap: list[tuple[ExactCost, ExactCost, int]] = [(h0, h0, si)]
+    heap: list[tuple[int, int, int]] = [(h0, h0, si)]
     while heap:
         _, _, i = heapq.heappop(heap)
         if i in closed:
@@ -335,18 +308,18 @@ def plan_global(
                 i = parent[i]
                 path.append(i)
             path.reverse()
-            return [dmap.cell(i) for i in path], g[gi]
+            return [dmap.cell(i) for i in path], decode(g[gi])
         g_cur = g[i]
-        for j, cost, diagonal in _moves(costs, stride, i):
+        for j, step in _moves(costs, stride, i):
             if j in closed:
                 continue
-            ng = g_cur.step(cost, diagonal)
+            ng = g_cur + step
             incumbent = g.get(j)
             if incumbent is None or ng < incumbent:
                 g[j] = ng
                 parent[j] = i
                 h = _octile(stride, j, gi)
-                heapq.heappush(heap, (ng.plus(h), h, j))
+                heapq.heappush(heap, (ng + h, h, j))
     return None
 
 
@@ -359,8 +332,9 @@ class ReplanState:
     cost equals a from-scratch plan on the same costmap. While start and
     goal are disconnected no search runs, here or in a repair.
 
-    g, rhs and the queue are keyed by the map's padded flat index; each
-    entry point takes one costmap snapshot and hands it down.
+    g, rhs and the queue are keyed by the map's padded flat index and hold
+    exact int costs (INF when unknown); each entry point takes one costmap
+    snapshot and hands it down.
     """
 
     def __init__(self, dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]):
@@ -369,34 +343,34 @@ class ReplanState:
         self.dmap = dmap
         self.start = start
         self.goal = goal
-        self.km = ZERO
+        self.km = 0
         self._last_start = start
         self._goal_index = dmap.index(goal)
-        self.g: dict[int, ExactCost] = {}
-        self.rhs: dict[int, ExactCost] = {self._goal_index: ZERO}
-        self._heap: list[tuple[ExactCost, ExactCost, int]] = []
-        self._key_of: dict[int, tuple[ExactCost, ExactCost]] = {}
+        self.g: dict[int, int | float] = {}
+        self.rhs: dict[int, int | float] = {self._goal_index: 0}
+        self._heap: list[tuple[int | float, int | float, int]] = []
+        self._key_of: dict[int, tuple[int | float, int | float]] = {}
         self._push(self._goal_index, self._calc_key(self._goal_index))
         if _connected(dmap, start, goal):
             self._compute(dmap.snapshot())
 
     # -- queue helpers --
 
-    def _calc_key(self, i: int) -> tuple[ExactCost, ExactCost]:
-        m = self.g.get(i, INFINITE)
-        r = self.rhs.get(i, INFINITE)
+    def _calc_key(self, i: int) -> tuple[int | float, int | float]:
+        m = self.g.get(i, INF)
+        r = self.rhs.get(i, INF)
         if r < m:
             m = r
-        if m.is_inf:
-            return (INFINITE, INFINITE)
+        if m == INF:
+            return (INF, INF)
         h = _octile(self.dmap.stride, self.dmap.index(self.start), i)
-        return (m.plus(h).plus(self.km), m)
+        return (m + h + self.km, m)
 
-    def _push(self, i: int, key: tuple[ExactCost, ExactCost]) -> None:
+    def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
         self._key_of[i] = key
         heapq.heappush(self._heap, (key[0], key[1], i))
 
-    def _peek(self) -> tuple[tuple[ExactCost, ExactCost], int] | None:
+    def _peek(self) -> tuple[tuple[int | float, int | float], int] | None:
         while self._heap:
             k1, k2, i = self._heap[0]
             current = self._key_of.get(i)
@@ -407,25 +381,23 @@ class ReplanState:
 
     def _update_vertex(self, costs: list[int], i: int) -> None:
         if i != self._goal_index:
-            best = INFINITE
-            for j, cost, diagonal in _moves(costs, self.dmap.stride, i):
-                g_next = self.g.get(j)
-                if g_next is None or g_next.is_inf:
-                    continue
-                cand = g_next.step(cost, diagonal)
+            g = self.g
+            best = INF
+            for j, step in _moves(costs, self.dmap.stride, i):
+                cand = g.get(j, INF) + step
                 if cand < best:
                     best = cand
             self.rhs[i] = best
         self._key_of.pop(i, None)
-        if self.g.get(i, INFINITE) != self.rhs.get(i, INFINITE):
+        if self.g.get(i, INF) != self.rhs.get(i, INF):
             self._push(i, self._calc_key(i))
 
     def _compute(self, costs: list[int]) -> None:
         stride = self.dmap.stride
         si = self.dmap.index(self.start)
         while True:
-            g_start = self.g.get(si, INFINITE)
-            rhs_start = self.rhs.get(si, INFINITE)
+            g_start = self.g.get(si, INF)
+            rhs_start = self.rhs.get(si, INF)
             top = self._peek()
             if top is None:
                 break
@@ -439,12 +411,12 @@ class ReplanState:
             if key < fresh:
                 self._push(i, fresh)
                 continue
-            if self.g.get(i, INFINITE) > self.rhs.get(i, INFINITE):
-                self.g[i] = self.rhs.get(i, INFINITE)
+            if self.g.get(i, INF) > self.rhs.get(i, INF):
+                self.g[i] = self.rhs.get(i, INF)
             else:
-                self.g[i] = INFINITE
+                self.g[i] = INF
                 self._update_vertex(costs, i)
-            for j, _, _ in _moves(costs, stride, i):
+            for j, _ in _moves(costs, stride, i):
                 self._update_vertex(costs, j)
 
     def extract_path(self) -> list[tuple[int, int]] | None:
@@ -453,18 +425,18 @@ class ReplanState:
     def _extract(self, costs: list[int]) -> list[tuple[int, int]] | None:
         dmap = self.dmap
         i = dmap.index(self.start)
-        if costs[i] >= UNKNOWN_COST or self.rhs.get(i, INFINITE).is_inf:
+        if costs[i] >= UNKNOWN_COST or self.rhs.get(i, INF) == INF:
             return None
         path = [i]
         limit = dmap.width * dmap.height
         while i != self._goal_index:
             best = None
-            best_through = INFINITE
-            for j, cost, diagonal in _moves(costs, dmap.stride, i):
-                g_next = self.g.get(j, INFINITE)
-                if g_next.is_inf:
+            best_through = INF
+            for j, step in _moves(costs, dmap.stride, i):
+                g_next = self.g.get(j, INF)
+                if g_next == INF:
                     continue
-                through = g_next.step(cost, diagonal)
+                through = g_next + step
                 # ties go to the lower (row-major) index
                 if best is None or through < best_through or (
                     through == best_through and j < best
@@ -501,27 +473,34 @@ def replan_incremental(
     """Repair the search after costmap changes (and optionally a moved
     start), then extract the current optimal path.
 
-    The changed cells are always queued, but the search itself is skipped
-    (returning None) while start and goal are disconnected: there is no
-    path to find, and a repair would only drain the goal's component. The
-    queued inconsistencies are repaired by the first call that sees start
-    and goal connected again.
+    Each in-bounds changed cell and its in-bounds neighbours are updated
+    once, in index order. The changed cells are always queued, but the
+    search itself is skipped (returning None) while start and goal are
+    disconnected: there is no path to find, and a repair would only drain
+    the goal's component. The queued inconsistencies are repaired by the
+    first call that sees start and goal connected again.
     """
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
         if not dmap.in_bounds(*new_start):
             raise ValueError("new start must lie inside the map")
-        rs.km = rs.km.plus(octile(rs._last_start, new_start))
+        km = rs.km + octile(rs._last_start, new_start)
+        if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
+            raise ValueError("the start has moved too far for exact path costs")
+        rs.km = km
         rs._last_start = new_start
         rs.start = new_start
     costs = dmap.snapshot()
-    for col, row in changed_cells:
-        if not dmap.in_bounds(col, row):
-            continue
-        rs._update_vertex(costs, dmap.index((col, row)))
-        for dc, dr in _OFFSETS:
-            if dmap.in_bounds(col + dc, row + dr):
-                rs._update_vertex(costs, dmap.index((col + dc, row + dr)))
+    width, height, stride = dmap.width, dmap.height, dmap.stride
+    touched = {
+        (row + dr + 1) * stride + col + dc + 1
+        for col, row in changed_cells
+        if 0 <= col < width and 0 <= row < height
+        for dc, dr in _NEIGHBOURHOOD
+        if 0 <= col + dc < width and 0 <= row + dr < height
+    }
+    for i in sorted(touched):
+        rs._update_vertex(costs, i)
     if not _connected(dmap, rs.start, rs.goal):
         return None
     rs._compute(costs)

@@ -14,6 +14,7 @@ line of sight.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -212,11 +213,18 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
 
 # --- sensors ---
 
-def _beam_angles(fov: float, beam_count: int) -> list[float]:
+@functools.lru_cache(maxsize=8)
+def _beam_angles(fov: float, beam_count: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """The beams' angles from the heading, as a tuple and as a read-only
+    array, built once per lidar spec."""
     if beam_count == 1:
-        return [-fov / 2.0]
-    spacing = fov / (beam_count - 1)
-    return [-fov / 2.0 + i * spacing for i in range(beam_count)]
+        rel = (-fov / 2.0,)
+    else:
+        spacing = fov / (beam_count - 1)
+        rel = tuple(-fov / 2.0 + i * spacing for i in range(beam_count))
+    array = np.array(rel)
+    array.flags.writeable = False
+    return rel, array
 
 
 def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
@@ -226,8 +234,8 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     if lidar is None:
         raise ValueError("sensor spec has no 2D lidar")
     pose = ws.robot.pose
-    rel = _beam_angles(lidar.fov, lidar.beam_count)
-    absolute = np.asarray(rel) + pose.heading
+    rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
+    absolute = rel_array + pose.heading
     dx = np.cos(absolute)
     dy = np.sin(absolute)
     t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
@@ -259,8 +267,8 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         tick=ws.tick,
         pose=pose,
         range_max=lidar.range_m,
-        angles=tuple(rel),
-        ranges=tuple(float(r) for r in ranges),
+        angles=rel,
+        ranges=tuple(ranges.tolist()),
     )
 
 

@@ -275,8 +275,9 @@ def cmp_sqrt2(a1, b1, a2, b2):
 
 def decimal_cmp_sqrt2(a1, b1, a2, b2):
     """The same comparison through 60-digit decimal evaluation. For operands
-    below ~1e9 the minimum nonzero gap between two such values is far above
-    the rounding error, so the sign is exact."""
+    below ~1e20 the minimum nonzero gap between two such values (about
+    1/(2*sqrt(2)*operand)) is far above the rounding error, so the sign is
+    exact."""
     from decimal import Decimal, getcontext
 
     getcontext().prec = 60

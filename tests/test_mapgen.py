@@ -7,6 +7,7 @@ import math
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from semnav import mapgen
@@ -301,6 +302,32 @@ def test_generate_map_rasterizes_each_footprint_once(monkeypatch):
     for symbol, cells in drawn.items():
         footprint = world.find(symbol).explicit.model2d
         assert cells == rasterize_footprint(footprint, 0.1, emap.metric.origin)
+
+
+@pytest.mark.parametrize("anchor", ["hall_b", "lobby"], ids=["demo", "tour"])
+def test_metric_layer_paints_like_a_cell_by_cell_loop(monkeypatch, anchor):
+    built = []
+
+    def recording(elements, resolution):
+        result = build_metric_layer(elements, resolution)
+        built.append((elements, result))
+        return result
+
+    monkeypatch.setattr(mapgen, "build_metric_layer", recording)
+    generate_map(seeded_store(demo_world()), BOTH, anchor)
+    [(elements, (metric, footprint_cells))] = built
+    expected = np.full((metric.height, metric.width), UNKNOWN, dtype=np.uint8)
+    for spaces in (True, False):
+        for rec in elements:
+            if rec.explicit.model2d is None or rec.is_space != spaces:
+                continue
+            if not spaces and not rec.explicit.physical.is_static:
+                continue
+            for col, row in footprint_cells[rec.symbol]:
+                if 0 <= col < metric.width and 0 <= row < metric.height:
+                    expected[row, col] = FREE if spaces else OCCUPIED
+    assert np.array_equal(metric.cells, expected)
+    assert (metric.cells == OCCUPIED).any() and (metric.cells == FREE).any()
 
 
 def test_generate_map_depth_zero_covers_only_goal_space():

@@ -4,6 +4,7 @@ report invariants, and topology-level replanning."""
 from __future__ import annotations
 
 import configparser
+import hashlib
 import json
 from pathlib import Path
 
@@ -473,6 +474,23 @@ def test_mission_trace_digest_is_pinned(tmp_path, edits, digest, ticks, replans)
     assert (report.trace_digest, report.ticks_used, report.replan_count) == (
         digest, ticks, replans
     )
+
+
+NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenarios" / "noisy.scenario"
+
+
+@pytest.mark.parametrize(
+    "path, sha256",
+    [
+        (DEMO_SCENARIO, "d7946bddb3827b744c0ef37757411d5fb0903253f263196b8f029ab62c65f4b9"),
+        # ends in a timeout at tick 136; the pinned trace digests above assert success
+        (NOISY_SCENARIO, "b1d2cc065be276cb5e939cf3087bf3b9dc5a0668c28e8f19932659b1dc7e13d6"),
+    ],
+    ids=["demo", "noisy"],
+)
+def test_report_bytes_are_pinned(path, sha256):
+    text = report_to_json(execute_mission(load_scenario(path)).report)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_report_json_is_canonical(demo_run):

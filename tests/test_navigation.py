@@ -21,18 +21,23 @@ from oracles import (
     inflation_oracle,
     reference_dynamic_fold,
 )
+from semnav import navigation
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
 from semnav.navigation import (
-    INFINITE,
+    DIAG,
+    INF,
     LETHAL,
+    PAIR_SUM_LIMIT,
+    STRAIGHT,
+    UA,
+    UB,
     UNKNOWN_COST,
-    ZERO,
     DrivingMap,
-    ExactCost,
     ReplanState,
     RobotState,
     cells_to_points,
+    decode,
     follow_step,
     octile,
     path_cost,
@@ -92,6 +97,22 @@ PELL_PAIRS = [(3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (239, 169),
               (577, 408), (1393, 985), (19601, 13860), (275807, 195025)]
 
 
+def encode(a, b):
+    """The exact int cost of a + b*sqrt(2) scaled units."""
+    return a * UA + b * UB
+
+
+def pell_pairs_up_to(limit):
+    """Every (p, q) with p*p - 2*q*q = +-1 and p + q <= limit: the pairs
+    for which p and q*sqrt(2) are closest, so their costs are hardest to
+    order."""
+    pairs, (p, q) = [], (1, 1)
+    while p + q <= limit:
+        pairs.append((p, q))
+        p, q = p + 2 * q, p + q
+    return pairs
+
+
 def test_exact_cost_comparisons_match_decimal_oracle():
     rng = random.Random(51)
     cases = []
@@ -105,23 +126,60 @@ def test_exact_cost_comparisons_match_decimal_oracle():
     for a1, b1, a2, b2 in cases:
         expected = decimal_cmp_sqrt2(a1, b1, a2, b2)
         assert cmp_sqrt2(a1, b1, a2, b2) == expected
-        x, y = ExactCost(a1, b1), ExactCost(a2, b2)
+        x, y = encode(a1, b1), encode(a2, b2)
         assert (x < y) == (expected < 0)
         assert (x == y) == (expected == 0)
         assert (x > y) == (expected > 0)
 
 
+def test_exact_cost_order_and_decode_hold_up_to_the_bound():
+    pairs = pell_pairs_up_to(PAIR_SUM_LIMIT)
+    assert len(pairs) == 30 and pairs[-1][0] > 10**11
+    cases = []
+    for p, q in pairs:
+        cases.append((p, 0, 0, q))
+        cases.append((0, q, p, 0))
+        # the same gap with the largest b the bound allows on both sides
+        y = PAIR_SUM_LIMIT - p - q
+        cases.append((p, y, 0, q + y))
+    rng = random.Random(51)
+    for _ in range(2000):
+        cases.append(tuple(rng.randrange(0, PAIR_SUM_LIMIT // 2) for _ in range(4)))
+    for a1, b1, a2, b2 in cases:
+        expected = decimal_cmp_sqrt2(a1, b1, a2, b2)
+        x, y = encode(a1, b1), encode(a2, b2)
+        assert ((x > y) - (x < y)) == expected, (a1, b1, a2, b2)
+        assert decode(x) == (a1, b1) and decode(y) == (a2, b2)
+
+
 def test_exact_cost_infinity_and_conversion():
-    assert ZERO < INFINITE and not INFINITE < ZERO
-    assert INFINITE == INFINITE and INFINITE.plus(ZERO).is_inf
-    assert ExactCost(150, 0).step(0, False) == ExactCost(250, 0)
-    assert ExactCost(0, 0).step(53, True) == ExactCost(0, 153)
+    assert 0 < INF and not INF < 0
+    assert encode(PAIR_SUM_LIMIT, PAIR_SUM_LIMIT) < INF
+    assert INF == INF and INF + 0 == INF and INF + DIAG[252] == INF
+    assert encode(150, 0) + STRAIGHT[0] == encode(250, 0)
+    assert encode(0, 0) + DIAG[53] == encode(0, 153)
+    assert decode(encode(250, 0) + DIAG[53]) == (250, 153)
 
 
 def test_octile_heuristic_values():
-    assert octile((0, 0), (3, 3)) == ExactCost(0, 300)
-    assert octile((0, 0), (5, 2)) == ExactCost(300, 200)
-    assert octile((4, 7), (4, 7)) == ZERO
+    assert octile((0, 0), (3, 3)) == encode(0, 300)
+    assert octile((0, 0), (5, 2)) == encode(300, 200)
+    assert octile((4, 7), (4, 7)) == 0
+
+
+def test_map_and_start_travel_beyond_the_exact_bound_are_rejected(monkeypatch):
+    # an 8 x 8 map needs 352*64 + 100*16 = 24128 of the map's half
+    monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 24128 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        DrivingMap(open_map(8, 8), robot_radius=0.4)
+    monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 24128)
+    dmap = DrivingMap(open_map(8, 8), robot_radius=0.4)
+    rs = ReplanState(dmap, (0, 0), (7, 7))
+    monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 200)
+    assert replan_incremental(rs, set(), (2, 0)) is not None  # km = 200
+    with pytest.raises(ValueError, match="too far"):
+        replan_incremental(rs, set(), (3, 0))
+    assert rs.start == (2, 0) and decode(rs.km) == (200, 0)
 
 
 # --- driving map construction ---
@@ -387,7 +445,7 @@ def test_diagonal_run_on_empty_grid():
     assert result is not None
     path, cost = result
     assert len(path) == 10
-    assert cost == ExactCost(0, 900)
+    assert cost == (0, 900)
 
 
 def test_goal_surrounded_by_lethal_is_unreachable():
@@ -412,7 +470,7 @@ def test_blocked_endpoints_are_unreachable():
 def test_start_equals_goal():
     dmap = DrivingMap(open_map(3, 3, 1.0), robot_radius=0.4)
     path, cost = plan_global(dmap, (1, 1), (1, 1))
-    assert path == [(1, 1)] and cost == ZERO
+    assert path == [(1, 1)] and cost == (0, 0)
 
 
 def test_diagonal_corner_cutting_forbidden():
@@ -525,6 +583,32 @@ def test_far_away_block_keeps_cost():
     dmap.dynamic[(3, 0)] = 10_000  # corner cell, far from the corridor
     after = replan_incremental(rs, {(3, 0)})
     assert path_cost(dmap, after) == before
+
+
+def test_repair_updates_each_touched_vertex_once(monkeypatch):
+    dmap = DrivingMap(open_map(20, 20, 1.0), robot_radius=0.8)
+    rs = ReplanState(dmap, (0, 10), (19, 10))
+    changed = {(0, 0), (1, 0), (5, 5), (6, 6), (40, 40)}  # (40, 40) lies off the map
+    for cell in changed - {(40, 40)}:
+        dmap.dynamic[cell] = 10_000
+    updated = []
+    original = ReplanState._update_vertex
+
+    def recording(self, costs, i):
+        updated.append(i)
+        original(self, costs, i)
+
+    monkeypatch.setattr(ReplanState, "_update_vertex", recording)
+    replan_incremental(rs, changed)
+    touched = {
+        (col + dc, row + dr)
+        for col, row in changed - {(40, 40)}
+        for dc in (-1, 0, 1)
+        for dr in (-1, 0, 1)
+        if dmap.in_bounds(col + dc, row + dr)
+    }
+    # the repair's own pass comes first, in index order; the search follows
+    assert updated[: len(touched)] == sorted(dmap.index(cell) for cell in touched)
 
 
 def toggle_cells(rng, dmap, count):

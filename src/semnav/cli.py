@@ -1,5 +1,5 @@
-"""Command-line surface: parse worlds, export maps, plan, run missions,
-and benchmark the hot paths.
+"""Command-line surface: parse worlds, export maps, plan and run missions.
+Timing lives in the `missionbench/` harness, not here.
 
 Exit codes are a contract: 0 success, 1 domain failure (bad world content,
 unknown goal, unsolvable task, failed mission), 2 usage or I/O error
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import statistics
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,9 +35,8 @@ from .mission import (
     load_scenario,
     report_to_json,
 )
-from .navigation import DrivingMap, ReplanState, plan_global, replan_incremental
 from .planner import Mission, ground_actions, plan
-from .simulator import lidar_scan, make_world_state, trace_to_csv
+from .simulator import trace_to_csv
 from .world import WorldError, parse_world, validate_world
 
 EXIT_OK = 0
@@ -147,72 +144,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if report.success else EXIT_DOMAIN
 
 
-def _percentile_99(samples: list[float]) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))
-    return ordered[index]
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repetitions < 1:
-        _fail("bench needs at least one repetition")
-        return EXIT_USAGE
-    scenario, engine = _prepared_engine(args)
-    if scenario.sensor_spec.lidar2d is None:
-        raise ScenarioError("bench needs a scenario with a lidar sensor")
-    emap = generate_map(
-        engine.store,
-        scenario.sensor_spec,
-        goal_anchor(scenario.goal),
-        scenario.resolution,
-    )
-    dmap = DrivingMap(emap.metric, engine.world.robot_radius)
-    ws = make_world_state(engine.world, scenario.seed, scenario.noise_sigma)
-    start = dmap.cell_of(engine.world.robot_spawn.position)
-    goal = dmap.cell_of(engine.world.find(goal_anchor(scenario.goal)).position())
-
-    plan_samples: list[float] = []
-    for _ in range(args.repetitions):
-        t0 = time.perf_counter()
-        plan_global(dmap, start, goal)
-        plan_samples.append(time.perf_counter() - t0)
-
-    rs = ReplanState(dmap, start, goal)
-    toggle = next(
-        (start[0] + dx, start[1] + dy)
-        for dx in range(dmap.width)
-        for dy in range(dmap.height)
-        if dmap.in_bounds(start[0] + dx, start[1] + dy)
-        and dmap.traversable(start[0] + dx, start[1] + dy)
-        and (dx, dy) != (0, 0)
-    )
-    replan_samples: list[float] = []
-    for _ in range(args.repetitions):
-        dmap.dynamic[toggle] = 10**9
-        t0 = time.perf_counter()
-        replan_incremental(rs, {toggle})
-        replan_samples.append(time.perf_counter() - t0)
-        del dmap.dynamic[toggle]
-        t0 = time.perf_counter()
-        replan_incremental(rs, {toggle})
-        replan_samples.append(time.perf_counter() - t0)
-
-    scan_samples: list[float] = []
-    for _ in range(args.repetitions):
-        t0 = time.perf_counter()
-        lidar_scan(ws, scenario.sensor_spec)
-        scan_samples.append(time.perf_counter() - t0)
-
-    print("operation,samples,mean_s,p99_s")
-    for name, samples in (
-        ("plan_global", plan_samples),
-        ("replan_incremental", replan_samples),
-        ("lidar_scan", scan_samples),
-    ):
-        print(f"{name},{len(samples)},{statistics.fmean(samples):.6f},{_percentile_99(samples):.6f}")
-    return EXIT_OK
-
-
 # --- argument parsing ---
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the lidar noise sigma",
     )
     p_run.set_defaults(func=cmd_run)
-
-    p_bench = sub.add_parser("bench", help="time the navigation hot paths")
-    p_bench.add_argument("scenario", help="path to a scenario file")
-    p_bench.add_argument("-n", "--repetitions", type=int, default=20, help="samples per operation")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

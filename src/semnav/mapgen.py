@@ -295,9 +295,9 @@ def build_topology_layer(
 
 
 def _containing_space(rec: ElementRecord, spaces: list[ElementRecord]) -> str | None:
-    space_symbols = {s.symbol for s in spaces}
+    names = {s.symbol for s in spaces}
     for rel in rec.implicit:
-        if rel.predicate == "inside" and rel.object in space_symbols:
+        if rel.predicate == "inside" and rel.object in names:
             return rel.object
     position = rec.position()
     if position is not None:

@@ -62,7 +62,6 @@ from .planner import (
     plan,
 )
 from .simulator import (
-    SemanticFrame,
     WorldState,
     lidar_scan,
     make_world_state,
@@ -477,7 +476,6 @@ class MissionEngine:
         self.dmap: DrivingMap | None = None
         self.behavior_plan: BehaviorPlan | None = None
         self.state_facts: set[Fact] = set()
-        self.latest_frame: SemanticFrame | None = None
         self.distance = 0.0
         self.replans = 0
         self.learned = 0
@@ -507,18 +505,13 @@ class MissionEngine:
         step(self.ws, self.scenario.dt, command)
 
     def _lm_pass(self) -> None:
-        """Learning-module pass at an action boundary: process the most
-        recent semantic frame (capturing a fresh one when none is pending),
-        then extend stored knowledge with the inference closure."""
+        """Learning-module pass at an action boundary: observe the semantic
+        frame where the robot stands, then extend stored knowledge with the
+        inference closure."""
         spec = self.scenario.sensor_spec
-        if spec.semantic3d is None or self.emap is None:
+        if spec.semantic3d is None or self.emap is None or self.ws is None:
             return
-        frame = self.latest_frame
-        if frame is None and self.ws is not None:
-            frame = semantic_detect(self.ws, spec)
-        self.latest_frame = None
-        if frame is None:
-            return
+        frame = semantic_detect(self.ws, spec)
         events = detect_novelty(list(frame.detections), self.store, frame.tick)
         closure = infer_facts(self.state_facts, self.rules)
         inferred = closure - self.state_facts
@@ -589,7 +582,6 @@ class MissionEngine:
         goal_point = dmap.center_of(*goal_cell)
         start_cell = dmap.cell_of(ws.robot.pose.position)
         has_lidar = scenario.sensor_spec.lidar2d is not None
-        has_semantic = scenario.sensor_spec.semantic3d is not None
 
         initial = plan_global(dmap, start_cell, goal_cell)
         rs = ReplanState(dmap, start_cell, goal_cell)
@@ -604,8 +596,6 @@ class MissionEngine:
         while True:
             if ws.tick >= scenario.max_ticks:
                 return "timeout"
-            if has_semantic:
-                self.latest_frame = semantic_detect(ws, scenario.sensor_spec)
             changed: set[tuple[int, int]] = set()
             if has_lidar:
                 scan = lidar_scan(ws, scenario.sensor_spec)
@@ -639,7 +629,7 @@ class MissionEngine:
                 self._step((0.0, 0.0))
                 continue
             stall = 0
-            follow = follow_step(ws.robot, waypoints, scenario.dt)
+            follow = follow_step(ws.robot, waypoints)
             if follow.reached:
                 return "ok"
             self._step(follow.command)

@@ -208,19 +208,17 @@ class DrivingMap(GridFrame):
         inside = (col >= 0) & (col < self.width) & (row >= 0) & (row < self.height)
         col, row = col[inside].astype(np.intp), row[inside].astype(np.intp)
         free = self.static[row, col] != LETHAL
-        hits = zip(col[free].tolist(), row[free].tolist())
-        affected: dict[tuple[int, int], int] = {}
-        expired = [cell for cell, expiry in self.dynamic.items() if tick >= expiry]
+        hits = dict.fromkeys(zip(col[free].tolist(), row[free].tolist()))  # in beam order
+        # The dynamic layer only ever holds such non-static-lethal hit cells,
+        # so a cell's composite cost changes exactly when it enters the layer
+        # (a fresh hit) or leaves it (expired and not hit again).
+        expired = {cell for cell, expiry in self.dynamic.items() if tick >= expiry}
+        fresh = hits.keys() - self.dynamic.keys()
         for cell in expired:
-            affected.setdefault(cell, self.composite(*cell))
             del self.dynamic[cell]
         for cell in hits:
-            affected.setdefault(cell, self.composite(*cell))
             self.dynamic[cell] = tick + self.ttl
-
-        return {
-            cell for cell, before in affected.items() if self.composite(*cell) != before
-        }
+        return (expired - hits.keys()) | fresh
 
 
 def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
@@ -512,14 +510,11 @@ def replan_incremental(
 @dataclass
 class RobotState:
     pose: Pose2
-    v: float = 0.0
-    omega: float = 0.0
 
 
 @dataclass(frozen=True)
 class FollowResult:
     command: tuple[float, float]  # (v, omega)
-    new_state: RobotState
     reached: bool
 
 
@@ -537,20 +532,19 @@ GOAL_TOLERANCE = 0.15
 TURN_GAIN = 3.0
 
 
-def follow_step(state: RobotState, waypoints: list[Point2], dt: float) -> FollowResult:
+def follow_step(state: RobotState, waypoints: list[Point2]) -> FollowResult:
     """Rotate-then-drive pursuit of the furthest waypoint within LOOKAHEAD.
 
     Large heading error (> 90°) turns in place; otherwise forward speed
-    scales with the cosine of the error. The returned new_state is the pure
-    kinematic propagation of the command; collision response is the
-    simulator's job.
+    scales with the cosine of the error. Only the command is chosen here:
+    `simulator.step` is what moves the robot.
     """
     if not waypoints:
         raise ValueError("follow_step needs at least one waypoint")
     pose = state.pose
     here = pose.position
     if here.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
-        return FollowResult((0.0, 0.0), RobotState(pose, 0.0, 0.0), True)
+        return FollowResult((0.0, 0.0), True)
 
     nearest = min(
         range(len(waypoints)), key=lambda i: (here.distance_to(waypoints[i]), i)
@@ -566,10 +560,4 @@ def follow_step(state: RobotState, waypoints: list[Point2], dt: float) -> Follow
     else:
         v = 0.0
     omega = max(-OMEGA_MAX, min(OMEGA_MAX, TURN_GAIN * err))
-
-    new_pose = Pose2(
-        pose.x + v * math.cos(pose.heading) * dt,
-        pose.y + v * math.sin(pose.heading) * dt,
-        normalize_angle(pose.heading + omega * dt),
-    )
-    return FollowResult((v, omega), RobotState(new_pose, v, omega), False)
+    return FollowResult((v, omega), False)

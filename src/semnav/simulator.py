@@ -148,6 +148,12 @@ def _advance_actor(
     if len(waypoints) < 2:
         return position, target_index
     remaining = distance
+    if remaining > position.distance_to(waypoints[target_index]):
+        # only a step past the target can span a lap; whole laps end where
+        # they began, and fmod is exact, so a shorter step is kept as it is
+        lap = sum(a.distance_to(b) for a, b in zip(waypoints, waypoints[1:] + waypoints[:1]))
+        if lap > 0.0:
+            remaining = math.fmod(remaining, lap)
     snaps = 0
     while remaining > 1e-12:
         target = waypoints[target_index]
@@ -198,7 +204,7 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
             new_y = pose.y + uy * allowed
             ws.static_collisions += 1
     new_pose = Pose2(new_x, new_y, normalize_angle(pose.heading + omega * dt))
-    ws.robot = RobotState(new_pose, v, omega)
+    ws.robot = RobotState(new_pose)
 
     here = new_pose.position
     for actor in ws.world.actors:

@@ -148,15 +148,6 @@ class WorldDescription:
                 return rec
         return None
 
-    def space_symbols(self) -> set[str]:
-        return {s.symbol for s in self.spaces}
-
-    def relations(self) -> list[Relation]:
-        out: list[Relation] = []
-        for rec in self.all_elements():
-            out.extend(rec.implicit)
-        return out
-
     def space_containing(self, p: Point2) -> str | None:
         for s in self.spaces:
             if s.explicit.model2d is not None and point_in_footprint(p, s.explicit.model2d):
@@ -208,6 +199,11 @@ def _require(node: ET.Element, attr: str) -> str:
     return value
 
 
+# World numbers are metres, metres per second or radians. No building comes
+# near this bound; numbers far past it overflow squares and grid sizes.
+MAX_MAGNITUDE = 1e6
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -215,6 +211,8 @@ def _parse_float(text: str, where: str) -> float:
         raise WorldSchemaError(f"bad number '{text}' in {where}") from None
     if not math.isfinite(value):
         raise WorldSchemaError(f"non-finite number '{text}' in {where}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise WorldSchemaError(f"number '{text}' in {where} exceeds {MAX_MAGNITUDE:g} in magnitude")
     return value
 
 

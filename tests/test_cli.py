@@ -4,14 +4,20 @@ exit-code contract (0 ok, 1 domain failure, 2 usage/IO error)."""
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semnav import cli
 from semnav.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from semnav.mission import data_dir
+from semnav.mission import data_dir, load_scenario
 
 DEMO_WORLD = str(data_dir() / "convention_center.world")
 DEMO_SCENARIO = str(data_dir() / "demo.scenario")
@@ -167,29 +173,9 @@ def test_seed_and_noise_flags_override_scenario(tmp_path):
     assert bare.noise_sigma == 0.0
 
 
-# --- bench ---
-
-def test_bench_emits_csv_with_three_operations(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # prove bench leaves no files behind
-    assert main(["bench", DEMO_SCENARIO, "-n", "1"]) == EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "operation,samples,mean_s,p99_s"
-    assert [row.split(",")[0] for row in lines[1:]] == [
-        "plan_global",
-        "replan_incremental",
-        "lidar_scan",
-    ]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_bench_rejects_nonpositive_repetitions(capsys):
-    assert main(["bench", DEMO_SCENARIO, "-n", "0"]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
-
-
 # --- shared error handling ---
 
-@pytest.mark.parametrize("command", ["genmap", "plan", "run", "bench"])
+@pytest.mark.parametrize("command", ["genmap", "plan", "run"])
 def test_missing_scenario_is_usage_error(command, tmp_path, capsys):
     argv = [command, str(tmp_path / "ghost.scenario")]
     if command == "genmap":
@@ -255,3 +241,74 @@ def test_module_invocation_propagates_exit_code():
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+# --- fuzzed input ---
+
+FUZZ_MAX_TICKS = 40
+FUZZ_WORLD = Path(DEMO_WORLD).read_text()
+FUZZ_SCENARIO = Path(DEMO_SCENARIO).read_text().replace(
+    "max_ticks = 2200", f"max_ticks = {FUZZ_MAX_TICKS}"
+)
+# a value: anything between separators of the INI and XML syntax
+FUZZ_TOKEN = re.compile(r"[^\s,=<>/\"]+")
+FUZZ_VALUES = (
+    "", "0", "-1", "0.5", "2", "nan", "inf", "-inf", "1e308", "none", "true", "x",
+    "robot", "lobby", "hall_b", "at(robot,lobby)", "connected",
+)
+FUZZ_CHARS = "<>/=\"',()[]#;\n "
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """text after one to three edits: a line dropped or doubled, a value
+    swapped for another, a short span deleted or a syntax character put in."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("line", "value", "cut", "char")))
+        if kind == "line":
+            lines = text.splitlines(keepends=True) or [""]
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = draw(st.sampled_from(("", lines[i] * 2)))
+            text = "".join(lines)
+        elif kind == "value":
+            spans = [m.span() for m in FUZZ_TOKEN.finditer(text)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                text = text[:start] + draw(st.sampled_from(FUZZ_VALUES)) + text[end:]
+        else:
+            at = draw(st.integers(0, len(text)))
+            if kind == "cut":
+                text = text[:at] + text[at + draw(st.integers(1, 8)):]
+            else:
+                text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at:]
+    return text
+
+
+def _capped(path):
+    scenario = load_scenario(path)
+    return replace(scenario, max_ticks=min(scenario.max_ticks, FUZZ_MAX_TICKS))
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(
+    scenario=st.one_of(st.just(FUZZ_SCENARIO), mutated(FUZZ_SCENARIO)),
+    world=st.one_of(st.just(FUZZ_WORLD), mutated(FUZZ_WORLD)),
+)
+def test_fuzzed_inputs_exit_with_a_code_never_a_traceback(scenario, world):
+    # An exception escaping main is what a user would see as a traceback.
+    # The world sits beside the scenario, which names it; behaviors and rules
+    # come from the data directory. Every run stops after FUZZ_MAX_TICKS
+    # ticks, whatever the scenario's own max_ticks says.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_scenario", _capped)
+        folder = Path(tmp)
+        (folder / "convention_center.world").write_text(world)
+        (folder / "case.scenario").write_text(scenario)
+        case = str(folder / "case.scenario")
+        for argv in (
+            ["parse", str(folder / "convention_center.world")],
+            ["plan", case],
+            ["genmap", case, "-o", str(folder / "map")],
+            ["run", case],
+        ):
+            assert main(argv) in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), argv

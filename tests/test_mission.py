@@ -493,6 +493,32 @@ def test_report_bytes_are_pinned(path, sha256):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+def test_semantic_frames_are_taken_only_at_action_boundaries(monkeypatch):
+    # The learning pass observes where an action ended; the drive loop takes
+    # no frames of its own. Each pass detects once and infers once.
+    import semnav.mission as mission_module
+
+    calls = {"semantic_detect": 0, "infer_facts": 0}
+
+    def counted(name):
+        original = getattr(mission_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mission_module, name, counted(name))
+    text = report_to_json(execute_mission(load_scenario(DEMO_SCENARIO)).report)
+    assert calls == {"semantic_detect": 2, "infer_facts": 2}
+    # the same bytes as the pinned demo report above
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d7946bddb3827b744c0ef37757411d5fb0903253f263196b8f029ab62c65f4b9"
+    )
+
+
 def test_report_json_is_canonical(demo_run):
     text = report_to_json(demo_run.report)
     assert text.endswith("\n")

@@ -44,6 +44,8 @@ from semnav.navigation import (
     plan_global,
     replan_incremental,
 )
+from semnav.simulator import make_world_state, step
+from semnav.world import WorldDescription
 
 
 def metric_from_rows(rows, resolution=0.1):
@@ -724,13 +726,13 @@ def test_replan_skips_search_when_goal_is_blocked():
 
 def test_follow_at_goal_reports_reached():
     state = RobotState(Pose2(2.0, 3.0, 0.5))
-    result = follow_step(state, [Point2(2.1, 3.0)], dt=0.1)
+    result = follow_step(state, [Point2(2.1, 3.0)])
     assert result.reached and result.command == (0.0, 0.0)
 
 
 def test_follow_rotates_in_place_when_facing_away():
     state = RobotState(Pose2(0.0, 0.0, math.pi))  # target is dead astern
-    result = follow_step(state, [Point2(5.0, 0.0)], dt=0.1)
+    result = follow_step(state, [Point2(5.0, 0.0)])
     v, omega = result.command
     assert v == 0.0
     assert abs(omega) == 1.5
@@ -738,7 +740,7 @@ def test_follow_rotates_in_place_when_facing_away():
 
 def test_follow_speed_scales_with_heading_error():
     state = RobotState(Pose2(0.0, 0.0, math.pi / 4))
-    result = follow_step(state, [Point2(5.0, 0.0)], dt=0.1)
+    result = follow_step(state, [Point2(5.0, 0.0)])
     v, _ = result.command
     assert v == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
@@ -746,22 +748,27 @@ def test_follow_speed_scales_with_heading_error():
 def test_follow_targets_furthest_waypoint_within_lookahead():
     waypoints = [Point2(0.1 * i, 0.0) for i in range(1, 30)]
     state = RobotState(Pose2(0.0, 0.0, 0.0))
-    result = follow_step(state, waypoints, dt=0.1)
+    result = follow_step(state, waypoints)
     # the 0.5 m lookahead point lies straight ahead: drive at full speed
     assert result.command[0] == pytest.approx(1.0)
     assert result.command[1] == pytest.approx(0.0)
 
 
 def test_follow_corridor_distance_close_to_path_length():
+    # follow_step only chooses commands; the simulator moves the robot
     waypoints = [Point2(0.5 + 0.5 * i, 0.5) for i in range(9)]  # 4 m straight
-    state = RobotState(Pose2(0.5, 0.5, 0.0))
+    empty = WorldDescription(
+        name="empty", spaces=(), elements=(), actors=(),
+        robot_spawn=Pose2(0.5, 0.5, 0.0), robot_radius=0.25,
+    )
+    ws = make_world_state(empty)
     traveled = 0.0
     for _ in range(200):
-        result = follow_step(state, waypoints, dt=0.1)
+        result = follow_step(ws.robot, waypoints)
         if result.reached:
             break
         traveled += abs(result.command[0]) * 0.1
-        state = result.new_state
+        step(ws, 0.1, result.command)
     assert result.reached
     path_length = 4.0
     assert abs(traveled - path_length) / path_length < 0.05
@@ -769,7 +776,7 @@ def test_follow_corridor_distance_close_to_path_length():
 
 def test_follow_requires_waypoints():
     with pytest.raises(ValueError):
-        follow_step(RobotState(Pose2(0, 0, 0)), [], dt=0.1)
+        follow_step(RobotState(Pose2(0, 0, 0)), [])
 
 
 # --- exports ---

@@ -94,6 +94,24 @@ def test_actor_reaches_waypoint_after_expected_steps_and_cycles():
     assert ws.actor_targets["walker"] == 0
 
 
+def test_actor_step_of_many_laps_walks_only_the_leftover():
+    # a 20 m lap: whole laps end where they began, so a step of k laps plus
+    # 3 m ends where a 3 m step does, in bounded time even at 1e300 m/s
+    actor = ActorScript("runner", "person", footprint_radius=0.2, speed=1.0,
+                        waypoints=(Point2(0, 0), Point2(10, 0)))
+    short = make_world_state(tiny_world(actors=[actor], spawn=Pose2(5, 5, 0)))
+    step(short, 3.0, (0.0, 0.0))
+    far = make_world_state(tiny_world(actors=[actor], spawn=Pose2(5, 5, 0)))
+    step(far, 20.0 * 7 + 3.0, (0.0, 0.0))
+    assert far.actor_positions == short.actor_positions == {"runner": Point2(3.0, 0.0)}
+    assert far.actor_targets == short.actor_targets
+    racer = ActorScript("racer", "person", footprint_radius=0.2, speed=1e300,
+                        waypoints=actor.waypoints)
+    ws = make_world_state(tiny_world(actors=[racer], spawn=Pose2(5, 5, 0)))
+    step(ws, 0.1, (0.0, 0.0))
+    assert 0.0 <= ws.actor_positions["racer"].x <= 10.0
+
+
 def test_actor_with_single_waypoint_stays_put():
     actor = ActorScript("statue", "person", footprint_radius=0.2, speed=1.0,
                         waypoints=(Point2(2, 2),))

@@ -118,7 +118,7 @@ class TestParse:
 
     def test_relations_bound_to_enclosing_symbol(self):
         world = parse_world(FULL)
-        rels = world.relations()
+        rels = [rel for rec in world.all_elements() for rel in rec.implicit]
         assert Relation("connected", "room_a", "room_b") in rels
         assert Relation("adjacent", "room_b", "room_a") in rels
 
@@ -160,6 +160,13 @@ class TestParse:
     def test_bad_number_rejected(self):
         bad = MINIMAL.replace('radius="0.2"', 'radius="fast"')
         with pytest.raises(WorldSchemaError, match="fast"):
+            parse_world(bad)
+
+    def test_number_beyond_the_magnitude_bound_rejected(self):
+        # a 1e308 vertex once overflowed the geometry's squares with a traceback
+        assert parse_world(MINIMAL.replace('radius="0.2"', 'radius="1e6"')).robot_radius == 1e6
+        bad = MINIMAL.replace('radius="0.2"', 'radius="1e308"')
+        with pytest.raises(WorldSchemaError, match="1e308"):
             parse_world(bad)
 
     def test_element_needs_some_explicit_model(self):

@@ -41,6 +41,19 @@ class MapError(ValueError):
     """Map generation failed (for example no spaces were fetched)."""
 
 
+# Path searches compare exact costs while every compared cost has a + b
+# below this (see navigation); a map's paths and heuristics get half of it.
+PAIR_SUM_LIMIT = 460_000_000_000
+
+
+def grid_pair_sum(width: int, height: int) -> int:
+    """The largest a + b that a path plus an octile distance can reach on a
+    width x height grid: a path enters each cell at most once, at a step of
+    at most 352, and an octile distance adds at most 100 per row and column.
+    A grid is searchable while this stays within PAIR_SUM_LIMIT // 2."""
+    return 352 * width * height + 100 * (width + height)
+
+
 @dataclass(frozen=True)
 class Lidar2dSpec:
     range_m: float
@@ -238,6 +251,8 @@ def build_metric_layer(
     if not drawn:
         raise MapError("cannot size a metric layer with no footprints")
     origin, width, height = _grid_bounds([e.explicit.model2d for e in drawn], resolution)
+    if grid_pair_sum(width, height) > PAIR_SUM_LIMIT // 2:  # before any cell is drawn
+        raise MapError(f"a {width} x {height} grid is too large for exact path costs")
     footprint_cells = {
         e.symbol: frozenset(rasterize_footprint(e.explicit.model2d, resolution, origin))
         for e in drawn

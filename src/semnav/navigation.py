@@ -41,10 +41,12 @@ exactly as the row-major cell order does. Each search entry point
 (plan_global, ReplanState, replan_incremental, extract_path) takes one
 snapshot, a copy of that list with the dynamic cells overlaid, and expands
 neighbours on it with one helper, _moves; cells become (col, row) pairs
-only at the API boundary. The dynamic layer stays a {cell: expiry} dict
-and the only source of truth, since callers write it directly: a snapshot
-taken per call needs no invalidation. The static array is never written
-after it is built.
+only at the API boundary. The hottest caller, the replanner's vertex
+update, scans the same rule inline without building a list, and its keys
+take the start's padded (row, col), kept on the state. The dynamic layer
+stays a {cell: expiry} dict and the only source of truth, since callers
+write it directly: a snapshot taken per call needs no invalidation. The
+static array is never written after it is built.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt, label
 
 from .geometry import Point2, Pose2, normalize_angle
-from .mapgen import OCCUPIED, UNKNOWN, GridFrame, MetricLayer
+from .mapgen import OCCUPIED, PAIR_SUM_LIMIT, UNKNOWN, GridFrame, MetricLayer, grid_pair_sum
 
 LETHAL = 254
 UNKNOWN_COST = 253
@@ -74,10 +76,9 @@ UA = 1 << 120
 UB = (math.isqrt(2 << 160) << 40) + 1
 B_MASK = (1 << 40) - 1
 INF = math.inf
-# Orders are exact while every compared cost has a + b below this; a search
-# key adds g (a path), h (an octile distance) and km, and the map and km
-# each get half of it.
-PAIR_SUM_LIMIT = 460_000_000_000
+# Orders are exact while every compared cost has a + b below PAIR_SUM_LIMIT
+# (defined in mapgen, which sizes the grid); a search key adds g (a path),
+# h (an octile distance) and km, and the map and km each get half of it.
 # The cost of one move into a cell of cost c < UNKNOWN_COST.
 STRAIGHT = tuple((100 + c) * UA for c in range(UNKNOWN_COST))
 DIAG = tuple((100 + c) * UB for c in range(UNKNOWN_COST))
@@ -118,7 +119,7 @@ class DrivingMap(GridFrame):
         if ttl <= 0:
             raise ValueError("ttl must be > 0")
         w, h = metric.width, metric.height
-        if 352 * w * h + 100 * (w + h) > PAIR_SUM_LIMIT // 2:
+        if grid_pair_sum(w, h) > PAIR_SUM_LIMIT // 2:
             raise ValueError(f"a {w} x {h} map is too large for exact path costs")
         self.resolution = metric.resolution
         self.origin = metric.origin
@@ -343,6 +344,7 @@ class ReplanState:
         self.goal = goal
         self.km = 0
         self._last_start = start
+        self._start_key = divmod(dmap.index(start), dmap.stride)  # padded (row, col)
         self._goal_index = dmap.index(goal)
         self.g: dict[int, int | float] = {}
         self.rhs: dict[int, int | float] = {self._goal_index: 0}
@@ -361,8 +363,12 @@ class ReplanState:
             m = r
         if m == INF:
             return (INF, INF)
-        h = _octile(self.dmap.stride, self.dmap.index(self.start), i)
-        return (m + h + self.km, m)
+        # _octile from the start, whose padded (row, col) is kept
+        row, col = divmod(i, self.dmap.stride)
+        dr = abs(row - self._start_key[0])
+        dc = abs(col - self._start_key[1])
+        lo, hi = (dc, dr) if dc < dr else (dr, dc)
+        return (m + (hi - lo) * STRAIGHT[0] + lo * DIAG[0] + self.km, m)
 
     def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
         self._key_of[i] = key
@@ -379,12 +385,35 @@ class ReplanState:
 
     def _update_vertex(self, costs: list[int], i: int) -> None:
         if i != self._goal_index:
-            g = self.g
+            # the minimum of g[j] + step over _moves(costs, stride, i), with
+            # the same rule scanned inline rather than built as a list
             best = INF
-            for j, step in _moves(costs, self.dmap.stride, i):
-                cand = g.get(j, INF) + step
-                if cand < best:
-                    best = cand
+            if costs[i] < UNKNOWN_COST:
+                get = self.g.get
+                stride = self.dmap.stride
+                north, south = i + stride, i - stride
+                ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
+                e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
+                if e:
+                    best = get(i + 1, INF) + STRAIGHT[ce]
+                if w:
+                    cand = get(i - 1, INF) + STRAIGHT[cw]
+                    if cand < best:
+                        best = cand
+                for j, c in ((north, cn), (south, cs)):
+                    if c >= UNKNOWN_COST:
+                        continue
+                    cand = get(j, INF) + STRAIGHT[c]
+                    if cand < best:
+                        best = cand
+                    if e and costs[j + 1] < UNKNOWN_COST:
+                        cand = get(j + 1, INF) + DIAG[costs[j + 1]]
+                        if cand < best:
+                            best = cand
+                    if w and costs[j - 1] < UNKNOWN_COST:
+                        cand = get(j - 1, INF) + DIAG[costs[j - 1]]
+                        if cand < best:
+                            best = cand
             self.rhs[i] = best
         self._key_of.pop(i, None)
         if self.g.get(i, INF) != self.rhs.get(i, INF):
@@ -487,6 +516,7 @@ def replan_incremental(
             raise ValueError("the start has moved too far for exact path costs")
         rs.km = km
         rs._last_start = new_start
+        rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride

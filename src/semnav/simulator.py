@@ -9,7 +9,8 @@ are floor regions, not obstacles — only static non-space elements and actor
 disks return lidar echoes or occlude the semantic sensor. The static walls and
 the elements' reference points are built once per world; one ray–segment
 kernel serves the lidar, the motion clamp and, in one call per frame, every
-line of sight.
+line of sight. A scan meets all actor disks in one array pass and clamps its
+noise in one more, after one Gaussian draw per beam in beam order.
 """
 
 from __future__ import annotations
@@ -247,12 +248,15 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
     best = np.where(t >= _MIN_HIT, t, np.inf).min(axis=1, initial=np.inf)
 
-    for actor in ws.world.actors:
-        center = ws.actor_positions[actor.symbol]
-        fx = pose.x - center.x
-        fy = pose.y - center.y
+    actors = ws.world.actors
+    if actors:
+        # every actor disk at once: one row per actor, one column per beam
+        centers = [ws.actor_positions[actor.symbol] for actor in actors]
+        fx = np.array([[pose.x - center.x] for center in centers])
+        fy = np.array([[pose.y - center.y] for center in centers])
+        r2 = np.array([[actor.footprint_radius**2] for actor in actors])
         b = fx * dx + fy * dy
-        c = fx * fx + fy * fy - actor.footprint_radius**2
+        c = fx * fx + fy * fy - r2
         disc = b * b - c
         hit = disc >= 0.0
         root = np.sqrt(np.where(hit, disc, 0.0))
@@ -260,15 +264,13 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         t2 = -b + root
         t = np.where(t1 >= _MIN_HIT, t1, np.where(t2 >= _MIN_HIT, t2, np.inf))
         t = np.where(hit, t, np.inf)
-        best = np.minimum(best, t)
+        best = np.minimum(best, t.min(axis=0))
 
     ranges = np.minimum(best, lidar.range_m)
     if ws.noise_sigma > 0.0:
-        noisy = [
-            min(lidar.range_m, max(_MIN_HIT, r + ws.rng.gauss(0.0, ws.noise_sigma)))
-            for r in ranges
-        ]
-        ranges = np.asarray(noisy)
+        # one draw per beam, in beam order, from the mission's one generator
+        noise = [ws.rng.gauss(0.0, ws.noise_sigma) for _ in range(ranges.size)]
+        ranges = np.minimum(lidar.range_m, np.maximum(_MIN_HIT, ranges + noise))
     return LidarScan(
         tick=ws.tick,
         pose=pose,

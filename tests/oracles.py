@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import numpy as np
+
 from semnav.geometry import Point2
 from semnav.memory import TierId
 from semnav.planner import BehaviorPlan, format_fact
@@ -436,6 +438,49 @@ def reference_dynamic_fold(static, dynamic, origin, resolution, ttl, scan, pose,
 
 
 # --- ray geometry -------------------------------------------------------------
+
+def reference_lidar_ranges(ws, spec):
+    """A lidar scan's ranges with one numpy pass per actor disk and the
+    noise clamped beam by beam on Python floats, drawing one ws.rng.gauss
+    per beam in beam order. The static walls come from the package's own
+    ray-segment kernel (ws.walls), which this reference does not re-derive."""
+    lidar = spec.lidar2d
+    pose = ws.robot.pose
+    if lidar.beam_count == 1:
+        rel = (-lidar.fov / 2.0,)
+    else:
+        spacing = lidar.fov / (lidar.beam_count - 1)
+        rel = tuple(-lidar.fov / 2.0 + i * spacing for i in range(lidar.beam_count))
+    absolute = np.array(rel) + pose.heading
+    dx = np.cos(absolute)
+    dy = np.sin(absolute)
+    t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
+    best = np.where(t >= 1e-9, t, np.inf).min(axis=1, initial=np.inf)
+
+    for actor in ws.world.actors:
+        center = ws.actor_positions[actor.symbol]
+        fx = pose.x - center.x
+        fy = pose.y - center.y
+        b = fx * dx + fy * dy
+        c = fx * fx + fy * fy - actor.footprint_radius**2
+        disc = b * b - c
+        hit = disc >= 0.0
+        root = np.sqrt(np.where(hit, disc, 0.0))
+        t1 = -b - root
+        t2 = -b + root
+        t = np.where(t1 >= 1e-9, t1, np.where(t2 >= 1e-9, t2, np.inf))
+        t = np.where(hit, t, np.inf)
+        best = np.minimum(best, t)
+
+    ranges = np.minimum(best, lidar.range_m)
+    if ws.noise_sigma > 0.0:
+        noisy = [
+            min(lidar.range_m, max(1e-9, r + ws.rng.gauss(0.0, ws.noise_sigma)))
+            for r in ranges
+        ]
+        ranges = np.asarray(noisy)
+    return tuple(ranges.tolist())
+
 
 def oracle_ray_segment(px, py, dx, dy, a, b):
     """Ray ((px,py) + t*(dx,dy)) against segment a-b by Cramer's rule.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav import cli
+from semnav import cli, mapgen
 from semnav.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from semnav.mission import data_dir, load_scenario
 
@@ -126,6 +126,26 @@ def test_plan_unsolvable_goal_is_domain_error(tmp_path, capsys):
     scenario = make_scenario(tmp_path, goal="at(robot,wall_south)")
     assert main(["plan", scenario]) == EXIT_DOMAIN
     assert "unsolvable" in capsys.readouterr().out
+
+
+def test_plan_on_an_oversized_world_is_domain_error_before_rasterizing(
+    tmp_path, capsys, monkeypatch
+):
+    # A south wall 1e6 m long asks for a 10,000,000 x 80 grid, far past the
+    # exact path-cost bound: refused before a single footprint is drawn.
+    world = Path(DEMO_WORLD).read_text()
+    assert "0,0 16,0 16,0.2 0,0.2" in world
+    (tmp_path / "convention_center.world").write_text(
+        world.replace("0,0 16,0 16,0.2 0,0.2", "0,0 1000000,0 1000000,0.2 0,0.2")
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized world was rasterized")
+
+    monkeypatch.setattr(mapgen, "rasterize_footprint", refuse)
+    assert main(["plan", make_scenario(tmp_path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "10000000 x 80 grid is too large" in err and "Traceback" not in err
 
 
 # --- run ---

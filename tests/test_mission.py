@@ -433,6 +433,20 @@ def test_timeout_reports_distinct_failure_code(tmp_path):
     assert report.ticks_used == 30
 
 
+NOISE_TICK_CAP = 240
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("sigma", ["0.05", "0.1", "0.2", "0.5"])
+def test_noisy_mission_ends_within_its_tick_cap(tmp_path, sigma, seed):
+    # Under any lidar noise a mission returns a report: it arrives, runs out
+    # of ticks, or gives the goal up as unreachable; it never raises or spins.
+    path = write_scenario(tmp_path, seed=seed, noise=sigma, max_ticks=NOISE_TICK_CAP)
+    report = execute_mission(load_scenario(path)).report
+    assert report.ticks_used <= NOISE_TICK_CAP
+    assert report.failure_code in (None, FAIL_UNREACHABLE, FAIL_TIMEOUT)
+
+
 # --- report serialization ---
 
 TOUR_GOAL = (
@@ -480,15 +494,28 @@ NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenari
 
 
 @pytest.mark.parametrize(
-    "path, sha256",
+    "path, edits, sha256",
     [
-        (DEMO_SCENARIO, "d7946bddb3827b744c0ef37757411d5fb0903253f263196b8f029ab62c65f4b9"),
+        (DEMO_SCENARIO, {}, "d7946bddb3827b744c0ef37757411d5fb0903253f263196b8f029ab62c65f4b9"),
         # ends in a timeout at tick 136; the pinned trace digests above assert success
-        (NOISY_SCENARIO, "b1d2cc065be276cb5e939cf3087bf3b9dc5a0668c28e8f19932659b1dc7e13d6"),
+        (NOISY_SCENARIO, {},
+         "b1d2cc065be276cb5e939cf3087bf3b9dc5a0668c28e8f19932659b1dc7e13d6"),
+        # both end unreachable, a path no other pinned report covers
+        (DEMO_SCENARIO, {"seed = 7": "seed = 4", "noise_sigma = 0.0": "noise_sigma = 0.2"},
+         "bd439304a58419f87a6cca3f55c40aaf4a7d57dbbef6f7831b884c1b4829f72d"),
+        (DEMO_SCENARIO, {"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.5"},
+         "a7b82ac6d796d21215badd82c3a143be5c5f3555e09cccc49ee67392c3742327"),
     ],
-    ids=["demo", "noisy"],
+    ids=["demo", "noisy", "noise_0.2_seed_4", "noise_0.5_seed_2"],
 )
-def test_report_bytes_are_pinned(path, sha256):
+def test_report_bytes_are_pinned(tmp_path, path, edits, sha256):
+    if edits:
+        text = path.read_text()
+        for line, replacement in edits.items():
+            assert line in text
+            text = text.replace(line, replacement)
+        path = tmp_path / "pinned.scenario"
+        path.write_text(text)
     text = report_to_json(execute_mission(load_scenario(path)).report)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 

@@ -642,6 +642,27 @@ def test_replan_equals_fresh_plan_after_random_toggles():
                 assert path_cost(dmap, repaired) == fresh[1], f"trial {trial}"
 
 
+def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
+    # _update_vertex scans the moves of a cell inline; after every repair
+    # each stored non-goal rhs must equal the minimum of g + step over
+    # _moves on the snapshot (same maps and toggles as the test above)
+    rng = random.Random(90210)
+    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
+        start, goal = pick_free_cells(rng, dmap)
+        rs = ReplanState(dmap, start, goal)
+        for _ in range(rng.randint(1, 4)):
+            replan_incremental(rs, toggle_cells(rng, dmap, rng.randint(1, 20)))
+            costs = dmap.snapshot()
+            for i, rhs in rs.rhs.items():
+                if i == dmap.index(goal):
+                    continue
+                moves = navigation._moves(costs, dmap.stride, i)
+                assert rhs == min((rs.g.get(j, INF) + step for j, step in moves), default=INF), (
+                    f"trial {trial}, cell {dmap.cell(i)}"
+                )
+
+
 def test_replan_with_moving_start():
     rng = random.Random(1414)
     for trial in range(20):

@@ -20,7 +20,12 @@ from semnav.simulator import (
     trace_to_csv,
 )
 
-from oracles import oracle_ray_circle, oracle_ray_segment, segments_properly_cross
+from oracles import (
+    oracle_ray_circle,
+    oracle_ray_segment,
+    reference_lidar_ranges,
+    segments_properly_cross,
+)
 from semnav.world import (
     ActorScript,
     ElementRecord,
@@ -258,6 +263,44 @@ def test_random_beams_match_exhaustive_oracle():
             assert abs(got - expected) <= 1e-9
         beams_checked += beam_count
     assert beams_checked >= 1000
+
+
+def test_lidar_ranges_and_noise_stream_equal_the_per_actor_reference():
+    # All actor disks are folded in one array pass and the noise is clamped
+    # in numpy; every range must still equal the one-actor-at-a-time,
+    # one-beam-at-a-time computation bit for bit, and the generator must be
+    # left in the same state, including across consecutive scans.
+    rng = random.Random(4242)
+    for trial in range(200):
+        elements = []
+        for i in range(rng.randint(0, 4)):
+            x0, y0 = rng.uniform(-6, 5), rng.uniform(-6, 5)
+            elements.append(wall(f"w{i}", x0, y0, x0 + rng.uniform(0.2, 2.5),
+                                 y0 + rng.uniform(0.2, 2.5)))
+        spawn = Pose2(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
+        actors = []
+        for i in range(rng.randint(0, 5)):
+            # some disks sit on or right beside the robot
+            spread = rng.choice((0.3, 5.0))
+            waypoints = tuple(
+                Point2(spawn.x + rng.uniform(-spread, spread),
+                       spawn.y + rng.uniform(-spread, spread))
+                for _ in range(rng.randint(1, 3))
+            )
+            actors.append(ActorScript(f"a{i}", "person", footprint_radius=rng.uniform(0.1, 0.8),
+                                      speed=rng.uniform(0.0, 1.5), waypoints=waypoints))
+        world = tiny_world(elements, actors, spawn=spawn)
+        spec = SensorSpec(lidar2d=Lidar2dSpec(rng.uniform(0.5, 12.0),
+                                              rng.uniform(0.1, 2 * math.pi),
+                                              rng.randint(1, 181)))
+        seed, sigma = rng.randrange(1000), rng.choice((0.0, 0.0, 0.05, 0.5, 5.0))
+        got = make_world_state(world, seed=seed, noise_sigma=sigma)
+        ref = make_world_state(world, seed=seed, noise_sigma=sigma)
+        for _ in range(3):
+            assert lidar_scan(got, spec).ranges == reference_lidar_ranges(ref, spec), trial
+            assert got.rng.getstate() == ref.rng.getstate(), trial
+            step(got, 0.1, (0.5, 0.4))
+            step(ref, 0.1, (0.5, 0.4))
 
 
 def test_lidar_noise_is_seeded_and_bounded():

@@ -2,8 +2,9 @@
 Timing lives in the `missionbench/` harness, not here.
 
 Exit codes are a contract: 0 success, 1 domain failure (bad world content,
-unknown goal, unsolvable task, failed mission), 2 usage or I/O error
-(missing files, malformed scenario, unwritable output, bad arguments).
+a world too large to map in memory, unknown goal, unsolvable task, failed
+mission), 2 usage or I/O error (missing files, malformed scenario,
+unwritable output, bad arguments).
 Command-line flags override scenario values, which override built-in
 defaults. All file outputs use canonical formatting, so repeated runs are
 byte-identical.
@@ -194,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (WorldError, MapError, UnknownSymbolError, OversizeEntryError, ValueError) as exc:
         _fail(str(exc))
+        return EXIT_DOMAIN
+    except MemoryError:
+        _fail("out of memory: the world is too large to map on this machine")
         return EXIT_DOMAIN
 
 

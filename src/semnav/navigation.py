@@ -30,8 +30,13 @@ optimal cost bit-for-bit.
 The incremental replanner is repaired lazily: the drive loop batches the
 cells that change while its path stays drivable and repairs only once that
 path is blocked or the robot has none. While start and goal lie in
-different connected components it runs no search at all, and a repair's
-changes stay queued for the first call that finds them connected again.
+different connected components a repair updates no vertex and runs no
+search: it sets its changed cells aside, and the first call that finds
+start and goal connected again updates their neighbourhoods once. The
+search itself does work in proportion to what changed: an expansion relaxes
+each predecessor's rhs in O(1) (the moves rule is symmetric, so _moves
+lists them), rescans one only when its minimum ran through a vertex whose g
+rose, and pushes no heap entry a vertex already holds.
 
 Searches run on a padded flat index. The map keeps its static costs once
 more as a row-major Python list framed by a LETHAL border, so cell
@@ -329,7 +334,16 @@ class ReplanState:
     remaining cost-to-goal and survive robot movement; km compensates the
     heuristic as the start slides. After each repair the extracted path
     cost equals a from-scratch plan on the same costmap. While start and
-    goal are disconnected no search runs, here or in a repair.
+    goal are disconnected no search runs, here or in a repair, and a
+    repair's changed cells wait in a set until they are connected again.
+
+    An expansion of vertex i changes only g[i]. Since j is in _moves(i)
+    exactly when i is in _moves(j), with the step j -> i costing STRAIGHT
+    or DIAG of costs[i], a falling g[i] lowers each predecessor's rhs to at
+    most g[i] + step, and a rising g[i] rescans only a predecessor whose rhs
+    equalled the old g[i] + step. Costs are exact ints and every rhs is the
+    minimum over its moves before each expansion, so this matches a full
+    rescan bit for bit.
 
     g, rhs and the queue are keyed by the map's padded flat index and hold
     exact int costs (INF when unknown); each entry point takes one costmap
@@ -350,6 +364,7 @@ class ReplanState:
         self.rhs: dict[int, int | float] = {self._goal_index: 0}
         self._heap: list[tuple[int | float, int | float, int]] = []
         self._key_of: dict[int, tuple[int | float, int | float]] = {}
+        self._set_aside: set[tuple[int, int]] = set()  # changed while disconnected
         self._push(self._goal_index, self._calc_key(self._goal_index))
         if _connected(dmap, start, goal):
             self._compute(dmap.snapshot())
@@ -415,16 +430,27 @@ class ReplanState:
                         if cand < best:
                             best = cand
             self.rhs[i] = best
-        self._key_of.pop(i, None)
+        self._queue(i)
+
+    def _queue(self, i: int) -> None:
+        """The queue half of a vertex update: an inconsistent vertex holds
+        one entry at its current key (an equal key is already in the heap,
+        so it is not pushed again), a consistent one none."""
         if self.g.get(i, INF) != self.rhs.get(i, INF):
-            self._push(i, self._calc_key(i))
+            key = self._calc_key(i)
+            if self._key_of.get(i) != key:
+                self._push(i, key)
+        else:
+            self._key_of.pop(i, None)
 
     def _compute(self, costs: list[int]) -> None:
         stride = self.dmap.stride
+        cardinal = (1, -1, stride, -stride)
         si = self.dmap.index(self.start)
+        g, rhs, goal = self.g, self.rhs, self._goal_index
         while True:
-            g_start = self.g.get(si, INF)
-            rhs_start = self.rhs.get(si, INF)
+            g_start = g.get(si, INF)
+            rhs_start = rhs.get(si, INF)
             top = self._peek()
             if top is None:
                 break
@@ -438,13 +464,30 @@ class ReplanState:
             if key < fresh:
                 self._push(i, fresh)
                 continue
-            if self.g.get(i, INF) > self.rhs.get(i, INF):
-                self.g[i] = self.rhs.get(i, INF)
+            # i's predecessors are its moves (see the class docstring); the
+            # step from one into i costs STRAIGHT or DIAG of costs[i], and a
+            # blocked i has none
+            moves = _moves(costs, stride, i)
+            if moves:
+                straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
+            g_old = g.get(i, INF)
+            rhs_i = rhs.get(i, INF)
+            if g_old > rhs_i:
+                g[i] = rhs_i
+                for j, _ in moves:
+                    if j != goal:
+                        through = rhs_i + (straight if j - i in cardinal else diag)
+                        if through < rhs.get(j, INF):
+                            rhs[j] = through
+                    self._queue(j)
             else:
-                self.g[i] = INF
+                g[i] = INF
                 self._update_vertex(costs, i)
-            for j, _ in _moves(costs, stride, i):
-                self._update_vertex(costs, j)
+                for j, _ in moves:
+                    if rhs.get(j, INF) == g_old + (straight if j - i in cardinal else diag):
+                        self._update_vertex(costs, j)
+                    else:
+                        self._queue(j)
 
     def extract_path(self) -> list[tuple[int, int]] | None:
         return self._extract(self.dmap.snapshot())
@@ -500,12 +543,15 @@ def replan_incremental(
     """Repair the search after costmap changes (and optionally a moved
     start), then extract the current optimal path.
 
-    Each in-bounds changed cell and its in-bounds neighbours are updated
-    once, in index order. The changed cells are always queued, but the
-    search itself is skipped (returning None) while start and goal are
-    disconnected: there is no path to find, and a repair would only drain
-    the goal's component. The queued inconsistencies are repaired by the
-    first call that sees start and goal connected again.
+    While start and goal are disconnected the changed cells are set aside
+    on the state and None is returned at once, with no vertex updated and
+    no search run: there is no path to find, and a repair would only drain
+    the goal's component. The first call that finds them connected updates
+    each in-bounds cell of the 3 x 3 blocks of every cell set aside so far
+    once, in index order, on its own snapshot, then searches. That gives the
+    rhs values an update on every call would: a vertex's rhs reads only its
+    own block, a later change in that block puts it in a later block too,
+    and g does not change while no search runs.
     """
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
@@ -518,19 +564,21 @@ def replan_incremental(
         rs._last_start = new_start
         rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
+    rs._set_aside |= changed_cells
+    if not _connected(dmap, rs.start, rs.goal):
+        return None
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride
     touched = {
         (row + dr + 1) * stride + col + dc + 1
-        for col, row in changed_cells
+        for col, row in rs._set_aside
         if 0 <= col < width and 0 <= row < height
         for dc, dr in _NEIGHBOURHOOD
         if 0 <= col + dc < width and 0 <= row + dr < height
     }
+    rs._set_aside.clear()
     for i in sorted(touched):
         rs._update_vertex(costs, i)
-    if not _connected(dmap, rs.start, rs.goal):
-        return None
     rs._compute(costs)
     return rs._extract(costs)
 

@@ -2,11 +2,14 @@
 
 Everything here is deliberately written the straightforward, slow way —
 plain lists, exhaustive scans, fixpoint loops — and shares no code with the
-package beyond its public data types.
+package beyond its public data types. The one exception is the eager
+replanner, which keeps the package's search bookkeeping and redoes only the
+rhs updates the package does incrementally.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -14,6 +17,19 @@ import numpy as np
 
 from semnav.geometry import Point2
 from semnav.memory import TierId
+from semnav.navigation import (
+    _NEIGHBOURHOOD,
+    DIAG,
+    INF,
+    PAIR_SUM_LIMIT,
+    STRAIGHT,
+    UNKNOWN_COST,
+    ReplanState,
+    _connected,
+    _moves,
+    decode,
+    octile,
+)
 from semnav.planner import BehaviorPlan, format_fact
 
 
@@ -329,8 +345,6 @@ def grid_edge_cost(grid, u, v):
 def dijkstra_pair_cost(grid, start, goal):
     """Uniform-cost search over the composite grid with exact pair weights.
     Returns the optimal (a, b) with cost = res*(a + b*sqrt(2))/100, or None."""
-    import heapq
-
     if not grid_traversable(grid, *start) or not grid_traversable(grid, *goal):
         return None
     dist = {start: (0, 0)}
@@ -540,3 +554,112 @@ def inflation_oracle(lethal_cells, width, height, radius_cells):
             elif d2 < 4.0 * rc * rc:
                 out[row][col] = int(round(200.0 * (2.0 * rc - math.sqrt(d2)) / rc))
     return out
+
+
+# --- eager incremental replanner ----------------------------------------------
+
+# The package's replanner relaxes predecessors in O(1) and sets a
+# disconnected repair's cells aside. This is the eager form it must match:
+# it rescans every successor of every predecessor and updates every changed
+# cell's block on every call.
+
+class EagerReplanState(ReplanState):
+    """ReplanState with a full rhs rescan for every neighbour of every
+    expanded vertex."""
+
+    def _update_vertex(self, costs: list[int], i: int) -> None:
+        if i != self._goal_index:
+            # the minimum of g[j] + step over _moves(costs, stride, i), with
+            # the same rule scanned inline rather than built as a list
+            best = INF
+            if costs[i] < UNKNOWN_COST:
+                get = self.g.get
+                stride = self.dmap.stride
+                north, south = i + stride, i - stride
+                ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
+                e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
+                if e:
+                    best = get(i + 1, INF) + STRAIGHT[ce]
+                if w:
+                    cand = get(i - 1, INF) + STRAIGHT[cw]
+                    if cand < best:
+                        best = cand
+                for j, c in ((north, cn), (south, cs)):
+                    if c >= UNKNOWN_COST:
+                        continue
+                    cand = get(j, INF) + STRAIGHT[c]
+                    if cand < best:
+                        best = cand
+                    if e and costs[j + 1] < UNKNOWN_COST:
+                        cand = get(j + 1, INF) + DIAG[costs[j + 1]]
+                        if cand < best:
+                            best = cand
+                    if w and costs[j - 1] < UNKNOWN_COST:
+                        cand = get(j - 1, INF) + DIAG[costs[j - 1]]
+                        if cand < best:
+                            best = cand
+            self.rhs[i] = best
+        self._key_of.pop(i, None)
+        if self.g.get(i, INF) != self.rhs.get(i, INF):
+            self._push(i, self._calc_key(i))
+
+    def _compute(self, costs: list[int]) -> None:
+        stride = self.dmap.stride
+        si = self.dmap.index(self.start)
+        while True:
+            g_start = self.g.get(si, INF)
+            rhs_start = self.rhs.get(si, INF)
+            top = self._peek()
+            if top is None:
+                break
+            key, i = top
+            start_key = self._calc_key(si)
+            if not (key < start_key or rhs_start != g_start):
+                break
+            heapq.heappop(self._heap)
+            self._key_of.pop(i, None)
+            fresh = self._calc_key(i)
+            if key < fresh:
+                self._push(i, fresh)
+                continue
+            if self.g.get(i, INF) > self.rhs.get(i, INF):
+                self.g[i] = self.rhs.get(i, INF)
+            else:
+                self.g[i] = INF
+                self._update_vertex(costs, i)
+            for j, _ in _moves(costs, stride, i):
+                self._update_vertex(costs, j)
+
+
+def eager_replan_incremental(
+    rs: EagerReplanState,
+    changed_cells: set[tuple[int, int]],
+    new_start: tuple[int, int] | None = None,
+) -> list[tuple[int, int]] | None:
+    """Every changed cell's block updated on every call, connected or not."""
+    dmap = rs.dmap
+    if new_start is not None and new_start != rs.start:
+        if not dmap.in_bounds(*new_start):
+            raise ValueError("new start must lie inside the map")
+        km = rs.km + octile(rs._last_start, new_start)
+        if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
+            raise ValueError("the start has moved too far for exact path costs")
+        rs.km = km
+        rs._last_start = new_start
+        rs._start_key = divmod(dmap.index(new_start), dmap.stride)
+        rs.start = new_start
+    costs = dmap.snapshot()
+    width, height, stride = dmap.width, dmap.height, dmap.stride
+    touched = {
+        (row + dr + 1) * stride + col + dc + 1
+        for col, row in changed_cells
+        if 0 <= col < width and 0 <= row < height
+        for dc, dr in _NEIGHBOURHOOD
+        if 0 <= col + dc < width and 0 <= row + dr < height
+    }
+    for i in sorted(touched):
+        rs._update_vertex(costs, i)
+    if not _connected(dmap, rs.start, rs.goal):
+        return None
+    rs._compute(costs)
+    return rs._extract(costs)

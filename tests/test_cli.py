@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav import cli, mapgen
+from semnav import cli, mapgen, navigation
 from semnav.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from semnav.mission import data_dir, load_scenario
 
@@ -194,6 +194,18 @@ def test_seed_and_noise_flags_override_scenario(tmp_path):
 
 
 # --- shared error handling ---
+
+def test_run_out_of_memory_is_domain_error_without_traceback(monkeypatch, capsys):
+    # a world inside the exact-cost bound can still be too large to map
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(navigation, "distance_transform_edt", exhausted)
+    assert main(["run", DEMO_SCENARIO]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", ["genmap", "plan", "run"])
 def test_missing_scenario_is_usage_error(command, tmp_path, capsys):

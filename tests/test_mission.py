@@ -505,8 +505,15 @@ NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenari
          "bd439304a58419f87a6cca3f55c40aaf4a7d57dbbef6f7831b884c1b4829f72d"),
         (DEMO_SCENARIO, {"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.5"},
          "a7b82ac6d796d21215badd82c3a143be5c5f3555e09cccc49ee67392c3742327"),
+        # also unreachable, after long stretches of start and goal disconnected,
+        # during which the replanner sets its changed cells aside
+        (DEMO_SCENARIO, {"seed = 7": "seed = 5", "noise_sigma = 0.0": "noise_sigma = 0.2"},
+         "d9abd8cc18d98f414ce5004f40e8360f5e65d6150af10eba969ebda19523f97c"),
+        (DEMO_SCENARIO, {"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.5"},
+         "80aa2196a9618bdd7cdb7d09009e520bd770a4a203731a34f581a9abcb619af3"),
     ],
-    ids=["demo", "noisy", "noise_0.2_seed_4", "noise_0.5_seed_2"],
+    ids=["demo", "noisy", "noise_0.2_seed_4", "noise_0.5_seed_2", "noise_0.2_seed_5",
+         "noise_0.5_seed_0"],
 )
 def test_report_bytes_are_pinned(tmp_path, path, edits, sha256):
     if edits:

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    EagerReplanState,
     cmp_sqrt2,
     decimal_cmp_sqrt2,
     dijkstra_pair_cost,
+    eager_replan_incremental,
     grid_edge_cost,
     inflation_oracle,
     reference_dynamic_fold,
@@ -27,6 +29,7 @@ from semnav.mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
 from semnav.navigation import (
     DIAG,
     INF,
+    INSCRIBED,
     LETHAL,
     PAIR_SUM_LIMIT,
     STRAIGHT,
@@ -643,24 +646,109 @@ def test_replan_equals_fresh_plan_after_random_toggles():
 
 
 def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
-    # _update_vertex scans the moves of a cell inline; after every repair
-    # each stored non-goal rhs must equal the minimum of g + step over
-    # _moves on the snapshot (same maps and toggles as the test above)
+    # _update_vertex scans the moves of a cell inline and the search relaxes
+    # predecessors; after every repair each stored non-goal rhs must equal
+    # the minimum of g + step over _moves on the snapshot (same maps and
+    # toggles as the test above). A disconnected repair sets its cells
+    # aside, so the rhs of a vertex whose 3 x 3 block holds one of them is
+    # not yet due; after a repair that found a path none is set aside.
     rng = random.Random(90210)
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
         for _ in range(rng.randint(1, 4)):
-            replan_incremental(rs, toggle_cells(rng, dmap, rng.randint(1, 20)))
+            path = replan_incremental(rs, toggle_cells(rng, dmap, rng.randint(1, 20)))
+            if path is not None:
+                assert not rs._set_aside, f"trial {trial}"
+            not_due = {
+                dmap.index((col + dc, row + dr))
+                for col, row in rs._set_aside
+                for dc in (-1, 0, 1)
+                for dr in (-1, 0, 1)
+            }
             costs = dmap.snapshot()
             for i, rhs in rs.rhs.items():
-                if i == dmap.index(goal):
+                if i == dmap.index(goal) or i in not_due:
                     continue
                 moves = navigation._moves(costs, dmap.stride, i)
                 assert rhs == min((rs.g.get(j, INF) + step for j, step in moves), default=INF), (
                     f"trial {trial}, cell {dmap.cell(i)}"
                 )
+
+
+def test_replan_matches_the_eager_replanner_state_for_state():
+    # The package relaxes predecessors in O(1), pushes no duplicate keys
+    # and sets a disconnected repair's cells aside; the eager replanner
+    # does none of these. Paths must agree on every call, and g and rhs on
+    # every call that found start and goal connected.
+    rng = random.Random(31337)
+    calls = connected = 0
+    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
+        start, goal = pick_free_cells(rng, dmap)
+        rs = ReplanState(dmap, start, goal)
+        eager = EagerReplanState(dmap, start, goal)
+        path = rs.extract_path()
+        assert path == eager.extract_path(), f"trial {trial}"
+        for _ in range(rng.randint(2, 6)):
+            if path is not None and len(path) > 2:
+                start = path[1]  # the robot moves one step along its path
+            changed = toggle_cells(rng, dmap, rng.randint(1, 25))
+            path = replan_incremental(rs, changed, new_start=start)
+            assert path == eager_replan_incremental(eager, changed, new_start=start), (
+                f"trial {trial}"
+            )
+            calls += 1
+            if navigation._connected(dmap, start, goal):
+                connected += 1
+                for mine, theirs in ((rs.g, eager.g), (rs.rhs, eager.rhs)):
+                    for i in mine.keys() | theirs.keys():
+                        assert mine.get(i, INF) == theirs.get(i, INF), (
+                            f"trial {trial}, cell {dmap.cell(i)}"
+                        )
+    # both kinds of call are exercised
+    assert 0 < connected < calls
+
+
+@st.composite
+def padded_snapshots(draw):
+    """A padded flat costmap with a LETHAL border and an interior of free,
+    inflated, UNKNOWN and LETHAL cells."""
+    width = draw(st.integers(1, 8))
+    height = draw(st.integers(1, 8))
+    interior = draw(
+        st.lists(
+            st.one_of(
+                st.just(0), st.integers(1, INSCRIBED), st.just(UNKNOWN_COST), st.just(LETHAL)
+            ),
+            min_size=width * height,
+            max_size=width * height,
+        )
+    )
+    stride = width + 2
+    costs = [LETHAL] * (stride * (height + 2))
+    for k, c in enumerate(interior):
+        row, col = divmod(k, width)
+        costs[(row + 1) * stride + col + 1] = c
+    return costs, stride, width, height
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(snapshot=padded_snapshots())
+def test_moves_rule_is_symmetric(snapshot):
+    # The search relaxes predecessors through _moves(i): that needs j in
+    # _moves(i) exactly when i is in _moves(j), and the step j -> i to cost
+    # STRAIGHT or DIAG of costs[i] by direction.
+    costs, stride, width, height = snapshot
+    interior = [(row + 1) * stride + col + 1 for row in range(height) for col in range(width)]
+    moves = {i: dict(navigation._moves(costs, stride, i)) for i in interior}
+    for i in interior:
+        for j in moves[i]:
+            assert j in moves, "a move leaves the interior"
+            assert i in moves[j]
+            step = STRAIGHT[costs[i]] if abs(j - i) in (1, stride) else DIAG[costs[i]]
+            assert moves[j][i] == step
 
 
 def test_replan_with_moving_start():

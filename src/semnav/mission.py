@@ -439,6 +439,18 @@ def goal_anchor(goal: tuple[Fact, ...]) -> str:
 
 # --- execution engine ---
 
+def _cells_read(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Every cell a move of the path reads, as path_cost reads them (both
+    ends, and both corner cells of a diagonal), mapped to the last move that
+    reads it; move k runs from path[k] to path[k + 1]."""
+    reads: dict[tuple[int, int], int] = {}
+    for k, ((uc, ur), (vc, vr)) in enumerate(zip(path, path[1:])):
+        reads[uc, ur] = reads[vc, vr] = k
+        if uc != vc and ur != vr:
+            reads[vc, ur] = reads[uc, vr] = k
+    return reads
+
+
 class MissionEngine:
     """Drives one mission through the sequential pipeline.
 
@@ -479,6 +491,8 @@ class MissionEngine:
         self.distance = 0.0
         self.replans = 0
         self.learned = 0
+        # the path _ahead_is_blocked last checked, and the cells its moves read
+        self._path_reads: tuple[list | None, dict[tuple[int, int], int]] = (None, {})
 
     # -- helpers --
 
@@ -636,14 +650,31 @@ class MissionEngine:
 
     def _ahead_is_blocked(self, path: list[tuple[int, int]], pose: Pose2) -> bool:
         """True when the path's remaining stretch (from the cell nearest the
-        robot onward) is no longer drivable on the current costmap."""
+        robot onward) is no longer drivable on the current costmap.
+
+        path_cost decides, but it is called only when it could say no. A
+        driven path was extracted move by move on a snapshot of this costmap,
+        and static costs never change, so only a dynamic cell can block one
+        of its moves, and only a cell that move reads. So while no cell the
+        path's moves read is in the dynamic layer, or each such cell is read
+        only by moves before the nearest cell, the stretch is drivable.
+        """
         dmap = self.dmap
+        if self._path_reads[0] is not path:  # _drive_to swaps paths, never edits one
+            self._path_reads = (path, _cells_read(path))
+        reads = self._path_reads[1]
+        marked = reads.keys() & dmap.dynamic.keys()
+        if not marked:
+            return False
         ox, oy, res = dmap.origin.x, dmap.origin.y, dmap.resolution
         # the operands of center_of(...).distance_to(pose), without the Point2s
-        nearest = min(
-            (math.hypot(ox + (col + 0.5) * res - pose.x, oy + (row + 0.5) * res - pose.y), i)
-            for i, (col, row) in enumerate(path)
-        )[1]
+        gaps = [
+            math.hypot(ox + (col + 0.5) * res - pose.x, oy + (row + 0.5) * res - pose.y)
+            for col, row in path
+        ]
+        nearest = gaps.index(min(gaps))
+        if max(reads[cell] for cell in marked) < nearest:
+            return False
         return path_cost(dmap, path[nearest:]) is None
 
     def _replan_behavior(self, blocked_src: str, blocked_dst: str) -> list[GroundAction] | None:

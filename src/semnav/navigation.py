@@ -624,12 +624,11 @@ def follow_step(state: RobotState, waypoints: list[Point2]) -> FollowResult:
     if here.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
         return FollowResult((0.0, 0.0), True)
 
-    nearest = min(
-        range(len(waypoints)), key=lambda i: (here.distance_to(waypoints[i]), i)
-    )
+    gaps = [here.distance_to(point) for point in waypoints]
+    nearest = gaps.index(min(gaps))
     target = waypoints[nearest]
     for i in range(nearest, len(waypoints)):
-        if here.distance_to(waypoints[i]) <= LOOKAHEAD:
+        if gaps[i] <= LOOKAHEAD:
             target = waypoints[i]
 
     err = normalize_angle(math.atan2(target.y - here.y, target.x - here.x) - pose.heading)

@@ -10,7 +10,8 @@ disks return lidar echoes or occlude the semantic sensor. The static walls and
 the elements' reference points are built once per world; one ray–segment
 kernel serves the lidar, the motion clamp and, in one call per frame, every
 line of sight. A scan meets all actor disks in one array pass and clamps its
-noise in one more, after one Gaussian draw per beam in beam order.
+noise in one more; the noise, one Gaussian per beam in beam order, is drawn
+in one block equal bit for bit to one random.gauss call per beam.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class Walls:
         ax, ay, ex, ey = rows.reshape(-1, 4).T
         return cls(ax, ay, ex, ey, np.asarray([owner for owner, _, _ in edges], dtype=object))
 
-    def ray_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
+    def _crossings(self, ox: float, oy: float, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Distance t along each unit ray (ox, oy) + t*(dx, dy) to each
-        segment, one row per ray, or inf where the ray's line misses the
-        segment. t may be negative (behind the origin); callers window it."""
+        segment's line, one row per ray, and where the ray's line meets the
+        segment itself (t is meaningless elsewhere)."""
         dx = np.asarray(dx, dtype=float).reshape(-1, 1)
         dy = np.asarray(dy, dtype=float).reshape(-1, 1)
         wx, wy = self.ax - ox, self.ay - oy
@@ -86,8 +87,21 @@ class Walls:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (wx * self.ey - wy * self.ex) / denom
             u = (wx * dy - wy * dx) / denom
-        hit = (np.abs(denom) >= 1e-15) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+        return t, (np.abs(denom) >= 1e-15) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+
+    def ray_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
+        """Distance t along each unit ray (ox, oy) + t*(dx, dy) to each
+        segment, one row per ray, or inf where the ray's line misses the
+        segment. t may be negative (behind the origin); callers window it."""
+        t, hit = self._crossings(ox, oy, dx, dy)
         return np.where(hit, t, np.inf)
+
+    def nearest_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
+        """Per ray, the least t >= _MIN_HIT over the segments it meets, or
+        inf: ray_hits' row minimum over the same values, in one masked
+        reduction."""
+        t, hit = self._crossings(ox, oy, dx, dy)
+        return t.min(axis=1, where=hit & (t >= _MIN_HIT), initial=np.inf)
 
 
 @dataclass
@@ -234,9 +248,44 @@ def _beam_angles(fov: float, beam_count: int) -> tuple[tuple[float, ...], np.nda
     return rel, array
 
 
+def _gauss_block(rng: random.Random, n: int, sigma: float) -> np.ndarray:
+    """n draws of rng.gauss(0.0, sigma) as one array, bit for bit, leaving
+    rng in the state (rng.getstate()) those n calls would.
+
+    random.gauss is Box-Muller: each pair of uniforms (u1, u2) gives
+    cos(2*pi*u1) * g and sin(2*pi*u1) * g with g = sqrt(-2*log(1 - u2)); the
+    cosine is returned and the sine kept in rng.gauss_next for the next call.
+    So a pending gauss_next is drawn first, the uniforms come from
+    rng.random() in the same order, and with an odd remainder the last sine
+    is left pending. Products, np.sqrt (correctly rounded, like math.sqrt)
+    and np.cos/np.sin (equal to math's bit for bit, as
+    test_numpy_trig_matches_math_bitwise checks) give the scalar code's
+    floats. The logarithm stays math.log, one call per pair, because np.log
+    is not libm's: numpy 2.4's AVX-512 logarithm differs from math.log in the
+    last bit for about one uniform in 300, which would change the reports.
+    """
+    pending = [] if rng.gauss_next is None else [rng.gauss_next]
+    rng.gauss_next = None
+    random_ = rng.random
+    uniforms = [random_() for _ in range((n - len(pending) + 1) // 2 * 2)]
+    g2rad = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in uniforms[1::2]]))
+    x2pi = np.array(uniforms[0::2]) * (2.0 * math.pi)
+    # (cos, sin) of each pair, pair after pair: the order gauss returns them
+    z = np.concatenate((pending, (np.array((np.cos(x2pi), np.sin(x2pi))) * g2rad).T.ravel()))
+    if z.size > n:
+        rng.gauss_next = float(z[n])  # the sine of an odd remainder waits
+    return 0.0 + z[:n] * sigma
+
+
 def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     """Exact per-beam minimum intersection over static footprint edges and
-    actor disks, capped at range_max."""
+    actor disks, capped at range_max, plus optional Gaussian range noise.
+
+    The wall minimum is one masked reduction over the same values the
+    per-beam minimum of Walls.ray_hits would take, so it is the same float.
+    The noise is drawn in one block (_gauss_block) that reproduces the
+    per-beam random.gauss calls bit for bit, generator state included.
+    """
     lidar = spec.lidar2d
     if lidar is None:
         raise ValueError("sensor spec has no 2D lidar")
@@ -245,8 +294,7 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     absolute = rel_array + pose.heading
     dx = np.cos(absolute)
     dy = np.sin(absolute)
-    t = ws.walls.ray_hits(pose.x, pose.y, dx, dy)
-    best = np.where(t >= _MIN_HIT, t, np.inf).min(axis=1, initial=np.inf)
+    best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy)
 
     actors = ws.world.actors
     if actors:
@@ -260,16 +308,16 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         disc = b * b - c
         hit = disc >= 0.0
         root = np.sqrt(np.where(hit, disc, 0.0))
-        t1 = -b - root
-        t2 = -b + root
-        t = np.where(t1 >= _MIN_HIT, t1, np.where(t2 >= _MIN_HIT, t2, np.inf))
-        t = np.where(hit, t, np.inf)
-        best = np.minimum(best, t.min(axis=0))
+        # the near root where it is ahead, else the far one: since
+        # -b - root <= -b + root, the least of both roots that are ahead
+        t = np.concatenate((-b - root, -b + root))
+        ahead = np.concatenate((hit, hit)) & (t >= _MIN_HIT)
+        best = np.minimum(best, t.min(axis=0, where=ahead, initial=np.inf))
 
     ranges = np.minimum(best, lidar.range_m)
     if ws.noise_sigma > 0.0:
         # one draw per beam, in beam order, from the mission's one generator
-        noise = [ws.rng.gauss(0.0, ws.noise_sigma) for _ in range(ranges.size)]
+        noise = _gauss_block(ws.rng, ranges.size, ws.noise_sigma)
         ranges = np.minimum(lidar.range_m, np.maximum(_MIN_HIT, ranges + noise))
     return LidarScan(
         tick=ws.tick,

@@ -6,14 +6,18 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semnav.mapgen import episodic_log
+from semnav.geometry import Point2, Pose2
+from semnav.mapgen import FREE, OCCUPIED, MetricLayer, episodic_log
 from semnav.memory import TierId, UnknownSymbolError
-from semnav.navigation import DrivingMap
+from semnav.navigation import DrivingMap, ReplanState, path_cost, replan_incremental
 from semnav.mission import (
     FAIL_TIMEOUT,
     FAIL_UNKNOWN_GOAL,
@@ -511,9 +515,13 @@ NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenari
          "d9abd8cc18d98f414ce5004f40e8360f5e65d6150af10eba969ebda19523f97c"),
         (DEMO_SCENARIO, {"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.5"},
          "80aa2196a9618bdd7cdb7d09009e520bd770a4a203731a34f581a9abcb619af3"),
+        # succeeds after 221 ticks; the lidar's noise block must draw what
+        # one random.gauss call per beam drew
+        (DEMO_SCENARIO, {"seed = 7": "seed = 3", "noise_sigma = 0.0": "noise_sigma = 0.1"},
+         "62893723da7acc457d0dd11e99fff68a3b8b47de0a2d935e2e2169fe623cd933"),
     ],
     ids=["demo", "noisy", "noise_0.2_seed_4", "noise_0.5_seed_2", "noise_0.2_seed_5",
-         "noise_0.5_seed_0"],
+         "noise_0.5_seed_0", "noise_0.1_seed_3"],
 )
 def test_report_bytes_are_pinned(tmp_path, path, edits, sha256):
     if edits:
@@ -572,6 +580,102 @@ def test_mission_never_writes_static_costmap():
     fresh = DrivingMap(engine.emap.metric, engine.world.robot_radius)
     assert engine.dmap.static.dtype == fresh.static.dtype
     assert np.array_equal(engine.dmap.static, fresh.static)
+
+
+# --- the drive loop's path check ---
+
+def driving_map(rng, width, height, obstacle_rate):
+    cells = np.array(
+        [[OCCUPIED if rng.random() < obstacle_rate else FREE for _ in range(width)]
+         for _ in range(height)],
+        dtype=np.uint8,
+    )
+    metric = MetricLayer(resolution=0.1, origin=Point2(0.0, 0.0), width=width, height=height,
+                         cells=cells)
+    return DrivingMap(metric, robot_radius=0.15)
+
+
+def nearest_cell(dmap, path, pose):
+    """Index of the path cell whose center is nearest the pose, the first of equals."""
+    return min(
+        (dmap.center_of(*cell).distance_to(pose.position), i) for i, cell in enumerate(path)
+    )[1]
+
+
+def test_path_check_equals_path_cost_of_the_remaining_stretch():
+    # _ahead_is_blocked re-costs the remaining stretch only when a dynamic
+    # cell that one of its moves reads could block it; on planner-extracted
+    # paths its answer must be path_cost's, wherever the robot stands and
+    # whatever the dynamic layer holds, across path swaps.
+    engine = MissionEngine(load_scenario(DEMO_SCENARIO))
+    rng = random.Random(2718)
+    seen = Counter()
+    for trial in range(120):
+        width, height = rng.choice(((16, 16), (23, 7), (7, 23)))
+        dmap = driving_map(rng, width, height, obstacle_rate=0.1)
+        engine.dmap = dmap
+        free = [(c, r) for r in range(height) for c in range(width) if dmap.traversable(c, r)]
+        start, goal = rng.choice(free), rng.choice(free)
+        rs = ReplanState(dmap, start, goal)
+        path = rs.extract_path()
+        if path is None:
+            continue
+        pending, last = set(), 0
+        for _ in range(25):
+            for _ in range(rng.randint(0, 3)):  # toggles mostly on or beside the path
+                col, row = rng.choice(path)
+                cell = (col + rng.randint(-1, 1), row + rng.randint(-1, 1))
+                if rng.random() < 0.2:
+                    cell = (rng.randrange(width), rng.randrange(height))
+                if not dmap.in_bounds(*cell):
+                    continue
+                if dmap.dynamic.pop(cell, None) is None:
+                    dmap.dynamic[cell] = 10**9
+                pending.add(cell)
+            center = dmap.center_of(*rng.choice(path))  # near a path cell, or anywhere
+            x, y = center.x + rng.uniform(-0.1, 0.1), center.y + rng.uniform(-0.1, 0.1)
+            if rng.random() < 0.2:
+                x, y = rng.uniform(-0.5, 0.1 * width + 0.5), rng.uniform(-0.5, 0.1 * height + 0.5)
+            pose = Pose2(x, y, rng.uniform(-math.pi, math.pi))
+            nearest = nearest_cell(dmap, path, pose)
+            expected = path_cost(dmap, path[nearest:]) is None
+            assert engine._ahead_is_blocked(path, pose) == expected, f"trial {trial}"
+            seen["blocked" if expected else "clear"] += 1
+            seen["backward"] += nearest < last
+            seen["one_cell"] += nearest == len(path) - 1
+            last = nearest
+            if rng.random() < 0.2:  # swap in the repaired path, or an equal copy
+                repaired = replan_incremental(rs, pending)
+                pending = set()
+                path = repaired if repaired is not None else list(path)
+                seen["swap"] += 1
+    assert min(seen[k] for k in ("blocked", "clear", "backward", "one_cell", "swap")) > 0, seen
+
+
+def test_path_check_sees_a_diagonal_blocked_only_through_a_corner_cell():
+    engine = MissionEngine(load_scenario(DEMO_SCENARIO))
+    engine.dmap = dmap = driving_map(random.Random(0), 8, 8, obstacle_rate=0.0)
+    diagonal = ReplanState(dmap, (0, 0), (7, 7)).extract_path()
+    other = ReplanState(dmap, (0, 7), (7, 0)).extract_path()
+    assert diagonal == [(i, i) for i in range(8)]
+    assert other == [(i, 7 - i) for i in range(8)]
+    dmap.dynamic[3, 2] = 10**9  # a corner of the move (2, 2) -> (3, 3) alone
+
+    def at(cell):
+        center = dmap.center_of(*cell)
+        return Pose2(center.x, center.y, 0.0)
+
+    checks = [
+        (diagonal, (3, 3), False),  # that move is behind the robot
+        (diagonal, (2, 2), True),
+        (diagonal, (0, 0), True),  # nearest moved back
+        (diagonal, (7, 7), False),  # a one-cell stretch reads nothing
+        (other, (0, 7), False),  # swapped to a path that reads no marked cell
+        (list(diagonal), (1, 1), True),  # a new, equal path object
+    ]
+    for path, cell, blocked in checks:
+        assert (path_cost(dmap, path[nearest_cell(dmap, path, at(cell)):]) is None) is blocked
+        assert engine._ahead_is_blocked(path, at(cell)) is blocked, (path[0], cell)
 
 
 def test_reports_byte_identical_across_runs(demo_run):

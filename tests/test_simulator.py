@@ -7,11 +7,15 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semnav.geometry import Footprint, Point2, Pose2
 from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
 from semnav.simulator import (
+    _gauss_block,
     lidar_scan,
     make_world_state,
     semantic_detect,
@@ -316,6 +320,31 @@ def test_lidar_noise_is_seeded_and_bounded():
     assert all(0 < r <= 10.0 for r in scan_a.ranges)
     clean = lidar_scan(make_world_state(world, seed=42), LIDAR)
     assert clean.ranges != scan_a.ranges
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 400), min_size=1, max_size=3),
+    sigma=st.sampled_from((0.05, 0.5, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+    pending=st.booleans(),
+)
+@example(counts=[181, 181, 181], sigma=0.05, seed=0, pending=False)
+@example(counts=[0, 1, 0], sigma=0.5, seed=1, pending=True)
+def test_gauss_block_equals_one_gauss_call_per_draw(counts, sigma, seed, pending):
+    # The lidar draws a scan's noise in one block; it must equal the same
+    # number of random.gauss calls bit for bit and leave the generator in
+    # the same state, a pending Box-Muller spare included, block after block.
+    got, ref = random.Random(seed), random.Random(seed)
+    if pending:  # a prior gauss call leaves its spare in gauss_next
+        got.gauss()
+        ref.gauss()
+    for n in counts:
+        block = _gauss_block(got, n, sigma)
+        calls = np.array([ref.gauss(0.0, sigma) for _ in range(n)], dtype=float)
+        assert block.shape == (n,)
+        assert np.array_equal(block.view(np.int64), calls.view(np.int64))
+        assert got.getstate() == ref.getstate()
 
 
 # --- semantic detection ---

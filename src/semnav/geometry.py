@@ -4,12 +4,15 @@ All coordinates are meters in a fixed world frame; headings are radians
 normalized into (-pi, pi]. Footprints are simple polygons stored with
 counter-clockwise winding. Boundary points count as inside everywhere, which
 keeps rasterization deterministic. One even-odd test serves a single point and,
-elementwise over numpy arrays, every cell center a footprint rasterizes.
+elementwise over numpy arrays, every cell center a footprint rasterizes; the
+rasterized cells stay that bounding-box mask, a set with membership by index.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,14 +165,62 @@ def point_in_footprint(p: Point2, f: Footprint) -> bool:
     return bool(_contains(p.x, p.y, f))
 
 
-def rasterize_footprint(
-    f: Footprint, resolution: float, origin: Point2
-) -> set[tuple[int, int]]:
+class FootprintCells(Set):
+    """The (col, row) cells of a rasterized footprint, as an immutable set.
+
+    Held as a read-only boolean mask over the footprint's bounding box whose
+    [0, 0] is cell `origin`, so membership is one index into the mask and
+    no per-cell tuple exists until the set is iterated. Iteration is
+    row-major (row, then column, ascending); the set operators give plain
+    frozensets, and a FootprintCells equals and hashes as the frozenset of
+    its cells.
+    """
+
+    __slots__ = ("mask", "origin", "_len")
+
+    def __init__(self, mask: np.ndarray, origin: tuple[int, int]) -> None:
+        self.mask = mask
+        self.mask.flags.writeable = False
+        self.origin = origin
+        self._len = int(np.count_nonzero(mask))
+
+    def __contains__(self, cell: object) -> bool:
+        try:
+            col, row = cell
+            col = operator.index(col) - self.origin[0]
+            row = operator.index(row) - self.origin[1]
+        except (TypeError, ValueError):
+            return False
+        height, width = self.mask.shape
+        return 0 <= col < width and 0 <= row < height and bool(self.mask[row, col])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        rows, cols = np.nonzero(self.mask)
+        return zip((cols + self.origin[0]).tolist(), (rows + self.origin[1]).tolist())
+
+    def paint(self, grid: np.ndarray, value: int) -> None:
+        """Set grid[row, col] = value for each of these cells that lies in
+        grid, whose [0, 0] is cell (0, 0)."""
+        (col0, row0), (height, width) = self.origin, self.mask.shape
+        c0, r0 = max(col0, 0), max(row0, 0)
+        c1, r1 = min(col0 + width, grid.shape[1]), min(row0 + height, grid.shape[0])
+        if c0 < c1 and r0 < r1:
+            grid[r0:r1, c0:c1][self.mask[r0 - row0 : r1 - row0, c0 - col0 : c1 - col0]] = value
+
+    _from_iterable = frozenset
+    __hash__ = Set._hash
+
+
+def rasterize_footprint(f: Footprint, resolution: float, origin: Point2) -> FootprintCells:
     """Grid cells whose center lies in the footprint.
 
     Cell (ix, iy) covers [origin + ix*res, origin + (ix+1)*res) along x and
-    likewise along y. The centers of the footprint's bounding box are tested
-    in one array pass, and the set is built in row-major order.
+    likewise along y. The centers of the footprint's bounding box, padded by
+    one cell, are tested in one array pass, and that mask is the result:
+    membership is an index into it, and iteration is row-major.
     """
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -180,5 +231,4 @@ def rasterize_footprint(
     iy1 = math.ceil((max_y - origin.y) / resolution) + 1
     cx = origin.x + (np.arange(ix0, ix1 + 1) + 0.5) * resolution
     cy = origin.y + (np.arange(iy0, iy1 + 1) + 0.5) * resolution
-    rows, cols = np.nonzero(_contains(cx[np.newaxis, :], cy[:, np.newaxis], f))
-    return set(zip((cols + ix0).tolist(), (rows + iy0).tolist()))
+    return FootprintCells(_contains(cx[np.newaxis, :], cy[:, np.newaxis], f), (ix0, iy0))

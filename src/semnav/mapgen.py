@@ -14,11 +14,11 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .geometry import Footprint, Point2, Pose2, point_in_footprint, rasterize_footprint
+from .geometry import (Footprint, FootprintCells, Point2, Pose2, point_in_footprint,
+                       rasterize_footprint)
 from .memory import TierStore
 from .world import ElementRecord, Relation
 
@@ -169,7 +169,7 @@ class TopologyLayer:
 class Annotation:
     class_label: str
     space: str | None = None
-    footprint_cells: frozenset[tuple[int, int]] | None = None
+    footprint_cells: FootprintCells | None = None  # bounding-box mask, membership by index
     semantic_class: str | None = None
 
 
@@ -240,11 +240,12 @@ def _grid_bounds(footprints: list[Footprint], resolution: float) -> tuple[Point2
 
 def build_metric_layer(
     elements: list[ElementRecord], resolution: float
-) -> tuple[MetricLayer, dict[str, frozenset[tuple[int, int]]]]:
+) -> tuple[MetricLayer, dict[str, FootprintCells]]:
     """Occupied = static non-space footprints; Free = space footprints minus
     Occupied; Unknown = everything else. Also returns the cells of every
     footprint, keyed by symbol and not clipped to the grid, so that no
-    caller has to rasterize a footprint twice."""
+    caller has to rasterize a footprint twice. Each footprint's cells are
+    its bounding-box mask, and the grid is painted straight from the masks."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     drawn = [e for e in elements if e.explicit.model2d is not None]
@@ -254,24 +255,17 @@ def build_metric_layer(
     if grid_pair_sum(width, height) > PAIR_SUM_LIMIT // 2:  # before any cell is drawn
         raise MapError(f"a {width} x {height} grid is too large for exact path costs")
     footprint_cells = {
-        e.symbol: frozenset(rasterize_footprint(e.explicit.model2d, resolution, origin))
-        for e in drawn
+        e.symbol: rasterize_footprint(e.explicit.model2d, resolution, origin) for e in drawn
     }
 
     cells = np.full((height, width), UNKNOWN, dtype=np.uint8)
 
-    def paint(rec: ElementRecord, value: int) -> None:
-        fp = footprint_cells[rec.symbol]
-        col, row = np.fromiter(chain.from_iterable(fp), np.intp, 2 * len(fp)).reshape(-1, 2).T
-        inside = (col >= 0) & (col < width) & (row >= 0) & (row < height)
-        cells[row[inside], col[inside]] = value
-
     for rec in drawn:
         if rec.is_space:
-            paint(rec, FREE)
+            footprint_cells[rec.symbol].paint(cells, FREE)
     for rec in drawn:
         if not rec.is_space and rec.explicit.physical.is_static:
-            paint(rec, OCCUPIED)
+            footprint_cells[rec.symbol].paint(cells, OCCUPIED)
 
     metric = MetricLayer(
         resolution=resolution, origin=origin, width=width, height=height, cells=cells

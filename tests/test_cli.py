@@ -3,6 +3,7 @@ exit-code contract (0 ok, 1 domain failure, 2 usage/IO error)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -85,6 +86,32 @@ def test_genmap_writes_three_artifacts(tmp_path, capsys):
     assert main(["genmap", DEMO_SCENARIO, "-o", str(out)]) == EXIT_OK
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob  # regeneration is exact
+
+
+# sha256 of each genmap artifact; the metric layer's bytes and the
+# per-footprint cell counts in layers.txt appear in no mission report
+GENMAP_SHA256 = {
+    "demo": {
+        "map.pgm": "76330e302d41f1f44327a6bc05da0298d96adb643d5b6e4ece9e8a2941eb0d54",
+        "map.meta": "262f3283be475fd579298d85fe5506ec2a70474543df4951320f06182c05b65e",
+        "layers.txt": "9171896d5ea422df809df15bbd14e635534b9255e9a5742ebeecfb65a8db23ee",
+    },
+    "2d_only": {
+        "map.pgm": "76330e302d41f1f44327a6bc05da0298d96adb643d5b6e4ece9e8a2941eb0d54",
+        "map.meta": "262f3283be475fd579298d85fe5506ec2a70474543df4951320f06182c05b65e",
+        "layers.txt": "5f114be8a2d3cf096ba29165fdfbd907e7c828a104b0276596c099cc390d9896",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENMAP_SHA256))
+def test_genmap_artifacts_are_pinned(tmp_path, case):
+    scenario = DEMO_SCENARIO if case == "demo" else make_scenario(tmp_path, semantic=False)
+    out = tmp_path / "map"
+    assert main(["genmap", scenario, "-o", str(out)]) == EXIT_OK
+    pinned = GENMAP_SHA256[case]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+    assert got == pinned
 
 
 def test_genmap_unknown_goal_is_domain_error(tmp_path, capsys):

@@ -5,14 +5,18 @@ algorithm."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_point_in_footprint
 from semnav.geometry import (
     Footprint,
+    FootprintCells,
     Point2,
     Pose2,
     normalize_angle,
@@ -187,6 +191,61 @@ def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return p.distance_to(Point2(a.x + t * vx, a.y + t * vy))
 
 
+RESOLUTIONS = (0.25, 0.1, 0.05)  # coarsest first: failures shrink towards it
+
+
+def reference_cells(fp: Footprint, resolution: float, origin: Point2):
+    """The frozenset of cells whose centre the scalar reference puts inside
+    fp, found by testing every cell of fp's bounding box widened by two cells
+    on each side, and that box's cells in a list."""
+    x0, y0, x1, y1 = fp.bounds()
+    col0 = int(math.floor((x0 - origin.x) / resolution)) - 2
+    col1 = int(math.ceil((x1 - origin.x) / resolution)) + 2
+    row0 = int(math.floor((y0 - origin.y) / resolution)) - 2
+    row1 = int(math.ceil((y1 - origin.y) / resolution)) + 2
+    box = [(col, row) for col in range(col0, col1 + 1) for row in range(row0, row1 + 1)]
+    inside = frozenset(
+        (col, row)
+        for col, row in box
+        if reference_point_in_footprint(
+            Point2(origin.x + (col + 0.5) * resolution, origin.y + (row + 0.5) * resolution), fp
+        )
+    )
+    return inside, box
+
+
+@st.composite
+def footprints(draw, resolution: float, origin: Point2) -> Footprint:
+    """The shapes test_matches_exhaustive_center_scan draws: triangles of
+    area above 0.05, concave L-shapes, and polygons whose vertices sit on
+    cell centres."""
+    kind = draw(st.sampled_from(["triangle", "ell", "centres"]))
+    if kind == "triangle":
+        coord = st.floats(0, 4)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=3))
+        area = _footprint(pts).signed_area()
+        assume(abs(area) > 0.05)
+        return _footprint(pts if area > 0 else pts[::-1])
+    if kind == "ell":
+        x, y = draw(st.floats(0, 2)), draw(st.floats(0, 2))
+        w, h = draw(st.floats(0.5, 2)), draw(st.floats(0.5, 2))
+        a, b = draw(st.floats(0.1, 0.9)) * w, draw(st.floats(0.1, 0.9)) * h
+        return _footprint([(x, y), (x + w, y), (x + w, y + b), (x + a, y + b),
+                           (x + a, y + h), (x, y + h)])
+    c0, r0 = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    a, b = draw(st.integers(1, w - 1)), draw(st.integers(1, h - 1))
+    shape = draw(st.sampled_from([
+        [(0, 0), (w, 0), (w, b), (a, b), (a, h), (0, h)],  # L
+        [(0, 0), (w, 0), (a, h)],  # triangle, slanted edges
+        [(0, 0), (w, 0), (w, h), (a, b), (0, h)],  # notched
+    ]))
+    return _footprint([
+        (origin.x + (c0 + c + 0.5) * resolution, origin.y + (r0 + r + 0.5) * resolution)
+        for c, r in shape
+    ])
+
+
 class TestRasterize:
     def test_unit_square_at_tenth_meter(self):
         fp = rect_footprint(0, 0, 1, 1)
@@ -244,22 +303,72 @@ class TestRasterize:
 
         for fp, resolution, origin in cases:
             got = rasterize_footprint(fp, resolution, origin)
-
-            x0, y0, x1, y1 = fp.bounds()
-            expected = set()
-            col0 = int(math.floor((x0 - origin.x) / resolution)) - 2
-            col1 = int(math.ceil((x1 - origin.x) / resolution)) + 2
-            row0 = int(math.floor((y0 - origin.y) / resolution)) - 2
-            row1 = int(math.ceil((y1 - origin.y) / resolution)) + 2
-            for col in range(col0, col1 + 1):
-                for row in range(row0, row1 + 1):
-                    center = Point2(
-                        origin.x + (col + 0.5) * resolution,
-                        origin.y + (row + 0.5) * resolution,
-                    )
-                    if reference_point_in_footprint(center, fp):
-                        expected.add((col, row))
+            expected, _box = reference_cells(fp, resolution, origin)
             assert got == expected
+
+    def test_membership_stops_at_the_mask_edge(self):
+        # rasterized masks keep a one-cell empty border, so a full mask is
+        # what shows an index that wraps or runs past the edge
+        cells = FootprintCells(np.ones((2, 3), dtype=bool), (-1, 5))
+        inside = {(col, row) for col in (-1, 0, 1) for row in (5, 6)}
+        assert cells == inside and len(cells) == 6
+        for col in range(-3, 4):
+            for row in range(3, 9):
+                assert ((col, row) in cells) is ((col, row) in inside)
+        assert list(cells) == [(-1, 5), (0, 5), (1, 5), (-1, 6), (0, 6), (1, 6)]
+
+    @pytest.mark.parametrize("origin", [(-1, 5), (2, 1), (-3, -2), (4, 0), (6, 0), (0, 9), (-5, 0)])
+    def test_paint_sets_the_cells_inside_the_grid(self, origin):
+        # a 7 x 4 grid against an L of cells: inside, crossing an edge or
+        # a corner, and wholly outside
+        mask = np.array([[1, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
+        cells = FootprintCells(mask, origin)
+        grid = np.zeros((7, 4), dtype=np.uint8)
+        cells.paint(grid, 3)
+        expected = np.zeros_like(grid)
+        for col, row in cells:
+            if 0 <= col < 4 and 0 <= row < 7:
+                expected[row, col] = 3
+        assert np.array_equal(grid, expected)
+
+    # no explain phase: on a failure it reruns the test some 1,400 times
+    @settings(database=None, derandomize=True, max_examples=150, deadline=None,
+              phases=set(Phase) - {Phase.explain})
+    @given(data=st.data(), resolution=st.sampled_from(RESOLUTIONS),
+           ox=st.floats(-1, 3), oy=st.floats(-1, 3))
+    def test_cells_behave_as_the_reference_frozenset(self, data, resolution, ox, oy):
+        # origins up to 3 m right of and above footprints drawn in [0, 4]^2
+        # give negative cell indices
+        origin = Point2(ox, oy)
+        fp = data.draw(footprints(resolution, origin), label="footprint")
+        other_fp = data.draw(footprints(resolution, origin), label="other")
+        cells = rasterize_footprint(fp, resolution, origin)
+        other = rasterize_footprint(other_fp, resolution, origin)
+        expected, box = reference_cells(fp, resolution, origin)
+        other_expected, _box = reference_cells(other_fp, resolution, origin)
+
+        for col, row in box:
+            member = (col, row) in expected
+            assert ((col, row) in cells) is member
+            assert ((np.int64(col), np.int32(row)) in cells) is member
+        assert len(cells) == len(expected)
+        assert set(cells) == expected
+        assert cells == expected and expected == cells
+        assert cells == set(expected) and set(expected) == cells
+        assert not (cells != expected) and not (expected != cells)
+        assert hash(cells) == hash(expected)
+        differ = expected != other_expected
+        assert (cells != other_expected) is differ and (other_expected != cells) is differ
+        assert (cells != other) is differ and (cells == other) is not differ
+
+        for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+            want = op(expected, other_expected)
+            for left, right in ((cells, other), (cells, other_expected), (expected, other)):
+                got = op(left, right)
+                assert type(got) is frozenset and got == want
+        for junk in (None, (1,), (1, 2, 3), "ab"):
+            assert junk not in cells
+        assert not cells.mask.flags.writeable
 
 
 def _footprint(xy) -> Footprint:

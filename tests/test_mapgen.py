@@ -10,8 +10,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from oracles import reference_point_in_footprint
 from semnav import mapgen
-from semnav.geometry import Footprint, Point2, Pose2, point_in_footprint, rasterize_footprint
+from semnav.geometry import Footprint, Point2, Pose2, rasterize_footprint
 from semnav.mapgen import (
     FREE,
     OCCUPIED,
@@ -109,9 +110,9 @@ def test_sensor_field_validation(bad):
 # --- metric layer vs per-cell oracle ---
 
 def oracle_code(center, spaces, obstacles):
-    if any(point_in_footprint(center, fp) for fp in obstacles):
+    if any(reference_point_in_footprint(center, fp) for fp in obstacles):
         return OCCUPIED
-    if any(point_in_footprint(center, fp) for fp in spaces):
+    if any(reference_point_in_footprint(center, fp) for fp in spaces):
         return FREE
     return UNKNOWN
 
@@ -304,28 +305,64 @@ def test_generate_map_rasterizes_each_footprint_once(monkeypatch):
         assert cells == rasterize_footprint(footprint, 0.1, emap.metric.origin)
 
 
-@pytest.mark.parametrize("anchor", ["hall_b", "lobby"], ids=["demo", "tour"])
-def test_metric_layer_paints_like_a_cell_by_cell_loop(monkeypatch, anchor):
-    built = []
+def random_paint_elements(rng: random.Random) -> list[ElementRecord]:
+    """One space and 1-4 static elements, rectangles or triangles, placed so
+    that some cross the space's border and stretch the grid past it."""
+    space = make_record("room", "space", rect(0, 0, rng.uniform(1, 3), rng.uniform(1, 3)),
+                        is_space=True)
+    elements = [space]
+    for i in range(rng.randint(1, 4)):
+        x0, y0 = rng.uniform(-1, 3), rng.uniform(-1, 3)
+        w, h = rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5)
+        if rng.random() < 0.5:
+            fp = rect(x0, y0, x0 + w, y0 + h)
+        else:
+            apex = Point2(x0 + rng.uniform(0, w), y0 + h)
+            fp = Footprint((Point2(x0, y0), Point2(x0 + w, y0), apex))
+        elements.append(make_record(f"crate_{i}", "crate", fp))
+    return elements
 
-    def recording(elements, resolution):
-        result = build_metric_layer(elements, resolution)
-        built.append((elements, result))
-        return result
 
-    monkeypatch.setattr(mapgen, "build_metric_layer", recording)
-    generate_map(seeded_store(demo_world()), BOTH, anchor)
-    [(elements, (metric, footprint_cells))] = built
-    expected = np.full((metric.height, metric.width), UNKNOWN, dtype=np.uint8)
-    for spaces in (True, False):
-        for rec in elements:
-            if rec.explicit.model2d is None or rec.is_space != spaces:
-                continue
-            if not spaces and not rec.explicit.physical.is_static:
-                continue
-            for col, row in footprint_cells[rec.symbol]:
-                if 0 <= col < metric.width and 0 <= row < metric.height:
-                    expected[row, col] = FREE if spaces else OCCUPIED
+RANDOM_PAINT_CASES = [(None, resolution, seed) for resolution in (0.1, 0.25) for seed in range(4)]
+
+
+@pytest.mark.parametrize(
+    "anchor, resolution, seed",
+    [("hall_b", None, None), ("lobby", None, None)] + RANDOM_PAINT_CASES,
+    ids=["demo", "tour"] + [f"random-{res}-{seed}" for _, res, seed in RANDOM_PAINT_CASES],
+)
+def test_metric_layer_paints_like_a_cell_by_cell_loop(monkeypatch, anchor, resolution, seed):
+    if anchor is not None:
+        built = []
+
+        def recording(elements, resolution):
+            result = build_metric_layer(elements, resolution)
+            built.append((elements, result))
+            return result
+
+        monkeypatch.setattr(mapgen, "build_metric_layer", recording)
+        generate_map(seeded_store(demo_world()), BOTH, anchor)
+        [(elements, (metric, footprint_cells))] = built
+        expected = np.full((metric.height, metric.width), UNKNOWN, dtype=np.uint8)
+        for spaces in (True, False):
+            for rec in elements:
+                if rec.explicit.model2d is None or rec.is_space != spaces:
+                    continue
+                if not spaces and not rec.explicit.physical.is_static:
+                    continue
+                for col, row in footprint_cells[rec.symbol]:
+                    if 0 <= col < metric.width and 0 <= row < metric.height:
+                        expected[row, col] = FREE if spaces else OCCUPIED
+    else:
+        # small worlds checked against the scalar reference at every cell
+        # centre, sharing no rasterization with the package
+        elements = random_paint_elements(random.Random(seed))
+        metric, _ = build_metric_layer(elements, resolution)
+        space, statics = elements[0].explicit.model2d, [e.explicit.model2d for e in elements[1:]]
+        expected = np.array([
+            [oracle_code(metric.center_of(col, row), [space], statics) for col in range(metric.width)]
+            for row in range(metric.height)
+        ], dtype=np.uint8)
     assert np.array_equal(metric.cells, expected)
     assert (metric.cells == OCCUPIED).any() and (metric.cells == FREE).any()
 

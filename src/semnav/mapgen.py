@@ -323,14 +323,13 @@ def generate_map(
     sensor_spec: SensorSpec,
     mission_goal_symbol: str,
     resolution: float = 0.1,
-    prefetch_depth: int | None = None,
 ) -> SemanticEpisodicMap:
     """Build all four layers from the goal's prefetch closure in the store.
 
     Elements outside the closure do not appear. Raises UnknownSymbolError for
     an unknown goal and MapError when the closure contains no spaces.
     """
-    fetched = store.prefetch_mission(mission_goal_symbol, prefetch_depth)
+    fetched = store.prefetch_mission(mission_goal_symbol)
     records: list[ElementRecord] = []
     for key in sorted(fetched):
         result = store.get(key)

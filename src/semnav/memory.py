@@ -10,11 +10,9 @@ flushed to the cloud at mission end.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-
-from .world import WorldError
 
 NAMESPACES = ("env", "behavior", "knowledge")
 
@@ -34,10 +32,6 @@ class UnknownSymbolError(KeyError):
 
 class OversizeEntryError(ValueError):
     """Entry larger than the target tier's total capacity."""
-
-
-class SnapshotError(ValueError):
-    """Malformed snapshot document; the tier is left unchanged."""
 
 
 @dataclass(frozen=True)
@@ -133,68 +127,6 @@ class TierStats:
             }
             for tier, s in sorted(self.per_tier.items())
         }
-
-
-# --- payload text codecs, dispatched by key namespace ---
-
-def encode_payload(namespace: str, payload: object) -> str:
-    if namespace == "env":
-        from .world import serialize_element
-
-        return serialize_element(payload)
-    if namespace == "behavior":
-        from .planner import format_action_template
-
-        return format_action_template(payload)
-    if namespace == "knowledge":
-        from .planner import format_fact
-
-        return format_fact(payload)
-    raise ValueError(f"unknown namespace '{namespace}'")
-
-
-def decode_payload(namespace: str, text: str) -> object:
-    if namespace == "env":
-        from .world import parse_element
-
-        return parse_element(text)
-    if namespace == "behavior":
-        from .planner import parse_action_template
-
-        return parse_action_template(text)
-    if namespace == "knowledge":
-        from .planner import parse_fact
-
-        return parse_fact(text)
-    raise ValueError(f"unknown namespace '{namespace}'")
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-
-
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise SnapshotError("dangling escape at end of payload")
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                raise SnapshotError(f"unknown escape '\\{nxt}' in payload")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 class TierStore:
@@ -305,23 +237,20 @@ class TierStore:
                 edges.setdefault(rel.object, set()).add(rel.subject)
         return edges
 
-    def prefetch_mission(self, goal_symbol: str, depth: int | None = None) -> set[str]:
-        """Fetch the goal element and everything within `depth` relation hops
-        (inside/adjacent/connected, undirected). depth=None means unbounded."""
+    def prefetch_mission(self, goal_symbol: str) -> set[str]:
+        """Fetch the goal element and its whole relation component: every
+        element linked to it by inside/adjacent/connected, taken undirected."""
         goal_key = f"env/{goal_symbol}"
         if goal_key not in self.keys_anywhere():
             raise UnknownSymbolError(goal_symbol)
         edges = self._relation_edges()
         closure = {goal_symbol}
-        frontier = deque([(goal_symbol, 0)])
+        frontier = [goal_symbol]
         while frontier:
-            symbol, hops = frontier.popleft()
-            if depth is not None and hops >= depth:
-                continue
-            for neighbor in edges.get(symbol, ()):
+            for neighbor in edges.get(frontier.pop(), ()):
                 if neighbor not in closure:
                     closure.add(neighbor)
-                    frontier.append((neighbor, hops + 1))
+                    frontier.append(neighbor)
         fetched: set[str] = set()
         for symbol in sorted(closure):
             key = f"env/{symbol}"
@@ -345,73 +274,3 @@ class TierStore:
             written += 1
         self._writeback.clear()
         return written
-
-    # -- persistence --
-
-    def snapshot(self, tier: TierId) -> str:
-        bucket = self._tiers[tier]
-        lines = [f"SEMNAV-TIER v1 {tier.name} {len(bucket)}"]
-        for entry in bucket.values():
-            payload_text = encode_payload(entry.namespace, entry.payload)
-            lines.append(
-                "\t".join(
-                    (
-                        entry.key,
-                        str(entry.version),
-                        str(entry.size_units),
-                        entry.provenance,
-                        _escape(payload_text),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def load_snapshot(self, document: str, tier: TierId) -> None:
-        lines = document.splitlines()
-        if not lines:
-            raise SnapshotError("empty snapshot document")
-        header = lines[0].split(" ")
-        if len(header) != 4 or header[0] != "SEMNAV-TIER" or header[1] != "v1":
-            raise SnapshotError(f"bad snapshot header '{lines[0]}'")
-        if header[2] != tier.name:
-            raise SnapshotError(f"snapshot is for tier {header[2]}, not {tier.name}")
-        try:
-            count = int(header[3])
-        except ValueError:
-            raise SnapshotError(f"bad entry count '{header[3]}'") from None
-        records = lines[1:]
-        if len(records) != count:
-            raise SnapshotError(f"expected {count} records, found {len(records)}")
-        loaded: OrderedDict[str, StoredEntry] = OrderedDict()
-        total = 0
-        for line in records:
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise SnapshotError(f"record has {len(fields)} fields, expected 5")
-            key, version_text, size_text, provenance, payload_text = fields
-            try:
-                version = int(version_text)
-                size_units = int(size_text)
-            except ValueError:
-                raise SnapshotError(f"bad numeric field in record for '{key}'") from None
-            try:
-                payload = decode_payload(key.partition("/")[0], _unescape(payload_text))
-                entry = StoredEntry(
-                    key=key,
-                    payload=payload,
-                    version=version,
-                    size_units=size_units,
-                    provenance=provenance,
-                )
-            except (ValueError, WorldError) as exc:
-                raise SnapshotError(f"bad record for '{key}': {exc}") from None
-            if key in loaded:
-                raise SnapshotError(f"duplicate key '{key}' in snapshot")
-            loaded[key] = entry
-            total += size_units
-        capacity = self.configs[tier].capacity
-        if capacity is not None and total > capacity:
-            raise SnapshotError(
-                f"snapshot needs {total} units, {tier.name} capacity is {capacity}"
-            )
-        self._tiers[tier] = loaded

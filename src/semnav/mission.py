@@ -246,14 +246,18 @@ def load_scenario(path: Path | str) -> Scenario:
     """Parse and validate one scenario file.
 
     Raises FileNotFoundError for missing files, configparser.Error for
-    malformed INI text, and ScenarioError for valid INI that fails the
-    scenario schema.
+    malformed INI text, and ScenarioError for a file that is not UTF-8 text
+    or for valid INI that fails the scenario schema.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    parser.read_string(text, source=str(path))
 
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -643,10 +647,7 @@ class MissionEngine:
                 self._step((0.0, 0.0))
                 continue
             stall = 0
-            follow = follow_step(ws.robot, waypoints)
-            if follow.reached:
-                return "ok"
-            self._step(follow.command)
+            self._step(follow_step(ws.robot, waypoints))
 
     def _ahead_is_blocked(self, path: list[tuple[int, int]], pose: Pose2) -> bool:
         """True when the path's remaining stretch (from the cell nearest the

@@ -113,7 +113,7 @@ def octile(a: tuple[int, int], b: tuple[int, int]) -> int:
 class DrivingMap(GridFrame):
     """Static + inflation + dynamic costmap over a metric layer."""
 
-    def __init__(self, metric: MetricLayer, robot_radius: float, ttl: int = DEFAULT_TTL):
+    def __init__(self, metric: MetricLayer, robot_radius: float):
         if robot_radius <= 0:
             raise ValueError("robot_radius must be > 0")
         extent = min(metric.width, metric.height) * metric.resolution
@@ -121,8 +121,6 @@ class DrivingMap(GridFrame):
             raise ValueError(
                 f"robot radius {robot_radius} exceeds map extent {extent}"
             )
-        if ttl <= 0:
-            raise ValueError("ttl must be > 0")
         w, h = metric.width, metric.height
         if grid_pair_sum(w, h) > PAIR_SUM_LIMIT // 2:
             raise ValueError(f"a {w} x {h} map is too large for exact path costs")
@@ -130,7 +128,6 @@ class DrivingMap(GridFrame):
         self.origin = metric.origin
         self.width = metric.width
         self.height = metric.height
-        self.ttl = ttl
         self.robot_radius = robot_radius
 
         static = np.zeros(metric.cells.shape, dtype=np.int16)
@@ -195,11 +192,11 @@ class DrivingMap(GridFrame):
     def update_dynamic_layer(self, scan, pose: Pose2, tick: int) -> set[tuple[int, int]]:
         """Fold a lidar scan into the dynamic layer and age out old entries.
 
-        Every hit lands as cost 254 with expiry tick + ttl unless the cell is
-        already static-lethal; hit cells are found for all beams at once and
-        folded in beam order. Returns the cells whose composite cost differs
-        from before the call. A non-finite hit point short of range_max
-        raises ValueError before anything changes.
+        Every hit lands as cost 254 with expiry tick + DEFAULT_TTL unless the
+        cell is already static-lethal; hit cells are found for all beams at
+        once and folded in beam order. Returns the cells whose composite cost
+        differs from before the call. A non-finite hit point short of
+        range_max raises ValueError before anything changes.
         """
         ranges = np.asarray(scan.ranges, dtype=float)
         heading = pose.heading + np.asarray(scan.angles, dtype=float)
@@ -223,7 +220,7 @@ class DrivingMap(GridFrame):
         for cell in expired:
             del self.dynamic[cell]
         for cell in hits:
-            self.dynamic[cell] = tick + self.ttl
+            self.dynamic[cell] = tick + DEFAULT_TTL
         return (expired - hits.keys()) | fresh
 
 
@@ -590,19 +587,13 @@ class RobotState:
     pose: Pose2
 
 
-@dataclass(frozen=True)
-class FollowResult:
-    command: tuple[float, float]  # (v, omega)
-    reached: bool
-
-
 def cells_to_points(dmap: DrivingMap, path: list[tuple[int, int]]) -> list[Point2]:
     return [dmap.center_of(*cell) for cell in path]
 
 
 # Pure-pursuit limits: forward speed (m/s), turn rate (rad/s), how far ahead
-# along the path to aim (m), the stopping distance to the last waypoint (m)
-# and the turn rate per radian of heading error.
+# along the path to aim (m), the arrival distance to the goal at which the
+# mission stops driving (m) and the turn rate per radian of heading error.
 V_MAX = 1.0
 OMEGA_MAX = 1.5
 LOOKAHEAD = 0.5
@@ -610,7 +601,7 @@ GOAL_TOLERANCE = 0.15
 TURN_GAIN = 3.0
 
 
-def follow_step(state: RobotState, waypoints: list[Point2]) -> FollowResult:
+def follow_step(state: RobotState, waypoints: list[Point2]) -> tuple[float, float]:
     """Rotate-then-drive pursuit of the furthest waypoint within LOOKAHEAD.
 
     Large heading error (> 90°) turns in place; otherwise forward speed
@@ -621,9 +612,6 @@ def follow_step(state: RobotState, waypoints: list[Point2]) -> FollowResult:
         raise ValueError("follow_step needs at least one waypoint")
     pose = state.pose
     here = pose.position
-    if here.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
-        return FollowResult((0.0, 0.0), True)
-
     gaps = [here.distance_to(point) for point in waypoints]
     nearest = gaps.index(min(gaps))
     target = waypoints[nearest]
@@ -637,4 +625,4 @@ def follow_step(state: RobotState, waypoints: list[Point2]) -> FollowResult:
     else:
         v = 0.0
     omega = max(-OMEGA_MAX, min(OMEGA_MAX, TURN_GAIN * err))
-    return FollowResult((v, omega), False)
+    return v, omega

@@ -200,27 +200,6 @@ def parse_action_template(block: str) -> ActionTemplate:
     )
 
 
-def format_action_template(template: ActionTemplate) -> str:
-    params = ", ".join(f"{var}:{cls}" for var, cls in template.params)
-    if isinstance(template.cost_spec, tuple):
-        cost = f"topo_distance({template.cost_spec[1]},{template.cost_spec[2]})"
-    else:
-        cost = repr(template.cost_spec)
-
-    def facts(fs: frozenset[Fact]) -> str:
-        return ", ".join(sorted(format_fact(f) for f in fs))
-
-    return "\n".join(
-        (
-            f"action {template.name}({params})",
-            f"pre: {facts(template.preconditions)}",
-            f"add: {facts(template.add_effects)}",
-            f"del: {facts(template.del_effects)}",
-            f"cost: {cost}",
-        )
-    )
-
-
 def parse_behavior_db(text: str) -> list[ActionTemplate]:
     """Parse a whole behavior database: blank-line/comment tolerant, one
     block per `action` header."""

@@ -371,47 +371,6 @@ def parse_world(text: str) -> WorldDescription:
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def serialize_element(rec: ElementRecord) -> str:
-    """One-line canonical fragment, used as a storage payload."""
-    tag = "space" if rec.is_space else "element"
-    sym = rec.symbolic
-    attrs = f'name="{sym.symbol}" class="{sym.class_label}"'
-    if sym.display_name != sym.symbol:
-        attrs += f' display="{sym.display_name}"'
-    if sym.aliases:
-        attrs += f' aliases="{" ".join(sorted(sym.aliases))}"'
-    out = [f"<{tag}>", f"<symbol {attrs}/>"]
-    if rec.explicit.model2d is not None:
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in rec.explicit.model2d.vertices)
-        out.append(f"<explicit2d><footprint>{pts}</footprint></explicit2d>")
-    if rec.explicit.model3d is not None:
-        m3 = rec.explicit.model3d
-        out.append(f'<explicit3d height="{_fmt(m3.height)}" semantic="{m3.semantic_class}"/>')
-    phys = rec.explicit.physical
-    out.append(
-        f'<physical static="{"true" if phys.is_static else "false"}" material="{phys.material_tag}"/>'
-    )
-    for rel in rec.implicit:
-        out.append(f'<relation pred="{rel.predicate}" object="{rel.object}"/>')
-    out.append(f"</{tag}>")
-    return "".join(out)
-
-
-def parse_element(text: str) -> ElementRecord:
-    """Inverse of serialize_element."""
-    try:
-        node = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise WorldSchemaError(f"bad element fragment: {exc}") from None
-    if node.tag not in ("space", "element"):
-        raise WorldSchemaError(f"element fragment tag must be space/element, got <{node.tag}>")
-    return _parse_element_record(node)
-
-
 def validate_world(world: WorldDescription) -> list[Diagnostic]:
     """Check world invariants; empty result means the world is clean."""
     diags: list[Diagnostic] = []

@@ -123,23 +123,21 @@ def resident(store, key: str, tier) -> bool:
     return any(entry.key == key for entry in store.entries(tier))
 
 
-def bfs_closure(edges: dict[str, set[str]], start: str, depth: int | None) -> set[str]:
-    """Breadth-first closure over an undirected symbol graph."""
+def bfs_closure(edges: dict[str, set[str]], start: str) -> set[str]:
+    """Breadth-first closure over an undirected symbol graph: start's whole
+    connected component."""
     undirected: dict[str, set[str]] = {}
     for a, targets in edges.items():
         for b in targets:
             undirected.setdefault(a, set()).add(b)
             undirected.setdefault(b, set()).add(a)
     seen = {start}
-    frontier = deque([(start, 0)])
+    frontier = deque([start])
     while frontier:
-        node, hops = frontier.popleft()
-        if depth is not None and hops >= depth:
-            continue
-        for nxt in undirected.get(node, ()):
+        for nxt in undirected.get(frontier.popleft(), ()):
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append((nxt, hops + 1))
+                frontier.append(nxt)
     return seen
 
 

@@ -243,11 +243,17 @@ def test_missing_scenario_is_usage_error(command, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_scenario_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [b"not an ini file at all\n", b"\xff\xfe" + Path(DEMO_SCENARIO).read_bytes()],
+    ids=["not_ini", "not_utf8"],
+)
+def test_malformed_scenario_is_usage_error(tmp_path, capsys, content):
     broken = tmp_path / "broken.scenario"
-    broken.write_text("not an ini file at all\n")
+    broken.write_bytes(content)
     assert main(["run", str(broken)]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and str(broken) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package or test module imports is used
-there, and every engine name the benchmark harness hooks still exists."""
+there, every function, method and class the package defines is used inside
+it, and every engine name the benchmark harness hooks still exists."""
 
 from __future__ import annotations
 
@@ -47,6 +48,65 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_module_imports_are_all_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Definitions that nothing inside src/semnav references, each kept for a
+# caller outside the package.
+UNREFERENCED_BY_DESIGN = {
+    "execute_mission": "the library entry point that README's \"Library use\" names",
+    "entries": "missionbench/bench.py reads TierStore.entries",
+}
+
+
+def read_name(node: ast.AST) -> str | None:
+    """The name a Name node or an attribute access reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unreferenced_definitions(sources: list[str]) -> set[str]:
+    """Names of the functions, methods and classes (dunders excluded)
+    defined in sources that nothing in sources reads, outside the
+    definitions of that name themselves."""
+    trees = [ast.parse(source) for source in sources]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    inside: dict[str, set[int]] = {}  # name -> ids of the nodes in its definitions
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__")):
+                inside.setdefault(node.name, set()).update(map(id, ast.walk(node)))
+    referenced = {
+        read_name(node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if read_name(node) in inside and id(node) not in inside[read_name(node)]
+    }
+    return set(inside) - referenced
+
+
+def test_unreferenced_detector():
+    source = (
+        "class Kept:\n"
+        "    def called(self): return 1\n"
+        "    def only_self(self): return self.only_self()\n"
+        "    def __repr__(self): return ''\n"
+        "class Dropped: pass\n"
+        "print(Kept().called())\n"
+    )
+    assert unreferenced_definitions([source]) == {"only_self", "Dropped"}
+
+
+def test_package_definitions_are_referenced_in_the_package():
+    """Code that only tests reach is not part of the pipeline. The check goes
+    by name, so it misses a method that shares its name with a used one: a
+    TierStore.snapshot that only tests called would pass, because the engine
+    calls DrivingMap.snapshot."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "semnav").glob("*.py"))]
+    assert unreferenced_definitions(sources) == set(UNREFERENCED_BY_DESIGN)
 
 
 def benchmark_hooks() -> tuple[tuple[str, ...], list[tuple[type, tuple[str, ...]]]]:

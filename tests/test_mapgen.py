@@ -367,15 +367,6 @@ def test_metric_layer_paints_like_a_cell_by_cell_loop(monkeypatch, anchor, resol
     assert (metric.cells == OCCUPIED).any() and (metric.cells == FREE).any()
 
 
-def test_generate_map_depth_zero_covers_only_goal_space():
-    world = demo_world()
-    emap = generate_map(seeded_store(world), BOTH, "lobby", prefetch_depth=0)
-    assert list(emap.topology.nodes) == ["lobby"]
-    assert emap.topology.edges == []
-    assert set(emap.semantic.annotations) == {"lobby"}
-    assert emap.metric.width == 50 and emap.metric.height == 80
-
-
 def test_generate_map_respects_prefetch_closure():
     world = demo_world()
     store = seeded_store(world)

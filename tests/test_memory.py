@@ -1,5 +1,5 @@
 """Tier store: probe/promote lookup, LRU eviction, versions, prefetch,
-snapshots, write-back. Trace behavior is cross-checked against the
+write-back. Trace behavior is cross-checked against the
 list-based replay model in oracles.py."""
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from semnav.memory import (
     DEFAULT_CONFIGS,
     OversizeEntryError,
-    SnapshotError,
     StoredEntry,
     TierConfig,
     TierId,
     TierStore,
     UnknownSymbolError,
 )
-from semnav.planner import Fact, parse_behavior_db
+from semnav.planner import Fact
 from semnav.world import parse_world
 
 from oracles import ReplayTierModel, bfs_closure, resident
@@ -140,17 +139,6 @@ class TestPrefetch:
             store.put(StoredEntry(key=f"env/{rec.symbol}", payload=rec), TierId.CLOUD)
         return world, store
 
-    def test_depth_zero_is_goal_only(self):
-        _, store = self.seeded_store()
-        assert store.prefetch_mission("hall_b", depth=0) == {"env/hall_b"}
-
-    def test_depth_one_follows_relations_both_ways(self):
-        _, store = self.seeded_store()
-        got = store.prefetch_mission("hall_a", depth=1)
-        # outgoing: connected/adjacent hall_b; incoming: lobby's relations,
-        # booth/wall inside-relations
-        assert "env/hall_b" in got and "env/lobby" in got and "env/booth_1" in got
-
     def test_unknown_goal_raises(self):
         _, store = self.seeded_store()
         with pytest.raises(UnknownSymbolError):
@@ -181,10 +169,9 @@ class TestPrefetch:
                     implicit=tuple(rels),
                 )
                 store.put(StoredEntry(key=f"env/{sym}", payload=rec), TierId.CLOUD)
-            depth = rng.choice([0, 1, 2, 3, None])
             goal = rng.choice(symbols)
-            expected = {f"env/{s}" for s in bfs_closure(edges, goal, depth)}
-            assert store.prefetch_mission(goal, depth) == expected
+            expected = {f"env/{s}" for s in bfs_closure(edges, goal)}
+            assert store.prefetch_mission(goal) == expected
 
     def test_at_relations_do_not_count_as_prefetch_edges(self):
         from semnav.world import ElementRecord, Relation, SymbolicModel
@@ -200,7 +187,7 @@ class TestPrefetch:
         rec_b = ElementRecord(symbolic=SymbolicModel("b", "thing"), explicit=donor.explicit)
         store.put(StoredEntry(key="env/a", payload=rec_a), TierId.CLOUD)
         store.put(StoredEntry(key="env/b", payload=rec_b), TierId.CLOUD)
-        assert store.prefetch_mission("a", depth=2) == {"env/a"}
+        assert store.prefetch_mission("a") == {"env/a"}
 
 
 class TestWriteBack:
@@ -238,79 +225,6 @@ class TestWriteBack:
         assert store.used_units(TierId.CLOUD) == 2
         assert [e.key for e in store.entries(TierId.CLOUD)] == ["env/learned_3", "env/learned_4"]
         assert store.stats.per_tier[TierId.CLOUD].evictions == 3
-
-
-class TestSnapshot:
-    def test_empty_round_trip(self):
-        store = small_store()
-        doc = store.snapshot(TierId.STM)
-        assert doc.startswith("SEMNAV-TIER v1 STM 0")
-        store.load_snapshot(doc, TierId.STM)
-        assert store.entries(TierId.STM) == []
-
-    def test_round_trip_preserves_entries_and_recency(self):
-        store = small_store(ondemand=3)
-        store.put(entry("knowledge/a"), TierId.ONDEMAND)
-        store.put(entry("knowledge/b"), TierId.ONDEMAND)
-        store.put(entry("knowledge/c"), TierId.ONDEMAND)
-        store.get("knowledge/a")  # recency now b, c, a
-        doc = store.snapshot(TierId.ONDEMAND)
-
-        other = small_store(ondemand=3)
-        other.load_snapshot(doc, TierId.ONDEMAND)
-        assert [e.key for e in other.entries(TierId.ONDEMAND)] == [
-            "knowledge/b", "knowledge/c", "knowledge/a"
-        ]
-        # recency is real: next insert evicts b (the least recent)
-        other.put(entry("knowledge/d"), TierId.ONDEMAND)
-        assert not resident(other, "knowledge/b", TierId.ONDEMAND)
-
-    def test_all_payload_namespaces_round_trip(self):
-        world = parse_world((DATA / "convention_center.world").read_text())
-        templates = parse_behavior_db(
-            "action hop(?a:space, ?b:space)\npre: at(robot,?a)\n"
-            "add: at(robot,?b)\ndel: at(robot,?a)\ncost: 2.5"
-        )
-        store = TierStore()
-        store.put(StoredEntry(key="env/lobby", payload=world.spaces[0]), TierId.NETWORK)
-        store.put(StoredEntry(key="env/booth_1", payload=world.find("booth_1")), TierId.NETWORK)
-        store.put(StoredEntry(key="behavior/hop", payload=templates[0]), TierId.NETWORK)
-        store.put(
-            StoredEntry(key="knowledge/near", payload=Fact("near", ("booth_1", "lobby"))),
-            TierId.NETWORK,
-        )
-        doc = store.snapshot(TierId.NETWORK)
-        other = TierStore()
-        other.load_snapshot(doc, TierId.NETWORK)
-        assert other.entries(TierId.NETWORK) == store.entries(TierId.NETWORK)
-        assert other.snapshot(TierId.NETWORK) == doc
-
-    def test_wrong_tier_rejected(self):
-        store = small_store()
-        doc = store.snapshot(TierId.STM)
-        with pytest.raises(SnapshotError):
-            store.load_snapshot(doc, TierId.NETWORK)
-
-    def test_truncation_always_rejected_and_tier_untouched(self):
-        world = parse_world((DATA / "convention_center.world").read_text())
-        store = TierStore()
-        for rec in world.all_elements()[:3]:
-            store.put(StoredEntry(key=f"env/{rec.symbol}", payload=rec), TierId.NETWORK)
-        doc = store.snapshot(TierId.NETWORK)
-        before = store.entries(TierId.NETWORK)
-        rng = random.Random(5)
-        cuts = {rng.randrange(1, len(doc) - 1) for _ in range(60)}
-        for cut in sorted(cuts):
-            with pytest.raises(SnapshotError):
-                store.load_snapshot(doc[:cut], TierId.NETWORK)
-            assert store.entries(TierId.NETWORK) == before
-
-    def test_record_count_mismatch_rejected(self):
-        store = small_store()
-        store.put(entry("knowledge/a"), TierId.STM)
-        doc = store.snapshot(TierId.STM)
-        with pytest.raises(SnapshotError):
-            store.load_snapshot(doc.replace("STM 1", "STM 2"), TierId.STM)
 
 
 class TestTraceAgainstReplayModel:

@@ -27,7 +27,9 @@ from semnav import navigation
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
 from semnav.navigation import (
+    DEFAULT_TTL,
     DIAG,
+    GOAL_TOLERANCE,
     INF,
     INSCRIBED,
     LETHAL,
@@ -249,29 +251,30 @@ def test_driving_map_rejects_bad_radius():
 # --- dynamic layer ---
 
 def test_dynamic_hit_expires_after_ttl():
-    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8, ttl=30)
+    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = scan_hitting([Point2(4.5, 0.5)], pose)
     changed = dmap.update_dynamic_layer(scan, pose, tick=0)
     assert changed == {(4, 0)}
     assert dmap.composite(4, 0) == LETHAL
     empty = FakeScan((), (), 10.0)
-    for tick in range(1, 30):
+    for tick in range(1, DEFAULT_TTL):
         assert dmap.update_dynamic_layer(empty, pose, tick) == set()
         assert dmap.composite(4, 0) == LETHAL
-    assert dmap.update_dynamic_layer(empty, pose, 30) == {(4, 0)}
+    assert dmap.update_dynamic_layer(empty, pose, DEFAULT_TTL) == {(4, 0)}
     assert dmap.composite(4, 0) == 0
 
 
 def test_reobservation_refreshes_expiry():
-    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8, ttl=30)
+    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = scan_hitting([Point2(4.5, 0.5)], pose)
     dmap.update_dynamic_layer(scan, pose, tick=0)
     assert dmap.update_dynamic_layer(scan, pose, tick=10) == set()  # refresh, no change
     empty = FakeScan((), (), 10.0)
-    assert dmap.update_dynamic_layer(empty, pose, 30) == set()  # expiry moved to 40
-    assert dmap.update_dynamic_layer(empty, pose, 40) == {(4, 0)}
+    # expiry moved from DEFAULT_TTL to 10 + DEFAULT_TTL
+    assert dmap.update_dynamic_layer(empty, pose, DEFAULT_TTL) == set()
+    assert dmap.update_dynamic_layer(empty, pose, 10 + DEFAULT_TTL) == {(4, 0)}
 
 
 def test_hits_on_static_walls_change_nothing():
@@ -295,12 +298,13 @@ def test_dynamic_layer_matches_full_recompute_oracle():
     rows = ["".join("#" if rng.random() < 0.1 else "." for _ in range(12))
             for _ in range(12)]
     metric = metric_from_rows(rows, 1.0)
-    dmap = DrivingMap(metric, robot_radius=0.6, ttl=7)
+    dmap = DrivingMap(metric, robot_radius=0.6)
     static_only = [[int(dmap.static[r, c]) for c in range(12)] for r in range(12)]
     pose = Pose2(0.5, 0.5, 0.0)
     last_seen: dict[tuple[int, int], int] = {}
     previous = composite_grid(dmap)
-    for tick in range(60):
+    # 240 ticks at the default ttl: about 200 hits expire and 80 are refreshed
+    for tick in range(240):
         points = [
             Point2(rng.uniform(0.2, 11.8), rng.uniform(0.2, 11.8))
             for _ in range(rng.randint(0, 3))
@@ -315,7 +319,7 @@ def test_dynamic_layer_matches_full_recompute_oracle():
         expected = [
             [
                 LETHAL
-                if (c, r) in last_seen and tick < last_seen[(c, r)] + 7
+                if (c, r) in last_seen and tick < last_seen[(c, r)] + DEFAULT_TTL
                 else static_only[r][c]
                 for c in range(12)
             ]
@@ -335,7 +339,7 @@ def test_dynamic_layer_matches_full_recompute_oracle():
 
 @st.composite
 def fold_cases(draw):
-    """A random map, ttl and a few ticks of scans from random poses. Beams
+    """A random map and a few ticks of scans from random poses. Beams
     are random, exactly at or around the range cut, or aimed at a cell
     centre in or just outside the grid, so they hit static-lethal cells,
     leave the grid and re-mark cells across ticks."""
@@ -354,7 +358,10 @@ def fold_cases(draw):
     moving = draw(st.booleans())
     frames, tick, pose = [], 0, None
     for _ in range(draw(st.integers(1, 8))):
-        tick += draw(st.integers(1, 3))
+        # steps from a third of the ttl to just past it, so that hits are
+        # refreshed and expire, some exactly at their expiry tick
+        tick += draw(st.sampled_from(
+            [DEFAULT_TTL // 3, DEFAULT_TTL // 2, DEFAULT_TTL - 1, DEFAULT_TTL, DEFAULT_TTL + 1]))
         if pose is None or moving:
             pose = Pose2(
                 draw(st.floats(origin.x - 1.0, origin.x + width * resolution + 1.0)),
@@ -376,19 +383,19 @@ def fold_cases(draw):
             else:
                 ranges.append(draw(st.floats(0.0, 1.5 * range_max)))
         frames.append((tick, pose, FakeScan(tuple(angles), tuple(ranges), range_max)))
-    return metric, draw(st.integers(1, 4)), frames
+    return metric, frames
 
 
 @settings(database=None, derandomize=True, max_examples=150, deadline=None)
 @given(case=fold_cases())
 def test_dynamic_fold_matches_per_beam_reference(case):
-    metric, ttl, frames = case
-    dmap = DrivingMap(metric, robot_radius=metric.resolution / 2, ttl=ttl)
+    metric, frames = case
+    dmap = DrivingMap(metric, robot_radius=metric.resolution / 2)
     static = dmap.static.tolist()
     reference: dict[tuple[int, int], int] = {}
     for tick, pose, scan in frames:
         expected = reference_dynamic_fold(
-            static, reference, metric.origin, metric.resolution, ttl, scan, pose, tick
+            static, reference, metric.origin, metric.resolution, DEFAULT_TTL, scan, pose, tick
         )
         assert dmap.update_dynamic_layer(scan, pose, tick) == expected, tick
         # insertion order too: the snapshot and connectivity walk the dict
@@ -397,7 +404,7 @@ def test_dynamic_fold_matches_per_beam_reference(case):
 
 def test_dynamic_fold_edge_cases_match_reference():
     rows = ["....", "..#.", "...."]
-    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5, ttl=3)
+    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5)
     static = dmap.static.tolist()
     pose = Pose2(0.5, 1.5, 0.0)
     cut = 10.0 - 1e-9
@@ -407,12 +414,14 @@ def test_dynamic_fold_edge_cases_match_reference():
     full = FakeScan((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2),
                     (1.0, 2.0, cut, 7.0, 3.0, 1.0), 10.0)
     above = FakeScan((math.pi / 2,), (1.0,), 10.0)
+    ttl = DEFAULT_TTL
     frames = [(0, empty, set()), (1, full, {(1, 1), (0, 2)}), (2, above, set()),
-              (3, empty, set()), (4, empty, {(1, 1)}), (5, empty, {(0, 2)}), (6, empty, set())]
+              (ttl, empty, set()), (ttl + 1, empty, {(1, 1)}), (ttl + 2, empty, {(0, 2)}),
+              (ttl + 3, empty, set())]
     reference: dict[tuple[int, int], int] = {}
     for tick, scan, changed in frames:
         assert reference_dynamic_fold(
-            static, reference, Point2(0.0, 0.0), 1.0, 3, scan, pose, tick
+            static, reference, Point2(0.0, 0.0), 1.0, ttl, scan, pose, tick
         ) == changed
         assert dmap.update_dynamic_layer(scan, pose, tick) == changed, tick
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
@@ -833,34 +842,26 @@ def test_replan_skips_search_when_goal_is_blocked():
 
 # --- waypoint following ---
 
-def test_follow_at_goal_reports_reached():
-    state = RobotState(Pose2(2.0, 3.0, 0.5))
-    result = follow_step(state, [Point2(2.1, 3.0)])
-    assert result.reached and result.command == (0.0, 0.0)
-
-
 def test_follow_rotates_in_place_when_facing_away():
     state = RobotState(Pose2(0.0, 0.0, math.pi))  # target is dead astern
-    result = follow_step(state, [Point2(5.0, 0.0)])
-    v, omega = result.command
+    v, omega = follow_step(state, [Point2(5.0, 0.0)])
     assert v == 0.0
     assert abs(omega) == 1.5
 
 
 def test_follow_speed_scales_with_heading_error():
     state = RobotState(Pose2(0.0, 0.0, math.pi / 4))
-    result = follow_step(state, [Point2(5.0, 0.0)])
-    v, _ = result.command
+    v, _ = follow_step(state, [Point2(5.0, 0.0)])
     assert v == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
 
 def test_follow_targets_furthest_waypoint_within_lookahead():
     waypoints = [Point2(0.1 * i, 0.0) for i in range(1, 30)]
     state = RobotState(Pose2(0.0, 0.0, 0.0))
-    result = follow_step(state, waypoints)
+    v, omega = follow_step(state, waypoints)
     # the 0.5 m lookahead point lies straight ahead: drive at full speed
-    assert result.command[0] == pytest.approx(1.0)
-    assert result.command[1] == pytest.approx(0.0)
+    assert v == pytest.approx(1.0)
+    assert omega == pytest.approx(0.0)
 
 
 def test_follow_corridor_distance_close_to_path_length():
@@ -873,12 +874,14 @@ def test_follow_corridor_distance_close_to_path_length():
     ws = make_world_state(empty)
     traveled = 0.0
     for _ in range(200):
-        result = follow_step(ws.robot, waypoints)
-        if result.reached:
+        # the mission engine's arrival rule
+        if ws.robot.pose.position.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
             break
-        traveled += abs(result.command[0]) * 0.1
-        step(ws, 0.1, result.command)
-    assert result.reached
+        command = follow_step(ws.robot, waypoints)
+        traveled += abs(command[0]) * 0.1
+        step(ws, 0.1, command)
+    else:
+        pytest.fail("the robot never came within GOAL_TOLERANCE of the last waypoint")
     path_length = 4.0
     assert abs(traveled - path_length) / path_length < 0.05
 

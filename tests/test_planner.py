@@ -9,11 +9,11 @@ import random
 import pytest
 
 from semnav.planner import (
+    ActionTemplate,
     BehaviorPlan,
     Fact,
     GroundAction,
     Mission,
-    format_action_template,
     format_fact,
     ground_actions,
     parse_action_template,
@@ -89,10 +89,35 @@ class TestFactFormat:
 
 class TestTemplateFormat:
     def test_round_trip(self):
+        # DB's text parses back to exactly the templates it spells out
+        expected = [
+            ActionTemplate(
+                name="navigate",
+                params=(("?from", "space"), ("?to", "space")),
+                preconditions=frozenset(
+                    {Fact("at", ("robot", "?from")), Fact("connected", ("?from", "?to"))}
+                ),
+                add_effects=frozenset({Fact("at", ("robot", "?to"))}),
+                del_effects=frozenset({Fact("at", ("robot", "?from"))}),
+                cost_spec=("topo_distance", "?from", "?to"),
+            ),
+            ActionTemplate(
+                name="inspect",
+                params=(("?b", "booth"), ("?s", "space")),
+                preconditions=frozenset(
+                    {Fact("at", ("robot", "?s")), Fact("inside", ("?b", "?s"))}
+                ),
+                add_effects=frozenset({Fact("inspected", ("?b",))}),
+                del_effects=frozenset(),
+                cost_spec=1.0,
+            ),
+        ]
         templates = parse_behavior_db(DB)
-        assert len(templates) == 2
-        for template in templates:
-            assert parse_action_template(format_action_template(template)) == template
+        assert [t.name for t in templates] == [t.name for t in expected]
+        for got, want in zip(templates, expected):
+            for field in ("params", "preconditions", "add_effects", "del_effects", "cost_spec"):
+                assert getattr(got, field) == getattr(want, field), (want.name, field)
+        assert isinstance(templates[1].cost_spec, float)
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n" + DB + "\n# trailer\n"

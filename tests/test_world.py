@@ -17,11 +17,39 @@ from semnav.world import (
     WorldSchemaError,
     WorldSemanticError,
     WorldSyntaxError,
-    _fmt,
     parse_world,
-    serialize_element,
     validate_world,
 )
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def serialize_element(rec: ElementRecord) -> str:
+    """One-line canonical <space>/<element> fragment."""
+    tag = "space" if rec.is_space else "element"
+    sym = rec.symbolic
+    attrs = f'name="{sym.symbol}" class="{sym.class_label}"'
+    if sym.display_name != sym.symbol:
+        attrs += f' display="{sym.display_name}"'
+    if sym.aliases:
+        attrs += f' aliases="{" ".join(sorted(sym.aliases))}"'
+    out = [f"<{tag}>", f"<symbol {attrs}/>"]
+    if rec.explicit.model2d is not None:
+        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in rec.explicit.model2d.vertices)
+        out.append(f"<explicit2d><footprint>{pts}</footprint></explicit2d>")
+    if rec.explicit.model3d is not None:
+        m3 = rec.explicit.model3d
+        out.append(f'<explicit3d height="{_fmt(m3.height)}" semantic="{m3.semantic_class}"/>')
+    phys = rec.explicit.physical
+    out.append(
+        f'<physical static="{"true" if phys.is_static else "false"}" material="{phys.material_tag}"/>'
+    )
+    for rel in rec.implicit:
+        out.append(f'<relation pred="{rel.predicate}" object="{rel.object}"/>')
+    out.append(f"</{tag}>")
+    return "".join(out)
 
 
 def serialize_world(world: WorldDescription) -> str:

@@ -34,11 +34,12 @@ from .mission import (
     goal_anchor,
     initial_facts,
     load_scenario,
+    read_utf8,
     report_to_json,
 )
 from .planner import Mission, ground_actions, plan
 from .simulator import trace_to_csv
-from .world import WorldError, parse_world, validate_world
+from .world import WorldError, WorldSyntaxError, parse_world, validate_world
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -57,7 +58,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         _fail(f"world file not found: {path}")
         return EXIT_USAGE
     try:
-        world = parse_world(path.read_text(encoding="utf-8"))
+        world = parse_world(read_utf8(path, "world file", WorldSyntaxError))
     except WorldError as exc:
         print(f"[error] {exc}")
         return EXIT_DOMAIN

@@ -69,7 +69,13 @@ from .simulator import (
     step,
     trace_hash,
 )
-from .world import WorldDescription, WorldSemanticError, parse_world, validate_world
+from .world import (
+    WorldDescription,
+    WorldSemanticError,
+    WorldSyntaxError,
+    parse_world,
+    validate_world,
+)
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +103,15 @@ def data_dir() -> Path:
     if override:
         return Path(override)
     return Path(str(resources.files("semnav").joinpath("data")))
+
+
+def read_utf8(path: Path, what: str, error: type[Exception]) -> str:
+    """The text of an input file; error, naming the file as what, when its
+    bytes are not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def resolve_input(name: str, base: Path) -> Path:
@@ -252,10 +267,7 @@ def load_scenario(path: Path | str) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc}") from None
+    text = read_utf8(path, "scenario file", ScenarioError)
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text, source=str(path))
 
@@ -464,13 +476,17 @@ class MissionEngine:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        world = parse_world(scenario.world_path.read_text(encoding="utf-8"))
+        world = parse_world(read_utf8(scenario.world_path, "world file", WorldSyntaxError))
         errors = [d for d in validate_world(world) if d.severity == "error"]
         if errors:
             raise WorldSemanticError("; ".join(str(d) for d in errors))
         self.world = world
-        self.templates = parse_behavior_db(scenario.behaviors_path.read_text(encoding="utf-8"))
-        self.rules: list[Rule] = parse_rules(scenario.rules_path.read_text(encoding="utf-8"))
+        self.templates = parse_behavior_db(
+            read_utf8(scenario.behaviors_path, "behaviors file", ValueError)
+        )
+        self.rules: list[Rule] = parse_rules(
+            read_utf8(scenario.rules_path, "rules file", ValueError)
+        )
         self.store = seed_store(world, self.templates, scenario.tier_configs)
 
         start = scenario.start_space

@@ -7,6 +7,16 @@ zero at twice the radius), and a dynamic layer of recent sensor hits (254
 with a time-to-live), whose cells each scan yields in one numpy pass over its
 beams. Cells at or above 253 are untraversable.
 
+Inflation reads the squared cell distance d2 to the nearest lethal cell only
+where d2 < 4*rc*rc (rc the robot radius in cells), and numpy computes it
+exactly there and nowhere else. With k = ceil(2*rc), a column pass finds
+each cell's distance g to the nearest lethal cell in its own column, capped
+at k, and a row pass takes the minimum of dc*dc + g[row, col + dc]**2 over
+|dc| < k. A nearest lethal cell with d2 < 4*rc*rc <= k*k lies fewer than k
+rows and k columns away, so it is one of the candidates; every candidate is
+either the squared distance to some lethal cell or at least k*k. So the
+minimum is d2 wherever d2 < 4*rc*rc, and at least 4*rc*rc elsewhere.
+
 Moving into a cell costs step_length * (1 + composite/100) meters, where
 step_length is one resolution unit for cardinal moves and sqrt(2) units for
 diagonal ones; diagonal moves additionally require both adjacent cardinal
@@ -32,11 +42,16 @@ cells that change while its path stays drivable and repairs only once that
 path is blocked or the robot has none. While start and goal lie in
 different connected components a repair updates no vertex and runs no
 search: it sets its changed cells aside, and the first call that finds
-start and goal connected again updates their neighbourhoods once. The
-search itself does work in proportion to what changed: an expansion relaxes
-each predecessor's rhs in O(1) (the moves rule is symmetric, so _moves
-lists them), rescans one only when its minimum ran through a vertex whose g
-rose, and pushes no heap entry a vertex already holds.
+start and goal connected again updates their neighbourhoods once. That
+gate, _connected, splits each row's traversable cells into runs and joins,
+by union-find, every two runs in adjacent rows that share a column. A run
+is connected within itself, and a 4-connected path passes from one run to
+another only where two such runs share a column, so two cells share a root
+exactly when they share a component. The search itself does work in
+proportion to what changed: an expansion relaxes each predecessor's rhs in
+O(1) (the moves rule is symmetric, so _moves lists them), rescans one only
+when its minimum ran through a vertex whose g rose, and pushes no heap
+entry a vertex already holds.
 
 Searches run on a padded flat index. The map keeps its static costs once
 more as a row-major Python list framed by a LETHAL border, so cell
@@ -62,7 +77,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt, label
 
 from .geometry import Point2, Pose2, normalize_angle
 from .mapgen import OCCUPIED, PAIR_SUM_LIMIT, UNKNOWN, GridFrame, MetricLayer, grid_pair_sum
@@ -136,13 +150,10 @@ class DrivingMap(GridFrame):
 
         lethal = metric.cells == OCCUPIED
         if lethal.any():
-            # exact integer squared cell distance to the nearest lethal cell
-            idx = distance_transform_edt(
-                ~lethal, return_distances=False, return_indices=True
-            )
-            rows, cols = np.indices(lethal.shape)
-            d2 = (rows - idx[0]) ** 2 + (cols - idx[1]) ** 2
             rc = robot_radius / metric.resolution
+            # squared cell distance to the nearest lethal cell, exact below
+            # 4*rc*rc, the only range read below
+            d2 = _near_squared_distances(lethal, math.ceil(2.0 * rc))
             inflation = np.zeros_like(static)
             inflation[d2 <= rc * rc] = INSCRIBED
             band = (d2 > rc * rc) & (d2 < 4.0 * rc * rc)
@@ -222,6 +233,26 @@ class DrivingMap(GridFrame):
         for cell in hits:
             self.dynamic[cell] = tick + DEFAULT_TTL
         return (expired - hits.keys()) | fresh
+
+
+def _near_squared_distances(lethal: np.ndarray, k: int) -> np.ndarray:
+    """Squared cell distance from each cell to the nearest True cell of
+    lethal: exact wherever it is below k*k, and at least k*k elsewhere.
+
+    The two passes of Meijster, Roerdink & Hesselink's distance transform,
+    each bounded by k, as the module docstring describes. O(cells * k).
+    """
+    height, width = lethal.shape
+    g = np.where(lethal, 0, k)
+    for s in range(1, min(k, height)):
+        np.minimum(g[s:], np.where(lethal[:-s], s, k), out=g[s:])
+        np.minimum(g[:-s], np.where(lethal[s:], s, k), out=g[:-s])
+    g *= g
+    d2 = g.copy()
+    for dc in range(1, min(k, width)):
+        np.minimum(d2[:, dc:], g[:, :-dc] + dc * dc, out=d2[:, dc:])
+        np.minimum(d2[:, :-dc], g[:, dc:] + dc * dc, out=d2[:, :-dc])
+    return d2
 
 
 def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
@@ -524,12 +555,42 @@ def _connected(dmap: DrivingMap, a: tuple[int, int], b: tuple[int, int]) -> bool
     graph: a and b are connected exactly when some path joins them."""
     if not dmap.traversable(*a) or not dmap.traversable(*b):
         return False
-    mask = dmap.static < UNKNOWN_COST
+    # traversable cells, with one closed column after each row so that no
+    # row run wraps into the next row
+    width = dmap.width + 1
+    mask = np.zeros((dmap.height, width), dtype=bool)
+    mask[:, :-1] = dmap.static < UNKNOWN_COST
     if dmap.dynamic:
-        cols, rows = zip(*dmap.dynamic)
-        mask[rows, cols] = False
-    labels, _ = label(mask)
-    return labels[a[1], a[0]] == labels[b[1], b[0]]
+        mask.ravel()[[row * width + col for col, row in dmap.dynamic]] = False
+    flat = mask.ravel()
+    starts = flat.copy()
+    starts[1:] &= ~flat[:-1]
+    first = np.flatnonzero(starts)  # run r starts at flat index first[r]
+    # an open cell with an open cell in the next row joins their two runs;
+    # two runs share one interval of columns, so only its first is kept
+    both = mask[:-1] & mask[1:]
+    contacts = both.copy()
+    contacts[:, 1:] &= ~both[:, :-1]
+    top = np.flatnonzero(contacts)
+    upper = np.searchsorted(first, top, "right") - 1
+    lower = np.searchsorted(first, top + width, "right") - 1
+    parent = list(range(first.size))
+    for u, v in zip(upper.tolist(), lower.tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]  # path halving
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    ends = [a[1] * width + a[0], b[1] * width + b[0]]
+    ra, rb = (np.searchsorted(first, ends, "right") - 1).tolist()
+    while parent[ra] != ra:
+        ra = parent[ra]
+    while parent[rb] != rb:
+        rb = parent[rb]
+    return ra == rb
 
 
 def replan_incremental(

@@ -25,7 +25,6 @@ from semnav.navigation import (
     STRAIGHT,
     UNKNOWN_COST,
     ReplanState,
-    _connected,
     _moves,
     decode,
     octile,
@@ -324,6 +323,25 @@ class _PairPriority:
 
 def grid_traversable(grid, col, row):
     return 0 <= row < len(grid) and 0 <= col < len(grid[0]) and grid[row][col] < 253
+
+
+def reference_connected(grid, a, b):
+    """Whether cells a and b, as (col, row), are both traversable and joined
+    by a 4-connected path of traversable cells: a breadth-first search from
+    a, one cell at a time."""
+    if not grid_traversable(grid, *a) or not grid_traversable(grid, *b):
+        return False
+    seen = {a}
+    frontier = deque([a])
+    while frontier:
+        col, row = frontier.popleft()
+        if (col, row) == b:
+            return True
+        for nxt in ((col + 1, row), (col - 1, row), (col, row + 1), (col, row - 1)):
+            if nxt not in seen and grid_traversable(grid, *nxt):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
 
 
 def grid_edge_cost(grid, u, v):
@@ -657,7 +675,8 @@ def eager_replan_incremental(
     }
     for i in sorted(touched):
         rs._update_vertex(costs, i)
-    if not _connected(dmap, rs.start, rs.goal):
+    grid = [[dmap.composite(col, row) for col in range(width)] for row in range(height)]
+    if not reference_connected(grid, rs.start, rs.goal):
         return None
     rs._compute(costs)
     return rs._extract(costs)

@@ -227,7 +227,7 @@ def test_run_out_of_memory_is_domain_error_without_traceback(monkeypatch, capsys
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(navigation, "distance_transform_edt", exhausted)
+    monkeypatch.setattr(navigation, "_near_squared_distances", exhausted)
     assert main(["run", DEMO_SCENARIO]) == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert "error:" in err
@@ -254,6 +254,33 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys, content):
     assert main(["run", str(broken)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and str(broken) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, replaces, error",
+    [
+        ("path", "convention_center.world", "world file"),
+        ("behaviors", "behaviors.txt", "behaviors file"),
+        ("rules", "rules.txt", "rules file"),
+    ],
+    ids=["world", "behaviors", "rules"],
+)
+def test_non_utf8_input_file_is_domain_error_naming_the_file(
+    tmp_path, capsys, key, replaces, error
+):
+    bad = tmp_path / f"bad_{key}"
+    bad.write_bytes(b"\xff\xfe" + (data_dir() / replaces).read_bytes())
+    scenario = tmp_path / "case.scenario"
+    scenario.write_text(
+        Path(DEMO_SCENARIO).read_text().replace(f"{key} = {replaces}", f"{key} = {bad}")
+    )
+    assert main(["run", str(scenario)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert f"error: {error} {bad} is not UTF-8 text" in err and "Traceback" not in err
+    if key == "path":
+        assert main(["parse", str(bad)]) == EXIT_DOMAIN
+        out = capsys.readouterr().out
+        assert out.startswith(f"[error] world file {bad} is not UTF-8 text")
 
 
 @pytest.mark.parametrize(

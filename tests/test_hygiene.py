@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +146,25 @@ def test_benchmark_hooks_bind_to_the_engine():
     assert [name for name in names if not hasattr(semnav.mission, name)] == []
     for cls, methods in classes:
         assert [method for method in methods if method not in cls.__dict__] == [], cls.__name__
+
+
+def test_the_demo_runs_without_scipy():
+    # numpy is the one dependency: a fresh interpreter that imports the CLI
+    # and runs the demo mission in process loads no scipy module
+    code = (
+        "import sys\n"
+        "from semnav.cli import main\n"
+        "from semnav.mission import data_dir\n"
+        "assert main(['run', str(data_dir() / 'demo.scenario')]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "scipy" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")

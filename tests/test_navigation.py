@@ -21,6 +21,7 @@ from oracles import (
     eager_replan_incremental,
     grid_edge_cost,
     inflation_oracle,
+    reference_connected,
     reference_dynamic_fold,
 )
 from semnav import navigation
@@ -213,6 +214,18 @@ def test_single_obstacle_inflation_profile():
     assert dmap.composite(1, 7) == 0
 
 
+def assert_inflation_matches_oracle(rows, radius, resolution=0.1):
+    dmap = DrivingMap(metric_from_rows(rows, resolution), robot_radius=radius)
+    height, width = len(rows), len(rows[0])
+    lethal = [(c, r) for r in range(height) for c in range(width) if rows[r][c] == "#"]
+    expected_inflation = inflation_oracle(lethal, width, height, radius / resolution)
+    base = {"#": LETHAL, "?": UNKNOWN_COST, ".": 0}
+    for r in range(height):
+        for c in range(width):
+            expected = max(base[rows[r][c]], expected_inflation[r][c])
+            assert dmap.static[r, c] == expected, (c, r, radius)
+
+
 def test_inflation_matches_exhaustive_oracle_on_random_maps():
     rng = random.Random(2718)
     for _ in range(20):
@@ -221,15 +234,35 @@ def test_inflation_matches_exhaustive_oracle_on_random_maps():
             "".join("#" if rng.random() < 0.12 else "." for _ in range(width))
             for _ in range(height)
         ]
-        radius = rng.choice([0.15, 0.25, 0.3, 0.45])
-        metric = metric_from_rows(rows, 0.1)
-        dmap = DrivingMap(metric, robot_radius=radius)
-        lethal = [(c, r) for r in range(height) for c in range(width) if rows[r][c] == "#"]
-        expected_inflation = inflation_oracle(lethal, width, height, radius / 0.1)
-        for r in range(height):
-            for c in range(width):
-                base = LETHAL if rows[r][c] == "#" else 0
-                assert dmap.static[r, c] == max(base, expected_inflation[r][c]), (c, r)
+        assert_inflation_matches_oracle(rows, rng.choice([0.15, 0.25, 0.3, 0.45]))
+
+
+@pytest.mark.parametrize(
+    "shapes, radii, lethal_rate",
+    [
+        # radius / 0.5 is the radius in cells, rc; the inflation reads
+        # squared distances below (2*rc)**2 and no further
+        pytest.param([(12, 9), (9, 12)], [0.5, 0.75, 1.0, 1.25, 1.5], 0.1, id="2rc_integer"),
+        pytest.param([(10, 8)], [0.05, 0.15, 0.2, 0.245], 0.2, id="rc_below_half"),
+        pytest.param([(11, 6), (6, 11), (7, 7)], [2.75, 2.95, 3.0], 0.05, id="rc_near_map_side"),
+        pytest.param([(10, 8), (1, 6), (6, 1)], [0.3, 0.5], 0.0, id="no_lethal_cell"),
+        pytest.param([(15, 1)], [0.1, 0.25, 0.4, 0.5], 0.2, id="single_row"),
+        pytest.param([(1, 15)], [0.1, 0.25, 0.4, 0.5], 0.2, id="single_column"),
+    ],
+)
+def test_inflation_matches_exhaustive_oracle_at_edge_radii(shapes, radii, lethal_rate):
+    rng = random.Random(1618)
+    for width, height in shapes:
+        for radius in radii:
+            for _ in range(4):
+                rows = [
+                    "".join(
+                        rng.choices("#?.", weights=(lethal_rate, 0.05, 0.95 - lethal_rate))[0]
+                        for _ in range(width)
+                    )
+                    for _ in range(height)
+                ]
+                assert_inflation_matches_oracle(rows, radius, resolution=0.5)
 
 
 def test_unknown_cells_keep_cost_253():
@@ -519,6 +552,49 @@ def pick_free_cells(rng, dmap, count=2):
 # Thin and non-square maps catch a width/height/stride mix-up in the padded
 # flat index and put most cells next to its border.
 NON_SQUARE = ((23, 7), (7, 23), (40, 3))
+
+
+def test_connected_matches_a_breadth_first_search():
+    # Random maps of free, lethal and unknown cells with dynamic cells on
+    # top, some on the border, and the 1 x 1, 1 x N and N x 1 shapes; the
+    # fixed map joins (1, 0) and (0, 1) only if a row run wraps into the
+    # next row.
+    rng = random.Random(4242)
+    maps = [["#.", ".#"]]
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2)] * 12 + [
+        (rng.randint(3, 14), rng.randint(3, 14)) for _ in range(240)
+    ]
+    for width, height in shapes:
+        rate = rng.choice([0.1, 0.25, 0.4])
+        maps.append([
+            "".join(rng.choices("#?.", weights=(rate, rate / 4, 1 - rate))[0] for _ in range(width))
+            for _ in range(height)
+        ])
+    joined = apart = 0
+    for rows in maps:
+        height, width = len(rows), len(rows[0])
+        dmap = DrivingMap(metric_from_rows(rows, 0.1), robot_radius=0.05)
+        border = [(c, r) for r in range(height) for c in range(width)
+                  if c in (0, width - 1) or r in (0, height - 1)]
+        for cell in rng.sample(border, min(len(border), rng.randint(0, 3))):
+            dmap.dynamic[cell] = 10**9
+        for _ in range(rng.randint(0, width * height // 6)):
+            dmap.dynamic[rng.randrange(width), rng.randrange(height)] = 10**9
+        grid = composite_grid(dmap)
+        cells = [(c, r) for r in range(height) for c in range(width)]
+        open_cells = [cell for cell in cells if dmap.traversable(*cell)] or cells
+        pairs = [((1, 0), (0, 1))] if rows == ["#.", ".#"] else []
+        pairs += [(rng.choice(open_cells), rng.choice(open_cells)) for _ in range(16)]
+        pairs += [(rng.choice(cells), rng.choice(cells)) for _ in range(4)]
+        for a, b in pairs:
+            expected = reference_connected(grid, a, b)
+            assert navigation._connected(dmap, a, b) == expected, (rows, dmap.dynamic, a, b)
+            if dmap.traversable(*a) and dmap.traversable(*b):
+                joined += expected
+                apart += not expected
+    # both answers are exercised between two open cells, not only at the
+    # endpoint check
+    assert joined > 1000 and apart > 1000
 
 
 def test_plan_global_matches_dijkstra_oracle():

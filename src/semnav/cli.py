@@ -1,4 +1,5 @@
 """Command-line surface: parse worlds, export maps, plan and run missions.
+`genmap` and `plan` stop after `run`'s first stages, MissionEngine.build_map() and plan_task().
 Timing lives in the `missionbench/` harness, not here.
 
 Exit codes are a contract: 0 success, 1 domain failure (bad world content,
@@ -21,7 +22,6 @@ from pathlib import Path
 from .mapgen import (
     MapError,
     episodic_log,
-    generate_map,
     layers_to_text,
     metric_sidecar,
     metric_to_pgm,
@@ -29,15 +29,11 @@ from .mapgen import (
 from .memory import OversizeEntryError, UnknownSymbolError
 from .mission import (
     MissionEngine,
-    Scenario,
     ScenarioError,
-    goal_anchor,
-    initial_facts,
     load_scenario,
     read_utf8,
     report_to_json,
 )
-from .planner import Mission, ground_actions, plan
 from .simulator import trace_to_csv
 from .world import WorldError, WorldSyntaxError, parse_world, validate_world
 
@@ -72,23 +68,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_DOMAIN if any(d.severity == "error" for d in diagnostics) else EXIT_OK
 
 
-def _prepared_engine(args: argparse.Namespace) -> tuple[Scenario, MissionEngine]:
+def _prepared_engine(args: argparse.Namespace) -> MissionEngine:
     scenario = load_scenario(Path(args.scenario))
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "noise_sigma", None) is not None:
         scenario = replace(scenario, noise_sigma=args.noise_sigma)
-    return scenario, MissionEngine(scenario)
+    return MissionEngine(scenario)
 
 
 def cmd_genmap(args: argparse.Namespace) -> int:
-    scenario, engine = _prepared_engine(args)
-    emap = generate_map(
-        engine.store,
-        scenario.sensor_spec,
-        goal_anchor(scenario.goal),
-        scenario.resolution,
-    )
+    emap = _prepared_engine(args).build_map()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "map.pgm").write_bytes(metric_to_pgm(emap.metric))
@@ -102,17 +92,9 @@ def cmd_genmap(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    scenario, engine = _prepared_engine(args)
-    emap = generate_map(
-        engine.store,
-        scenario.sensor_spec,
-        goal_anchor(scenario.goal),
-        scenario.resolution,
-    )
-    facts = initial_facts(engine.store, engine.start_space)
-    mission = Mission(goal=frozenset(scenario.goal), start_space=engine.start_space)
-    grounded = ground_actions(engine.templates, emap)
-    result = plan(facts, mission, grounded)
+    engine = _prepared_engine(args)
+    engine.build_map()
+    result = engine.plan_task()
     if result is None:
         print("unsolvable: no action sequence reaches the goal")
         return EXIT_DOMAIN
@@ -123,8 +105,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario, engine = _prepared_engine(args)
-    run = engine.run()
+    run = _prepared_engine(args).run()
     report = run.report
     if args.out is not None:
         out_dir = Path(args.out)

@@ -353,23 +353,7 @@ class MissionReport:
 def report_to_json(report: MissionReport) -> str:
     """Canonical serialization: sorted keys, two-space indent, floats rounded
     to nine decimals, trailing newline."""
-    payload = {
-        "success": report.success,
-        "failure_code": report.failure_code,
-        "goal": report.goal,
-        "start_space": report.start_space,
-        "world_name": report.world_name,
-        "ticks_used": report.ticks_used,
-        "distance_m": round(report.distance_m, 9),
-        "collisions_static": report.collisions_static,
-        "collisions_actor": report.collisions_actor,
-        "replan_count": report.replan_count,
-        "learned_count": report.learned_count,
-        "written_back": report.written_back,
-        "tier_stats": report.tier_stats,
-        "episodes": [dict(event) for event in report.episodes],
-        "trace_digest": report.trace_digest,
-    }
+    payload = {**vars(report), "distance_m": round(report.distance_m, 9)}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -471,7 +455,8 @@ class MissionEngine:
     """Drives one mission through the sequential pipeline.
 
     Build it with a loaded scenario, call run() once. Not reusable: all
-    mutable mission state lives on the instance.
+    mutable mission state lives on the instance. build_map() and plan_task()
+    are run()'s first two stages, and a caller may stop after them.
     """
 
     def __init__(self, scenario: Scenario):
@@ -507,7 +492,9 @@ class MissionEngine:
         self.ws: WorldState | None = None
         self.dmap: DrivingMap | None = None
         self.behavior_plan: BehaviorPlan | None = None
-        self.state_facts: set[Fact] = set()
+        # initial_facts only peeks the store: prefetch and map generation
+        # leave its result unchanged
+        self.state_facts: set[Fact] = set(initial_facts(self.store, start))
         self.distance = 0.0
         self.replans = 0
         self.learned = 0
@@ -555,12 +542,6 @@ class MissionEngine:
     def _apply(self, action: GroundAction) -> None:
         self.state_facts -= action.del_effects
         self.state_facts |= action.add_effects
-
-    def _current_space(self) -> str:
-        for fact in self.state_facts:
-            if fact.predicate == "at" and fact.args and fact.args[0] == "robot":
-                return fact.args[1]
-        return self.start_space
 
     def _report(self, success: bool, failure_code: str | None) -> MissionRun:
         written_back = self.store.flush_writeback()
@@ -701,34 +682,37 @@ class MissionEngine:
         self.state_facts.discard(Fact("connected", (blocked_dst, blocked_src)))
         self.replans += 1
         self._episode("REPLAN", subject=blocked_dst)
-        mission = Mission(goal=frozenset(self.scenario.goal), start_space=self._current_space())
-        grounded = ground_actions(self.templates, self.emap)
-        new_plan = plan(frozenset(self.state_facts), mission, grounded)
-        if new_plan is None:
-            return None
-        return list(new_plan.actions)
+        new_plan = self.plan_task()
+        return None if new_plan is None else list(new_plan.actions)
 
     # -- pipeline --
+
+    def build_map(self) -> SemanticEpisodicMap:
+        """Prefetch the goal anchor's knowledge closure and generate the map."""
+        scenario = self.scenario
+        self.emap = generate_map(
+            self.store, scenario.sensor_spec, goal_anchor(scenario.goal), scenario.resolution
+        )
+        return self.emap
+
+    def plan_task(self) -> BehaviorPlan | None:
+        """Solve the task from the current symbolic state over the actions
+        grounded on the map; None when no action sequence reaches the goal."""
+        mission = Mission(goal=frozenset(self.scenario.goal), start_space=self.start_space)
+        grounded = ground_actions(self.templates, self.emap)
+        return plan(frozenset(self.state_facts), mission, grounded)
 
     def run(self) -> MissionRun:
         scenario = self.scenario
 
+        stored = self.store.keys_anywhere()
         symbols = _goal_symbols(scenario.goal)
-        if not symbols or any(
-            f"env/{symbol}" not in self.store.keys_anywhere() for symbol in symbols
-        ):
+        if not symbols or any(f"env/{symbol}" not in stored for symbol in symbols):
             return self._report(False, FAIL_UNKNOWN_GOAL)
-        goal_symbol = symbols[-1]
 
-        self.emap = generate_map(
-            self.store, scenario.sensor_spec, goal_symbol, scenario.resolution
-        )
+        self.build_map()
         self._episode("MISSION_START")
-
-        self.state_facts = set(initial_facts(self.store, self.start_space))
-        mission = Mission(goal=frozenset(scenario.goal), start_space=self.start_space)
-        grounded = ground_actions(self.templates, self.emap)
-        self.behavior_plan = plan(frozenset(self.state_facts), mission, grounded)
+        self.behavior_plan = self.plan_task()
         if self.behavior_plan is None:
             return self._report(False, FAIL_UNSOLVABLE)
 

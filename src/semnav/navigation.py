@@ -385,7 +385,6 @@ class ReplanState:
         self.start = start
         self.goal = goal
         self.km = 0
-        self._last_start = start
         self._start_key = divmod(dmap.index(start), dmap.stride)  # padded (row, col)
         self._goal_index = dmap.index(goal)
         self.g: dict[int, int | float] = {}
@@ -615,11 +614,10 @@ def replan_incremental(
     if new_start is not None and new_start != rs.start:
         if not dmap.in_bounds(*new_start):
             raise ValueError("new start must lie inside the map")
-        km = rs.km + octile(rs._last_start, new_start)
+        km = rs.km + octile(rs.start, new_start)
         if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
             raise ValueError("the start has moved too far for exact path costs")
         rs.km = km
-        rs._last_start = new_start
         rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
     rs._set_aside |= changed_cells

@@ -657,7 +657,7 @@ def eager_replan_incremental(
     if new_start is not None and new_start != rs.start:
         if not dmap.in_bounds(*new_start):
             raise ValueError("new start must lie inside the map")
-        km = rs.km + octile(rs._last_start, new_start)
+        km = rs.km + octile(rs.start, new_start)
         if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
             raise ValueError("the start has moved too far for exact path costs")
         rs.km = km

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from semnav import cli, mapgen, navigation
 from semnav.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from semnav.mission import data_dir, load_scenario
+from semnav.mission import data_dir, execute_mission, load_scenario
 
 DEMO_WORLD = str(data_dir() / "convention_center.world")
 DEMO_SCENARIO = str(data_dir() / "demo.scenario")
+TOUR_SCENARIO = str(Path(__file__).parents[1] / "missionbench" / "scenarios" / "tour.scenario")
 
 DUPLICATE_WORLD = """
 <world name="dup">
@@ -175,6 +176,35 @@ def test_plan_on_an_oversized_world_is_domain_error_before_rasterizing(
     assert "10000000 x 80 grid is too large" in err and "Traceback" not in err
 
 
+# --- the stages genmap and plan share with run ---
+
+def demo_without_semantic_sensor(tmp_path: Path) -> str:
+    text = Path(DEMO_SCENARIO).read_text()
+    semantic = "semantic.range = 5.0\nsemantic.fov = 1.2\n"
+    assert semantic in text
+    path = tmp_path / "demo_2d.scenario"
+    path.write_text(text.replace(semantic, ""))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["demo", "tour", "no_semantic"])
+def test_plan_and_genmap_match_the_mission_run(tmp_path, capsys, case):
+    # `semnav plan` prints the task plan the mission starts from, and
+    # `semnav genmap` writes the metric layer the mission drives on
+    scenario = {
+        "demo": DEMO_SCENARIO,
+        "tour": TOUR_SCENARIO,
+        "no_semantic": demo_without_semantic_sensor(tmp_path),
+    }[case]
+    run = execute_mission(load_scenario(scenario))
+    assert main(["plan", scenario]) == EXIT_OK
+    printed = re.findall(r"^  \d+\. (\S+)  cost ", capsys.readouterr().out, re.MULTILINE)
+    assert printed and printed == [action.name for action in run.behavior_plan.actions]
+    out = tmp_path / "map"
+    assert main(["genmap", scenario, "-o", str(out)]) == EXIT_OK
+    assert (out / "map.pgm").read_bytes() == mapgen.metric_to_pgm(run.emap.metric)
+
+
 # --- run ---
 
 def test_run_demo_writes_report_trace_and_episodes(tmp_path, capsys):
@@ -211,11 +241,11 @@ def test_seed_and_noise_flags_override_scenario(tmp_path):
     args = build_parser().parse_args(
         ["run", scenario_path, "--seed", "9", "--noise-sigma", "0.3"]
     )
-    scenario, _engine = _prepared_engine(args)
+    scenario = _prepared_engine(args).scenario
     assert scenario.seed == 9
     assert scenario.noise_sigma == 0.3
     # without the flags the scenario file wins
-    bare, _engine = _prepared_engine(build_parser().parse_args(["run", scenario_path]))
+    bare = _prepared_engine(build_parser().parse_args(["run", scenario_path])).scenario
     assert bare.seed == 7
     assert bare.noise_sigma == 0.0
 

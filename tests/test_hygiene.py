@@ -148,6 +148,25 @@ def test_benchmark_hooks_bind_to_the_engine():
         assert [method for method in methods if method not in cls.__dict__] == [], cls.__name__
 
 
+# The pipeline stages the CLI reaches only through MissionEngine.build_map()
+# and plan_task(), so genmap, plan and run share one front half.
+ENGINE_STAGES = {
+    "generate_map", "ground_actions", "plan", "Mission", "initial_facts", "goal_anchor",
+}
+
+
+def test_the_cli_reaches_pipeline_stages_only_through_the_engine():
+    tree = ast.parse((ROOT / "src" / "semnav" / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {read_name(node) for node in ast.walk(tree)}
+    assert (imported | read) & ENGINE_STAGES == set()
+
+
 def test_the_demo_runs_without_scipy():
     # numpy is the one dependency: a fresh interpreter that imports the CLI
     # and runs the demo mission in process loads no scipy module

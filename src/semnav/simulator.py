@@ -9,9 +9,11 @@ are floor regions, not obstacles — only static non-space elements and actor
 disks return lidar echoes or occlude the semantic sensor. The static walls and
 the elements' reference points are built once per world; one ray–segment
 kernel serves the lidar, the motion clamp and, in one call per frame, every
-line of sight. A scan meets all actor disks in one array pass and clamps its
-noise in one more; the noise, one Gaussian per beam in beam order, is drawn
-in one block equal bit for bit to one random.gauss call per beam.
+line of sight; the lidar and the clamp give it only the walls within their
+reach (Walls.within), which changes no result. A scan meets all actor disks
+in one array pass and clamps its noise in one more; the noise, one Gaussian
+per beam in beam order, is drawn in one block equal bit for bit to one
+random.gauss call per beam.
 """
 
 from __future__ import annotations
@@ -56,13 +58,25 @@ class SemanticFrame:
 @dataclass(frozen=True, eq=False)
 class Walls:
     """Boundary segments of every static non-space footprint, as arrays:
-    start (ax, ay), direction to the end (ex, ey) and owning element symbol."""
+    start (ax, ay), direction to the end (ex, ey) and owning element symbol,
+    plus what the kernel and within() read, derived once from those."""
 
     ax: np.ndarray
     ay: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
     owner: np.ndarray
+    _columns: np.ndarray = field(init=False)  # (4, n, 1): ax, ay, ex, ey, one row per segment
+    _bounds: np.ndarray = field(init=False)  # (n, 4): least x and y, then minus the greatest
+    _ends: np.ndarray = field(init=False)  # (2, 2n): x, then y, of every start, then every end
+
+    def __post_init__(self) -> None:
+        columns = np.array((self.ax, self.ay, self.ex, self.ey), dtype=float).reshape(4, -1, 1)
+        ax, ay, ex, ey = columns[..., 0]
+        ends = np.array(((ax, ax + ex), (ay, ay + ey)))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_bounds", np.concatenate((ends.min(1), -ends.max(1))).T.copy())
+        object.__setattr__(self, "_ends", ends.reshape(2, -1))
 
     @classmethod
     def of(cls, world: WorldDescription) -> Walls:
@@ -76,38 +90,55 @@ class Walls:
         ax, ay, ex, ey = rows.reshape(-1, 4).T
         return cls(ax, ay, ex, ey, np.asarray([owner for owner, _, _ in edges], dtype=object))
 
-    def _crossings(self, ox: float, oy: float, dx, dy) -> tuple[np.ndarray, np.ndarray]:
-        """Distance t along each unit ray (ox, oy) + t*(dx, dy) to each
-        segment's line, one row per ray, and where the ray's line meets the
-        segment itself (t is meaningless elsewhere)."""
-        dx = np.asarray(dx, dtype=float).reshape(-1, 1)
-        dy = np.asarray(dy, dtype=float).reshape(-1, 1)
-        wx, wy = self.ax - ox, self.ay - oy
-        denom = dx * self.ey - dy * self.ex
+    def within(self, ox: float, oy: float, reach: float, heading: float | None = None) -> np.ndarray:
+        """Indices of the segments a ray from (ox, oy) can meet within reach:
+        those whose bounding box meets the square of half-side reach + 1e-6
+        around the point and, given a heading, that do not lie wholly behind
+        the line through the point normal to it, with the same slack."""
+        r = reach + 1e-6
+        keep = (self._bounds <= (ox + r, oy + r, r - ox, r - oy)).all(axis=1)
+        if heading is not None:
+            fx, fy = math.cos(heading), math.sin(heading)
+            ahead = np.dot((fx, fy), self._ends)
+            keep &= np.maximum(ahead[: keep.size], ahead[keep.size :]) >= ox * fx + oy * fy - 1e-6
+        return keep.nonzero()[0]
+
+    def _crossings(self, ox: float, oy: float, dx, dy, segments, t_min: float) -> np.ndarray:
+        """Distance t along each unit ray (ox, oy) + t*(dx, dy), one column
+        per ray, to each segment at the given indices (all when None), one
+        row per segment, or inf where the ray misses it or t < t_min."""
+        ax, ay, ex, ey = self._columns if segments is None else self._columns.take(segments, 1)
+        wx, wy = ax - ox, ay - oy
+        denom = dx * ey
+        denom -= dy * ex
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (wx * self.ey - wy * self.ex) / denom
-            u = (wx * dy - wy * dx) / denom
-        return t, (np.abs(denom) >= 1e-15) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+            t = (wx * ey - wy * ex) / denom
+            u = wx * dy
+            u -= wy * dx
+            u /= denom
+        miss = np.abs(denom, out=denom) < 1e-15
+        miss |= u < -1e-12
+        miss |= u > 1.0 + 1e-12
+        miss |= t < t_min
+        np.putmask(t, miss, np.inf)
+        return t
 
-    def ray_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
-        """Distance t along each unit ray (ox, oy) + t*(dx, dy) to each
-        segment, one row per ray, or inf where the ray's line misses the
-        segment. t may be negative (behind the origin); callers window it."""
-        t, hit = self._crossings(ox, oy, dx, dy)
-        return np.where(hit, t, np.inf)
+    def ray_hits(self, ox: float, oy: float, dx, dy, segments=None) -> np.ndarray:
+        """The same distances, one row per ray and unbounded below: t may be
+        negative (behind the origin), and callers window it."""
+        return self._crossings(ox, oy, dx, dy, segments, -np.inf).T
 
-    def nearest_hits(self, ox: float, oy: float, dx, dy) -> np.ndarray:
-        """Per ray, the least t >= _MIN_HIT over the segments it meets, or
-        inf: ray_hits' row minimum over the same values, in one masked
-        reduction."""
-        t, hit = self._crossings(ox, oy, dx, dy)
-        return t.min(axis=1, where=hit & (t >= _MIN_HIT), initial=np.inf)
+    def nearest_hits(self, ox: float, oy: float, dx, dy, segments) -> np.ndarray:
+        """Per ray, the least t >= _MIN_HIT over the given segments, or inf:
+        the row minimum of ray_hits over the same values."""
+        return self._crossings(ox, oy, dx, dy, segments, _MIN_HIT).min(axis=0, initial=np.inf)
 
 
 @dataclass
 class WorldState:
     world: WorldDescription
     walls: Walls  # built once: the world is immutable
+    actor_radii2: np.ndarray  # one row per actor: its squared footprint radius
     landmarks: tuple[tuple[str, str, Point2], ...]  # (symbol, class, point), by symbol
     tick: int
     robot: RobotState
@@ -137,6 +168,7 @@ def make_world_state(
     ws = WorldState(
         world=world,
         walls=Walls.of(world),
+        actor_radii2=np.array([[actor.footprint_radius**2] for actor in world.actors]),
         # a geometry-free element has no reference point and nothing to localize
         landmarks=tuple(
             (rec.symbol, rec.explicit.model3d.semantic_class, rec.position())
@@ -208,10 +240,11 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
     move = v * dt
     new_x = pose.x + move * math.cos(pose.heading)
     new_y = pose.y + move * math.sin(pose.heading)
-    if abs(move) > 1e-15:
+    nearby = ws.walls.within(pose.x, pose.y, abs(move)) if abs(move) > 1e-15 else ()
+    if len(nearby):
         ux = math.cos(pose.heading) * (1.0 if move >= 0 else -1.0)
         uy = math.sin(pose.heading) * (1.0 if move >= 0 else -1.0)
-        t = ws.walls.ray_hits(pose.x, pose.y, ux, uy)[0]
+        t = ws.walls.ray_hits(pose.x, pose.y, ux, uy, nearby)[0]
         t = t[(t >= 0.0) & (t <= abs(move))]
         if t.size:
             allowed = max(0.0, float(t.min()) - _MIN_HIT)
@@ -281,10 +314,10 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     """Exact per-beam minimum intersection over static footprint edges and
     actor disks, capped at range_max, plus optional Gaussian range noise.
 
-    The wall minimum is one masked reduction over the same values the
-    per-beam minimum of Walls.ray_hits would take, so it is the same float.
-    The noise is drawn in one block (_gauss_block) that reproduces the
-    per-beam random.gauss calls bit for bit, generator state included.
+    The wall minimum is taken over the walls within range, from the values
+    the per-beam minimum of Walls.ray_hits would take, so it is the same
+    float. The noise is drawn in one block (_gauss_block) that reproduces
+    the per-beam random.gauss calls bit for bit, generator state included.
     """
     lidar = spec.lidar2d
     if lidar is None:
@@ -294,25 +327,24 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     absolute = rel_array + pose.heading
     dx = np.cos(absolute)
     dy = np.sin(absolute)
-    best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy)
+    # beams within a quarter turn of the heading meet nothing behind it
+    facing = pose.heading if lidar.fov <= math.pi else None
+    nearby = ws.walls.within(pose.x, pose.y, lidar.range_m, facing)
+    best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy, nearby)
 
     actors = ws.world.actors
     if actors:
         # every actor disk at once: one row per actor, one column per beam
         centers = [ws.actor_positions[actor.symbol] for actor in actors]
-        fx = np.array([[pose.x - center.x] for center in centers])
-        fy = np.array([[pose.y - center.y] for center in centers])
-        r2 = np.array([[actor.footprint_radius**2] for actor in actors])
+        fx, fy = np.array([(pose.x - c.x, pose.y - c.y) for c in centers]).T[..., None]
         b = fx * dx + fy * dy
-        c = fx * fx + fy * fy - r2
-        disc = b * b - c
-        hit = disc >= 0.0
-        root = np.sqrt(np.where(hit, disc, 0.0))
-        # the near root where it is ahead, else the far one: since
-        # -b - root <= -b + root, the least of both roots that are ahead
-        t = np.concatenate((-b - root, -b + root))
-        ahead = np.concatenate((hit, hit)) & (t >= _MIN_HIT)
-        best = np.minimum(best, t.min(axis=0, where=ahead, initial=np.inf))
+        disc = b * b - (fx * fx + fy * fy - ws.actor_radii2)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        # the near root where it is ahead, else the far one
+        near = -b - root
+        t = np.where(near >= _MIN_HIT, near, root - b)
+        np.putmask(t, (disc < 0.0) | (t < _MIN_HIT), np.inf)
+        best = np.minimum(best, t.min(axis=0))
 
     ranges = np.minimum(best, lidar.range_m)
     if ws.noise_sigma > 0.0:

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from semnav.geometry import Point2
+from semnav.geometry import Point2, Pose2, normalize_angle
 from semnav.memory import TierId
 from semnav.navigation import (
     _NEIGHBOURHOOD,
@@ -512,6 +512,28 @@ def reference_lidar_ranges(ws, spec):
     return tuple(ranges.tolist())
 
 
+def reference_step_pose(ws, dt, command):
+    """The robot's pose after one step of command over dt, and whether a
+    wall stopped it: the motion is clamped a hair short of the first wall
+    crossing in [0, |v*dt|] over every wall segment, from the package's own
+    ray-segment kernel (ws.walls.ray_hits, unculled)."""
+    v, omega = command
+    pose = ws.robot.pose
+    move = v * dt
+    x = pose.x + move * math.cos(pose.heading)
+    y = pose.y + move * math.sin(pose.heading)
+    stopped = False
+    if abs(move) > 1e-15:
+        sign = 1.0 if move >= 0 else -1.0
+        ux, uy = math.cos(pose.heading) * sign, math.sin(pose.heading) * sign
+        ahead = [t for t in ws.walls.ray_hits(pose.x, pose.y, ux, uy)[0].tolist()
+                 if 0.0 <= t <= abs(move)]
+        if ahead:
+            allowed = max(0.0, min(ahead) - 1e-9)
+            x, y, stopped = pose.x + ux * allowed, pose.y + uy * allowed, True
+    return Pose2(x, y, normalize_angle(pose.heading + omega * dt)), stopped
+
+
 def oracle_ray_segment(px, py, dx, dy, a, b):
     """Ray ((px,py) + t*(dx,dy)) against segment a-b by Cramer's rule.
     Returns the smallest t >= 0 or None."""
@@ -661,7 +683,6 @@ def eager_replan_incremental(
         if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
             raise ValueError("the start has moved too far for exact path costs")
         rs.km = km
-        rs._last_start = new_start
         rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
     costs = dmap.snapshot()

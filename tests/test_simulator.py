@@ -28,6 +28,7 @@ from oracles import (
     oracle_ray_circle,
     oracle_ray_segment,
     reference_lidar_ranges,
+    reference_step_pose,
     segments_properly_cross,
 )
 from semnav.world import (
@@ -174,6 +175,43 @@ def test_collision_oracle_on_random_drives():
                 assert ws.static_collisions >= 1, f"case {case}"
 
 
+def test_motion_clamp_equals_the_unculled_reference():
+    # step clamps only against the walls within |v*dt| of the robot; its
+    # poses and wall-collision counts must equal a clamp over every wall,
+    # step for step, from starts on a wall's edge or corner too, with the
+    # wall at exactly the step's length now and then, and dt up to 1 s.
+    rng = random.Random(2024)
+    stops = touching = 0
+    for case in range(200):
+        boxes = []
+        for _ in range(rng.randint(2, 6)):
+            x0, y0 = rng.uniform(-5, 4), rng.uniform(-5, 4)
+            boxes.append((x0, y0, x0 + rng.uniform(0.1, 2.0), y0 + rng.uniform(0.1, 2.0)))
+        x0, y0, x1, y1 = rng.choice(boxes)
+        start = rng.choice((
+            (rng.uniform(-5, 5), rng.uniform(-5, 5)),  # anywhere, maybe inside a wall
+            (x0, rng.uniform(y0, y1)),  # on an edge
+            (rng.uniform(x0, x1), y1),
+            (x1, y0),  # at a corner
+            (x0 - 1.0, rng.uniform(y0, y1)),  # exactly 1 m before an edge
+        ))
+        touching += start[0] in (x0, x1) or start[1] in (y0, y1)
+        heading = rng.choice((rng.uniform(-math.pi, math.pi), 0.0, math.pi / 2, math.pi))
+        walls = [wall(f"w{i}", *box) for i, box in enumerate(boxes)]
+        ws = make_world_state(tiny_world(walls, spawn=Pose2(*start, heading)))
+        for _ in range(rng.randint(1, 10)):
+            dt = rng.choice((rng.uniform(0.01, 1.0), 1.0, 0.1))
+            v = rng.choice((rng.uniform(-2.0, 2.0), 1.0, -1.0, 0.0))
+            command = (v, rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+            expected, stopped = reference_step_pose(ws, dt, command)
+            collisions = ws.static_collisions
+            step(ws, dt, command)
+            assert ws.robot.pose == expected, case
+            assert ws.static_collisions == collisions + stopped, case
+            stops += stopped
+    assert stops >= 100 and touching >= 50
+
+
 def test_actor_collisions_counted_but_non_blocking():
     actor = ActorScript("blocker", "person", footprint_radius=0.3, speed=0.0,
                         waypoints=(Point2(2.0, 1.0),))
@@ -269,42 +307,137 @@ def test_random_beams_match_exhaustive_oracle():
     assert beams_checked >= 1000
 
 
+def random_lidar_case(rng):
+    """(world, lidar spec, seed, sigma): up to 4 walls and 5 actors, some
+    disks on or right beside the robot."""
+    elements = []
+    for i in range(rng.randint(0, 4)):
+        x0, y0 = rng.uniform(-6, 5), rng.uniform(-6, 5)
+        elements.append(wall(f"w{i}", x0, y0, x0 + rng.uniform(0.2, 2.5),
+                             y0 + rng.uniform(0.2, 2.5)))
+    spawn = Pose2(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
+    actors = []
+    for i in range(rng.randint(0, 5)):
+        spread = rng.choice((0.3, 5.0))
+        waypoints = tuple(
+            Point2(spawn.x + rng.uniform(-spread, spread),
+                   spawn.y + rng.uniform(-spread, spread))
+            for _ in range(rng.randint(1, 3))
+        )
+        actors.append(ActorScript(f"a{i}", "person", footprint_radius=rng.uniform(0.1, 0.8),
+                                  speed=rng.uniform(0.0, 1.5), waypoints=waypoints))
+    world = tiny_world(elements, actors, spawn=spawn)
+    spec = SensorSpec(lidar2d=Lidar2dSpec(rng.uniform(0.5, 12.0),
+                                          rng.uniform(0.1, 2 * math.pi),
+                                          rng.randint(1, 181)))
+    return world, spec, rng.randrange(1000), rng.choice((0.0, 0.0, 0.05, 0.5, 5.0))
+
+
+def polygon(symbol, *xy):
+    return ElementRecord(
+        symbolic=SymbolicModel(symbol=symbol, class_label="wall"),
+        explicit=ExplicitModel(model2d=Footprint(tuple(Point2(x, y) for x, y in xy)),
+                               model3d=None, physical=PhysicalInfo(is_static=True)),
+        implicit=(),
+    )
+
+
+ROOM = (  # slabs along both axes, with corners at (2, -1), (2, 1), (-3, 1), ...
+    wall("east", 2.0, -1.0, 2.2, 1.0),
+    wall("north", -3.0, 1.0, 3.0, 1.2),
+    wall("south", -3.0, -1.2, 3.0, -1.0),
+    wall("far", 20.0, -5.0, 21.0, 5.0),
+)
+CULL_FOVS = (math.pi, math.nextafter(math.pi, 4.0), math.pi + 0.01, 0.3, 1.5 * math.pi, 2 * math.pi)
+
+
+def behind_walls(heading, gaps=(1e-7, 5e-7, 1e-6, 2e-6, 1e-3)):
+    """Thin triangles around (0, 0) whose nearest edge runs along the line
+    normal to heading, each wholly behind that line by one of the gaps."""
+    fx, fy = math.cos(heading), math.sin(heading)
+    nx, ny = -fy, fx
+    walls = []
+    for i, gap in enumerate(gaps):
+        side = 1.0 + i  # each a little wider, both sides of the robot
+        corners = ((-gap, -side), (-gap, side), (-gap - 0.5, 0.0))
+        walls.append(polygon(f"b{i}", *((f * fx + s * nx, f * fy + s * ny) for f, s in corners)))
+    return walls
+
+
+def cull_lidar_cases():
+    """(world, lidar spec, seed, sigma) aimed at Walls.within: robots on a
+    wall's line and at wall corners, headings along axis-aligned walls, walls
+    a hair behind the line normal to the heading, a wall just within range,
+    ranges shorter than every wall, fov at and just past a half turn, and
+    one or two beams."""
+    beams = (1, 2, 3, 181)
+    spots = ((0.0, 1.0), (5.0, 1.0), (2.0, -1.0), (2.0, 0.0), (-3.0, 1.2), (0.0, 0.0))
+    headings = (0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3)
+    for x, y in spots:
+        for heading in headings:
+            for fov in CULL_FOVS:
+                for n in beams:
+                    spec = SensorSpec(lidar2d=Lidar2dSpec(6.0, fov, n))
+                    yield tiny_world(ROOM, spawn=Pose2(x, y, heading)), spec, 3, 0.0
+    for heading in (0.0, math.pi / 2, 2.0, -2.5):
+        world = tiny_world(ROOM[-1:] + tuple(behind_walls(heading)), spawn=Pose2(0.0, 0.0, heading))
+        for fov in CULL_FOVS:
+            for n in beams:
+                yield world, SensorSpec(lidar2d=Lidar2dSpec(8.0, fov, n)), 5, 0.05
+    for reach in (2.0 + 1e-7, 2.0 + 5e-7, 2.001, 2.02):  # the east slab just in range
+        for heading in (0.0, 0.01, -0.2):
+            world = tiny_world(ROOM, spawn=Pose2(0.0, 0.0, heading))
+            for fov in (math.pi, 0.1, 2 * math.pi):
+                yield world, SensorSpec(lidar2d=Lidar2dSpec(reach, fov, 181)), 1, 0.0
+    for spot in ((0.0, 0.0), (0.5, 0.5)):  # every wall beyond a 0.05 m range
+        world = tiny_world(ROOM, spawn=Pose2(*spot, 0.7))
+        for n in beams:
+            yield world, SensorSpec(lidar2d=Lidar2dSpec(0.05, math.pi, n)), 9, 0.5
+
+
+def test_walls_within_keeps_the_walls_in_reach_and_not_behind():
+    walls = make_world_state(tiny_world(ROOM)).walls
+
+    def owners(*query):
+        return set(walls.owner[walls.within(*query)].tolist())
+
+    # the north slab's box starts 1 m away: kept at a reach of 1 m less the
+    # 1e-6 m slack, dropped once the gap is wider than the slack
+    assert owners(0.0, 0.0, 1.0 - 5e-7) == {"north", "south"}
+    assert owners(0.0, 0.0, 1.0 - 2e-6) == set()
+    assert owners(0.0, 0.0, 2.0) == {"north", "south", "east"}
+    assert owners(2.0, 0.0, 0.0) == {"east"}  # on a wall, a zero reach keeps it
+    assert owners(0.0, 0.0, 30.0, 0.0) == {"north", "south", "east", "far"}
+    assert owners(1.0, 0.0, 30.0, math.pi) == {"north", "south"}
+    behind = make_world_state(tiny_world(behind_walls(2.0, (1e-7, 5e-7, 2e-6, 1e-3)))).walls
+    kept = behind.owner[behind.within(0.0, 0.0, 30.0, 2.0)]
+    assert set(kept.tolist()) == {"b0", "b1"}
+    assert behind.within(0.0, 0.0, 30.0).size == behind.ax.size
+
+
 def test_lidar_ranges_and_noise_stream_equal_the_per_actor_reference():
-    # All actor disks are folded in one array pass and the noise is clamped
-    # in numpy; every range must still equal the one-actor-at-a-time,
-    # one-beam-at-a-time computation bit for bit, and the generator must be
-    # left in the same state, including across consecutive scans.
+    # All actor disks are folded in one array pass, the walls are culled to
+    # those within range (and ahead, for a fov up to a half turn), and the
+    # noise is clamped in numpy; every range must still equal the unculled,
+    # one-actor-at-a-time, one-beam-at-a-time computation bit for bit, and
+    # the generator must be left in the same state, across consecutive scans.
     rng = random.Random(4242)
-    for trial in range(200):
-        elements = []
-        for i in range(rng.randint(0, 4)):
-            x0, y0 = rng.uniform(-6, 5), rng.uniform(-6, 5)
-            elements.append(wall(f"w{i}", x0, y0, x0 + rng.uniform(0.2, 2.5),
-                                 y0 + rng.uniform(0.2, 2.5)))
-        spawn = Pose2(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
-        actors = []
-        for i in range(rng.randint(0, 5)):
-            # some disks sit on or right beside the robot
-            spread = rng.choice((0.3, 5.0))
-            waypoints = tuple(
-                Point2(spawn.x + rng.uniform(-spread, spread),
-                       spawn.y + rng.uniform(-spread, spread))
-                for _ in range(rng.randint(1, 3))
-            )
-            actors.append(ActorScript(f"a{i}", "person", footprint_radius=rng.uniform(0.1, 0.8),
-                                      speed=rng.uniform(0.0, 1.5), waypoints=waypoints))
-        world = tiny_world(elements, actors, spawn=spawn)
-        spec = SensorSpec(lidar2d=Lidar2dSpec(rng.uniform(0.5, 12.0),
-                                              rng.uniform(0.1, 2 * math.pi),
-                                              rng.randint(1, 181)))
-        seed, sigma = rng.randrange(1000), rng.choice((0.0, 0.0, 0.05, 0.5, 5.0))
+    cases = [random_lidar_case(rng) for _ in range(200)] + list(cull_lidar_cases())
+    culled = empty = 0
+    for trial, (world, spec, seed, sigma) in enumerate(cases):
         got = make_world_state(world, seed=seed, noise_sigma=sigma)
         ref = make_world_state(world, seed=seed, noise_sigma=sigma)
+        pose = got.robot.pose
+        facing = pose.heading if spec.lidar2d.fov <= math.pi else None
+        kept = got.walls.within(pose.x, pose.y, spec.lidar2d.range_m, facing).size
+        culled += kept < got.walls.ax.size
+        empty += kept == 0 < got.walls.ax.size
         for _ in range(3):
             assert lidar_scan(got, spec).ranges == reference_lidar_ranges(ref, spec), trial
             assert got.rng.getstate() == ref.rng.getstate(), trial
             step(got, 0.1, (0.5, 0.4))
             step(ref, 0.1, (0.5, 0.4))
+    assert culled > len(cases) // 2 and empty >= 8
 
 
 def test_lidar_noise_is_seeded_and_bounded():

@@ -210,20 +210,15 @@ class DrivingMap(GridFrame):
         range_max raises ValueError before anything changes.
         """
         ranges = np.asarray(scan.ranges, dtype=float)
+        heading = pose.heading + np.asarray(scan.angles, dtype=float)
         near = ~(ranges >= scan.range_max - 1e-9)  # a NaN range stays in, and fails below
         dist = ranges[near]
-        heading = np.asarray(scan.angles, dtype=float)[near]
-        heading += pose.heading
-        # hit points, then cell coordinates, one axis at a time and in place
-        col, row = np.cos(heading), np.sin(heading, out=heading)
-        for coord, at, origin in ((col, pose.x, self.origin.x), (row, pose.y, self.origin.y)):
-            coord *= dist
-            coord += at
-            if not np.isfinite(coord).all():
-                raise ValueError("non-finite lidar hit point")
-            coord -= origin
-            coord /= self.resolution
-            np.floor(coord, out=coord)
+        hx = pose.x + dist * np.cos(heading[near])
+        hy = pose.y + dist * np.sin(heading[near])
+        if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
+            raise ValueError("non-finite lidar hit point")
+        col = np.floor((hx - self.origin.x) / self.resolution)
+        row = np.floor((hy - self.origin.y) / self.resolution)
         inside = (col >= 0) & (col < self.width) & (row >= 0) & (row < self.height)
         col, row = col[inside].astype(np.intp), row[inside].astype(np.intp)
         free = self.static[row, col] != LETHAL

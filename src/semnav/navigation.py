@@ -63,10 +63,15 @@ snapshot, a copy of that list with the dynamic cells overlaid, and expands
 neighbours on it with one helper, _moves; cells become (col, row) pairs
 only at the API boundary. The hottest caller, the replanner's vertex
 update, scans the same rule inline without building a list, and its keys
-take the start's padded (row, col), kept on the state. The dynamic layer
-stays a {cell: expiry} dict and the only source of truth, since callers
-write it directly: a snapshot taken per call needs no invalidation. The
-static array is never written after it is built.
+take the start's padded (row, col), kept on the state. Per-search state
+(A*'s g, parent and closed marks; the replanner's g, rhs and queue keys)
+is lists over the padded index too, allocated whole when the search
+starts: each search holds two or three grid-sized lists beside its
+snapshot, O(cells) memory, and a world too large for that still ends in
+cli.main's MemoryError exit 1. The dynamic layer stays a {cell: expiry}
+dict and the only source of truth, since callers write it directly: a
+snapshot taken per call needs no invalidation. The static array is never
+written after it is built.
 """
 
 from __future__ import annotations
@@ -284,12 +289,6 @@ def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
     return moves
 
 
-def _octile(stride: int, i: int, j: int) -> int:
-    # divmod gives (row, col); octile is symmetric in the two axes and the
-    # padding offsets cancel, so this is octile() of the unpadded cells
-    return octile(divmod(i, stride), divmod(j, stride))
-
-
 def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
     """Canonical cost of a cell path on the current composite costmap; None
     when one of its moves is not allowed."""
@@ -324,16 +323,19 @@ def plan_global(
     si, gi = dmap.index(start), dmap.index(goal)
     if costs[si] >= UNKNOWN_COST or costs[gi] >= UNKNOWN_COST:
         return None
-    g: dict[int, int] = {si: 0}
-    parent: dict[int, int] = {}
-    closed: set[int] = set()
-    h0 = _octile(stride, si, gi)
+    g: list[int | float] = [INF] * len(costs)
+    g[si] = 0
+    parent = [0] * len(costs)
+    closed = bytearray(len(costs))
+    # octile() from the goal's padded (row, col): the padding offsets cancel
+    goal_rc = divmod(gi, stride)
+    h0 = octile(divmod(si, stride), goal_rc)
     heap: list[tuple[int, int, int]] = [(h0, h0, si)]
     while heap:
         _, _, i = heapq.heappop(heap)
-        if i in closed:
+        if closed[i]:
             continue
-        closed.add(i)
+        closed[i] = 1
         if i == gi:
             path = [i]
             while i != si:
@@ -343,14 +345,11 @@ def plan_global(
             return [dmap.cell(i) for i in path], decode(g[gi])
         g_cur = g[i]
         for j, step in _moves(costs, stride, i):
-            if j in closed:
-                continue
             ng = g_cur + step
-            incumbent = g.get(j)
-            if incumbent is None or ng < incumbent:
+            if ng < g[j] and not closed[j]:
                 g[j] = ng
                 parent[j] = i
-                h = _octile(stride, j, gi)
+                h = octile(divmod(j, stride), goal_rc)
                 heapq.heappush(heap, (ng + h, h, j))
     return None
 
@@ -373,9 +372,10 @@ class ReplanState:
     minimum over its moves before each expansion, so this matches a full
     rescan bit for bit.
 
-    g, rhs and the queue are keyed by the map's padded flat index and hold
-    exact int costs (INF when unknown); each entry point takes one costmap
-    snapshot and hands it down.
+    g, rhs and the queue's current keys (_key_of, None for a vertex with no
+    live heap entry) are lists over the map's padded flat index, sized to
+    the snapshot; g and rhs hold exact int costs, INF when unknown. Each
+    entry point takes one costmap snapshot and hands it down.
     """
 
     def __init__(self, dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]):
@@ -387,10 +387,16 @@ class ReplanState:
         self.km = 0
         self._start_key = divmod(dmap.index(start), dmap.stride)  # padded (row, col)
         self._goal_index = dmap.index(goal)
-        self.g: dict[int, int | float] = {}
-        self.rhs: dict[int, int | float] = {self._goal_index: 0}
+        size = (dmap.height + 2) * dmap.stride
+        self.g: list[int | float] = [INF] * size
+        self.rhs: list[int | float] = [INF] * size
+        self.rhs[self._goal_index] = 0
         self._heap: list[tuple[int | float, int | float, int]] = []
-        self._key_of: dict[int, tuple[int | float, int | float]] = {}
+        self._key_of: list[tuple[int | float, int | float] | None] = [None] * size
+        # the octile heuristic's straight and diagonal parts, by step count
+        reach = range(max(dmap.width, dmap.height) + 2)
+        self._straight = [n * STRAIGHT[0] for n in reach]
+        self._diag = [n * DIAG[0] for n in reach]
         self._set_aside: set[tuple[int, int]] = set()  # changed while disconnected
         self._push(self._goal_index, self._calc_key(self._goal_index))
         if _connected(dmap, start, goal):
@@ -399,18 +405,19 @@ class ReplanState:
     # -- queue helpers --
 
     def _calc_key(self, i: int) -> tuple[int | float, int | float]:
-        m = self.g.get(i, INF)
-        r = self.rhs.get(i, INF)
+        m = self.g[i]
+        r = self.rhs[i]
         if r < m:
             m = r
         if m == INF:
             return (INF, INF)
-        # _octile from the start, whose padded (row, col) is kept
+        # octile() from the start, whose padded (row, col) is kept
         row, col = divmod(i, self.dmap.stride)
         dr = abs(row - self._start_key[0])
         dc = abs(col - self._start_key[1])
-        lo, hi = (dc, dr) if dc < dr else (dr, dc)
-        return (m + (hi - lo) * STRAIGHT[0] + lo * DIAG[0] + self.km, m)
+        if dc < dr:
+            return (m + self._straight[dr - dc] + self._diag[dc] + self.km, m)
+        return (m + self._straight[dc - dr] + self._diag[dr] + self.km, m)
 
     def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
         self._key_of[i] = key
@@ -419,8 +426,7 @@ class ReplanState:
     def _peek(self) -> tuple[tuple[int | float, int | float], int] | None:
         while self._heap:
             k1, k2, i = self._heap[0]
-            current = self._key_of.get(i)
-            if current is not None and current == (k1, k2):
+            if self._key_of[i] == (k1, k2):
                 return (k1, k2), i
             heapq.heappop(self._heap)  # stale or removed entry
         return None
@@ -431,29 +437,29 @@ class ReplanState:
             # the same rule scanned inline rather than built as a list
             best = INF
             if costs[i] < UNKNOWN_COST:
-                get = self.g.get
+                g = self.g
                 stride = self.dmap.stride
                 north, south = i + stride, i - stride
                 ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
                 e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
                 if e:
-                    best = get(i + 1, INF) + STRAIGHT[ce]
+                    best = g[i + 1] + STRAIGHT[ce]
                 if w:
-                    cand = get(i - 1, INF) + STRAIGHT[cw]
+                    cand = g[i - 1] + STRAIGHT[cw]
                     if cand < best:
                         best = cand
                 for j, c in ((north, cn), (south, cs)):
                     if c >= UNKNOWN_COST:
                         continue
-                    cand = get(j, INF) + STRAIGHT[c]
+                    cand = g[j] + STRAIGHT[c]
                     if cand < best:
                         best = cand
                     if e and costs[j + 1] < UNKNOWN_COST:
-                        cand = get(j + 1, INF) + DIAG[costs[j + 1]]
+                        cand = g[j + 1] + DIAG[costs[j + 1]]
                         if cand < best:
                             best = cand
                     if w and costs[j - 1] < UNKNOWN_COST:
-                        cand = get(j - 1, INF) + DIAG[costs[j - 1]]
+                        cand = g[j - 1] + DIAG[costs[j - 1]]
                         if cand < best:
                             best = cand
             self.rhs[i] = best
@@ -463,12 +469,12 @@ class ReplanState:
         """The queue half of a vertex update: an inconsistent vertex holds
         one entry at its current key (an equal key is already in the heap,
         so it is not pushed again), a consistent one none."""
-        if self.g.get(i, INF) != self.rhs.get(i, INF):
+        if self.g[i] != self.rhs[i]:
             key = self._calc_key(i)
-            if self._key_of.get(i) != key:
+            if self._key_of[i] != key:
                 self._push(i, key)
         else:
-            self._key_of.pop(i, None)
+            self._key_of[i] = None
 
     def _compute(self, costs: list[int]) -> None:
         stride = self.dmap.stride
@@ -476,8 +482,8 @@ class ReplanState:
         si = self.dmap.index(self.start)
         g, rhs, goal = self.g, self.rhs, self._goal_index
         while True:
-            g_start = g.get(si, INF)
-            rhs_start = rhs.get(si, INF)
+            g_start = g[si]
+            rhs_start = rhs[si]
             top = self._peek()
             if top is None:
                 break
@@ -486,7 +492,7 @@ class ReplanState:
             if not (key < start_key or rhs_start != g_start):
                 break
             heapq.heappop(self._heap)
-            self._key_of.pop(i, None)
+            self._key_of[i] = None
             fresh = self._calc_key(i)
             if key < fresh:
                 self._push(i, fresh)
@@ -497,21 +503,21 @@ class ReplanState:
             moves = _moves(costs, stride, i)
             if moves:
                 straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
-            g_old = g.get(i, INF)
-            rhs_i = rhs.get(i, INF)
+            g_old = g[i]
+            rhs_i = rhs[i]
             if g_old > rhs_i:
                 g[i] = rhs_i
                 for j, _ in moves:
                     if j != goal:
                         through = rhs_i + (straight if j - i in cardinal else diag)
-                        if through < rhs.get(j, INF):
+                        if through < rhs[j]:
                             rhs[j] = through
                     self._queue(j)
             else:
                 g[i] = INF
                 self._update_vertex(costs, i)
                 for j, _ in moves:
-                    if rhs.get(j, INF) == g_old + (straight if j - i in cardinal else diag):
+                    if rhs[j] == g_old + (straight if j - i in cardinal else diag):
                         self._update_vertex(costs, j)
                     else:
                         self._queue(j)
@@ -522,7 +528,7 @@ class ReplanState:
     def _extract(self, costs: list[int]) -> list[tuple[int, int]] | None:
         dmap = self.dmap
         i = dmap.index(self.start)
-        if costs[i] >= UNKNOWN_COST or self.rhs.get(i, INF) == INF:
+        if costs[i] >= UNKNOWN_COST or self.rhs[i] == INF:
             return None
         path = [i]
         limit = dmap.width * dmap.height
@@ -530,7 +536,7 @@ class ReplanState:
             best = None
             best_through = INF
             for j, step in _moves(costs, dmap.stride, i):
-                g_next = self.g.get(j, INF)
+                g_next = self.g[j]
                 if g_next == INF:
                     continue
                 through = g_next + step
@@ -625,12 +631,13 @@ def replan_incremental(
         return None
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride
+    # a block's border cells are updated too: on the LETHAL border that
+    # leaves g, rhs and the queue as they were
     touched = {
         (row + dr + 1) * stride + col + dc + 1
         for col, row in rs._set_aside
         if 0 <= col < width and 0 <= row < height
         for dc, dr in _NEIGHBOURHOOD
-        if 0 <= col + dc < width and 0 <= row + dr < height
     }
     rs._set_aside.clear()
     for i in sorted(touched):

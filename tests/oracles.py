@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the straightforward, slow way —
 plain lists, exhaustive scans, fixpoint loops — and shares no code with the
-package beyond its public data types. The one exception is the eager
+package beyond its public data types. The two exceptions are the eager
 replanner, which keeps the package's search bookkeeping and redoes only the
-rhs updates the package does incrementally.
+rhs updates the package does incrementally, and the reference A*, the
+package's earlier dict-based plan_global kept verbatim on the package's
+moves rule, which guards plan_global's tie order.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from semnav.navigation import (
     PAIR_SUM_LIMIT,
     STRAIGHT,
     UNKNOWN_COST,
+    DrivingMap,
+    PathCost,
     ReplanState,
     _moves,
     decode,
@@ -594,6 +598,63 @@ def inflation_oracle(lethal_cells, width, height, radius_cells):
     return out
 
 
+# --- reference A* ----------------------------------------------------------
+
+def _octile(stride: int, i: int, j: int) -> int:
+    # divmod gives (row, col); octile is symmetric in the two axes and the
+    # padding offsets cancel, so this is octile() of the unpadded cells
+    return octile(divmod(i, stride), divmod(j, stride))
+
+
+def reference_plan_global(
+    dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
+) -> tuple[list[tuple[int, int]], PathCost] | None:
+    """The package's A* as it stood with dict and set state: a guard on the
+    tie order of plan_global, which must return the same path and cost.
+
+    A* over the composite costmap; None when the goal is unreachable.
+
+    Ties pop in (f, h, row-major index) order, so identical inputs give an
+    identical cell sequence, not merely an identical cost.
+    """
+    if not dmap.in_bounds(*start) or not dmap.in_bounds(*goal):
+        return None
+    costs = dmap.snapshot()
+    stride = dmap.stride
+    si, gi = dmap.index(start), dmap.index(goal)
+    if costs[si] >= UNKNOWN_COST or costs[gi] >= UNKNOWN_COST:
+        return None
+    g: dict[int, int] = {si: 0}
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
+    h0 = _octile(stride, si, gi)
+    heap: list[tuple[int, int, int]] = [(h0, h0, si)]
+    while heap:
+        _, _, i = heapq.heappop(heap)
+        if i in closed:
+            continue
+        closed.add(i)
+        if i == gi:
+            path = [i]
+            while i != si:
+                i = parent[i]
+                path.append(i)
+            path.reverse()
+            return [dmap.cell(i) for i in path], decode(g[gi])
+        g_cur = g[i]
+        for j, step in _moves(costs, stride, i):
+            if j in closed:
+                continue
+            ng = g_cur + step
+            incumbent = g.get(j)
+            if incumbent is None or ng < incumbent:
+                g[j] = ng
+                parent[j] = i
+                h = _octile(stride, j, gi)
+                heapq.heappush(heap, (ng + h, h, j))
+    return None
+
+
 # --- eager incremental replanner ----------------------------------------------
 
 # The package's replanner relaxes predecessors in O(1) and sets a
@@ -611,42 +672,42 @@ class EagerReplanState(ReplanState):
             # the same rule scanned inline rather than built as a list
             best = INF
             if costs[i] < UNKNOWN_COST:
-                get = self.g.get
+                g = self.g
                 stride = self.dmap.stride
                 north, south = i + stride, i - stride
                 ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
                 e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
                 if e:
-                    best = get(i + 1, INF) + STRAIGHT[ce]
+                    best = g[i + 1] + STRAIGHT[ce]
                 if w:
-                    cand = get(i - 1, INF) + STRAIGHT[cw]
+                    cand = g[i - 1] + STRAIGHT[cw]
                     if cand < best:
                         best = cand
                 for j, c in ((north, cn), (south, cs)):
                     if c >= UNKNOWN_COST:
                         continue
-                    cand = get(j, INF) + STRAIGHT[c]
+                    cand = g[j] + STRAIGHT[c]
                     if cand < best:
                         best = cand
                     if e and costs[j + 1] < UNKNOWN_COST:
-                        cand = get(j + 1, INF) + DIAG[costs[j + 1]]
+                        cand = g[j + 1] + DIAG[costs[j + 1]]
                         if cand < best:
                             best = cand
                     if w and costs[j - 1] < UNKNOWN_COST:
-                        cand = get(j - 1, INF) + DIAG[costs[j - 1]]
+                        cand = g[j - 1] + DIAG[costs[j - 1]]
                         if cand < best:
                             best = cand
             self.rhs[i] = best
-        self._key_of.pop(i, None)
-        if self.g.get(i, INF) != self.rhs.get(i, INF):
+        self._key_of[i] = None
+        if self.g[i] != self.rhs[i]:
             self._push(i, self._calc_key(i))
 
     def _compute(self, costs: list[int]) -> None:
         stride = self.dmap.stride
         si = self.dmap.index(self.start)
         while True:
-            g_start = self.g.get(si, INF)
-            rhs_start = self.rhs.get(si, INF)
+            g_start = self.g[si]
+            rhs_start = self.rhs[si]
             top = self._peek()
             if top is None:
                 break
@@ -655,13 +716,13 @@ class EagerReplanState(ReplanState):
             if not (key < start_key or rhs_start != g_start):
                 break
             heapq.heappop(self._heap)
-            self._key_of.pop(i, None)
+            self._key_of[i] = None
             fresh = self._calc_key(i)
             if key < fresh:
                 self._push(i, fresh)
                 continue
-            if self.g.get(i, INF) > self.rhs.get(i, INF):
-                self.g[i] = self.rhs.get(i, INF)
+            if self.g[i] > self.rhs[i]:
+                self.g[i] = self.rhs[i]
             else:
                 self.g[i] = INF
                 self._update_vertex(costs, i)

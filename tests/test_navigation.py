@@ -23,6 +23,7 @@ from oracles import (
     inflation_oracle,
     reference_connected,
     reference_dynamic_fold,
+    reference_plan_global,
 )
 from semnav import navigation
 from semnav.geometry import Point2, Pose2
@@ -626,6 +627,36 @@ def test_plan_global_deterministic_cell_sequence():
     assert first == second
 
 
+def test_plan_global_matches_the_reference_a_star():
+    # plan_global keeps its search state in lists over the padded index, the
+    # reference in the dicts and sets it had before: the same path, not
+    # merely the same cost, shows that ties still pop in (f, h, index)
+    # order. Dynamic cells sit on top, and an endpoint may be blocked or
+    # off the map.
+    rng = random.Random(2002)
+    found = refused = 0
+    for width, height in [(16, 16)] * 80 + list(NON_SQUARE) * 25:
+        rate = rng.choice([0.1, 0.2])
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=rate)
+        for _ in range(rng.randint(0, 8)):
+            dmap.dynamic[rng.randrange(width), rng.randrange(height)] = 10**9
+        ends = pick_free_cells(rng, dmap)
+        for k in range(2):
+            kind = rng.random()
+            if kind < 0.1:
+                ends[k] = rng.choice([(-1, 0), (width, height - 1), (0, height), (width - 1, -1)])
+            elif kind < 0.2:
+                ends[k] = (rng.randrange(width), rng.randrange(height))
+        start, goal = ends
+        expected = reference_plan_global(dmap, start, goal)
+        assert plan_global(dmap, start, goal) == expected, (width, height, start, goal)
+        if expected is None:
+            refused += not (dmap.traversable(*start) and dmap.traversable(*goal))
+        else:
+            found += 1
+    assert found > 100 and refused > 20
+
+
 def test_planned_path_avoids_blocked_cells():
     rng = random.Random(31)
     for _ in range(10):
@@ -695,10 +726,15 @@ def test_repair_updates_each_touched_vertex_once(monkeypatch):
         for col, row in changed - {(40, 40)}
         for dc in (-1, 0, 1)
         for dr in (-1, 0, 1)
-        if dmap.in_bounds(col + dc, row + dr)
     }
-    # the repair's own pass comes first, in index order; the search follows
+    # the repair's own pass comes first, in index order, cells of the LETHAL
+    # border included; the search follows
     assert updated[: len(touched)] == sorted(dmap.index(cell) for cell in touched)
+    # updating a border cell leaves it unknown and unqueued
+    border = [dmap.index(cell) for cell in touched if not dmap.in_bounds(*cell)]
+    assert border
+    for i in border:
+        assert rs.g[i] == rs.rhs[i] == INF and rs._key_of[i] is None
 
 
 def toggle_cells(rng, dmap, count):
@@ -753,11 +789,12 @@ def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
                 for dr in (-1, 0, 1)
             }
             costs = dmap.snapshot()
-            for i, rhs in rs.rhs.items():
+            assert len(rs.rhs) == len(costs)
+            for i, rhs in enumerate(rs.rhs):
                 if i == dmap.index(goal) or i in not_due:
                     continue
                 moves = navigation._moves(costs, dmap.stride, i)
-                assert rhs == min((rs.g.get(j, INF) + step for j, step in moves), default=INF), (
+                assert rhs == min((rs.g[j] + step for j, step in moves), default=INF), (
                     f"trial {trial}, cell {dmap.cell(i)}"
                 )
 
@@ -787,13 +824,43 @@ def test_replan_matches_the_eager_replanner_state_for_state():
             calls += 1
             if navigation._connected(dmap, start, goal):
                 connected += 1
-                for mine, theirs in ((rs.g, eager.g), (rs.rhs, eager.rhs)):
-                    for i in mine.keys() | theirs.keys():
-                        assert mine.get(i, INF) == theirs.get(i, INF), (
-                            f"trial {trial}, cell {dmap.cell(i)}"
-                        )
+                assert rs.g == eager.g, f"trial {trial}"
+                assert rs.rhs == eager.rhs, f"trial {trial}"
     # both kinds of call are exercised
     assert 0 < connected < calls
+
+
+def test_live_queue_keys_match_the_octile_formula():
+    # Each live _key_of entry is its vertex's key as it was queued,
+    # (min(g, rhs) + octile(start, cell) + km, min(g, rhs)), with the start
+    # and km of that moment and min(g, rhs) as it is now. A moved start
+    # leaves an entry queued before the move at its old key until it is
+    # popped, where D*-Lite re-keys it, so it may match an earlier start.
+    rng = random.Random(2718)
+    current = earlier = 0
+    for trial, (width, height) in enumerate([(16, 16)] * 40 + list(NON_SQUARE) * 15):
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
+        start, goal = pick_free_cells(rng, dmap)
+        rs = ReplanState(dmap, start, goal)
+        path = rs.extract_path()
+        history = [(rs.start, rs.km)]
+        for _ in range(rng.randint(2, 6)):
+            if path is not None and len(path) > 2:
+                start = path[1]  # the robot moves one step along its path
+            changed = toggle_cells(rng, dmap, rng.randint(1, 25))
+            path = replan_incremental(rs, changed, new_start=start)
+            history.append((rs.start, rs.km))
+            for i, key in enumerate(rs._key_of):
+                if key is None:
+                    continue
+                m = min(rs.g[i], rs.rhs[i])
+                assert m < INF, f"trial {trial}, cell {dmap.cell(i)}"
+                keys = [(m + octile(s, dmap.cell(i)) + km, m) for s, km in history]
+                assert key in keys, f"trial {trial}, cell {dmap.cell(i)}"
+                current += key == keys[-1]
+                earlier += key != keys[-1]
+    # both fresh and stale entries are checked
+    assert current > 1000 and earlier > 100
 
 
 @st.composite
@@ -876,7 +943,7 @@ def test_replan_skips_search_while_start_is_cut_off():
     dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (11, 4)
     rs = ReplanState(dmap, start, goal)
-    g_before = dict(rs.g)
+    g_before = list(rs.g)
     # wall the start in, and at the same time block the straight route
     # everywhere but a gap in the top row
     fence = {(1, 4), (0, 3), (0, 5)}
@@ -900,7 +967,7 @@ def test_initial_search_skipped_while_start_is_cut_off():
     for row in range(8):
         dmap.dynamic[(4, row)] = 10**9
     rs = ReplanState(dmap, (0, 4), (7, 4))
-    assert rs.g == {} and rs.extract_path() is None
+    assert all(g == INF for g in rs.g) and rs.extract_path() is None
     del dmap.dynamic[(4, 6)]
     path = replan_incremental(rs, {(4, 6)})
     fresh = plan_global(dmap, (0, 4), (7, 4))
@@ -910,7 +977,7 @@ def test_initial_search_skipped_while_start_is_cut_off():
 def test_replan_skips_search_when_goal_is_blocked():
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 4), (7, 4))
-    g_before = dict(rs.g)
+    g_before = list(rs.g)
     dmap.dynamic[(7, 4)] = 10**9
     assert replan_incremental(rs, {(7, 4)}) is None
     assert rs.g == g_before

@@ -47,11 +47,16 @@ gate, _connected, splits each row's traversable cells into runs and joins,
 by union-find, every two runs in adjacent rows that share a column. A run
 is connected within itself, and a 4-connected path passes from one run to
 another only where two such runs share a column, so two cells share a root
-exactly when they share a component. The search itself does work in
-proportion to what changed: an expansion relaxes each predecessor's rhs in
-O(1) (the moves rule is symmetric, so _moves lists them), rescans one only
-when its minimum ran through a vertex whose g rose, and pushes no heap
-entry a vertex already holds.
+exactly when they share a component. Of those neighbourhoods a repair
+updates only the vertices a search has reached: it skips one with g == rhs
+== INF that is blocked or has no finite g among its eight neighbours, since
+its rhs, the minimum of g + step over its moves, would come out INF again,
+and a consistent vertex already holds no queue entry. The search itself
+does work in proportion to what changed: an expansion relaxes each
+predecessor's rhs in O(1) (the moves rule is symmetric, so _moves lists
+them), rescans one only when its minimum ran through a vertex whose g rose,
+and pushes no heap entry a vertex already holds; it queues each neighbour
+with the key formula written out, not through the queue helpers.
 
 Searches run on a padded flat index. The map keeps its static costs once
 more as a row-major Python list framed by a LETHAL border, so cell
@@ -372,6 +377,12 @@ class ReplanState:
     minimum over its moves before each expansion, so this matches a full
     rescan bit for bit.
 
+    A vertex with g == rhs holds no live queue key: every write to g or rhs
+    is followed by the vertex's queue update, which clears the key of a
+    consistent vertex. So a repair may skip a touched vertex with g == rhs
+    == INF that is blocked or has no finite g around it: an update would set
+    its rhs to INF and clear a key it does not hold, changing nothing.
+
     g, rhs and the queue's current keys (_key_of, None for a vertex with no
     live heap entry) are lists over the map's padded flat index, sized to
     the snapshot; g and rhs hold exact int costs, INF when unknown. Each
@@ -481,6 +492,10 @@ class ReplanState:
         cardinal = (1, -1, stride, -stride)
         si = self.dmap.index(self.start)
         g, rhs, goal = self.g, self.rhs, self._goal_index
+        # for the neighbours' queue half, written out below
+        key_of, heap, push = self._key_of, self._heap, heapq.heappush
+        straight_h, diag_h, km = self._straight, self._diag, self.km
+        start_row, start_col = self._start_key
         while True:
             g_start = g[si]
             rhs_start = rhs[si]
@@ -505,22 +520,40 @@ class ReplanState:
                 straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
             g_old = g[i]
             rhs_i = rhs[i]
-            if g_old > rhs_i:
+            falling = g_old > rhs_i
+            if falling:
                 g[i] = rhs_i
-                for j, _ in moves:
-                    if j != goal:
-                        through = rhs_i + (straight if j - i in cardinal else diag)
-                        if through < rhs[j]:
-                            rhs[j] = through
-                    self._queue(j)
             else:
                 g[i] = INF
                 self._update_vertex(costs, i)
-                for j, _ in moves:
-                    if rhs[j] == g_old + (straight if j - i in cardinal else diag):
-                        self._update_vertex(costs, j)
-                    else:
-                        self._queue(j)
+            for j, _ in moves:
+                step = straight if j - i in cardinal else diag
+                if falling:
+                    through = rhs_i + step
+                    if j != goal and through < rhs[j]:
+                        rhs[j] = through
+                elif rhs[j] == g_old + step:
+                    self._update_vertex(costs, j)
+                    continue
+                # _queue(j) with _calc_key's formula: g[j] != rhs[j] makes
+                # the smaller of the two finite
+                m, r = g[j], rhs[j]
+                if m == r:
+                    key_of[j] = None
+                    continue
+                if r < m:
+                    m = r
+                row, col = divmod(j, stride)
+                dr = abs(row - start_row)
+                dc = abs(col - start_col)
+                if dc < dr:
+                    k1 = m + straight_h[dr - dc] + diag_h[dc] + km
+                else:
+                    k1 = m + straight_h[dc - dr] + diag_h[dr] + km
+                key = (k1, m)
+                if key_of[j] != key:
+                    key_of[j] = key
+                    push(heap, (k1, m, j))
 
     def extract_path(self) -> list[tuple[int, int]] | None:
         return self._extract(self.dmap.snapshot())
@@ -614,7 +647,9 @@ def replan_incremental(
     once, in index order, on its own snapshot, then searches. That gives the
     rhs values an update on every call would: a vertex's rhs reads only its
     own block, a later change in that block puts it in a later block too,
-    and g does not change while no search runs.
+    and g does not change while no search runs. Of those cells it skips the
+    ones an update would leave as they are (see ReplanState): g == rhs ==
+    INF, and blocked or with no finite g around them.
     """
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
@@ -631,8 +666,8 @@ def replan_incremental(
         return None
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride
-    # a block's border cells are updated too: on the LETHAL border that
-    # leaves g, rhs and the queue as they were
+    # a block's cells on the LETHAL border are in the set too; the skip
+    # below tests costs[i] first, so it reads no neighbour of one
     touched = {
         (row + dr + 1) * stride + col + dc + 1
         for col, row in rs._set_aside
@@ -640,7 +675,17 @@ def replan_incremental(
         for dc, dr in _NEIGHBOURHOOD
     }
     rs._set_aside.clear()
+    g, rhs = rs.g, rs.rhs
     for i in sorted(touched):
+        # an update would leave this vertex at rhs INF with no queue entry,
+        # as it is (see ReplanState)
+        if rhs[i] == INF and g[i] == INF and (
+            costs[i] >= UNKNOWN_COST
+            or INF == g[i + 1] == g[i - 1] == g[i + stride] == g[i - stride]
+            == g[i + stride + 1] == g[i + stride - 1]
+            == g[i - stride + 1] == g[i - stride - 1]
+        ):
+            continue
         rs._update_vertex(costs, i)
     rs._compute(costs)
     return rs._extract(costs)

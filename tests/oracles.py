@@ -2,11 +2,14 @@
 
 Everything here is deliberately written the straightforward, slow way —
 plain lists, exhaustive scans, fixpoint loops — and shares no code with the
-package beyond its public data types. The two exceptions are the eager
+package beyond its public data types. The exceptions are the eager
 replanner, which keeps the package's search bookkeeping and redoes only the
-rhs updates the package does incrementally, and the reference A*, the
+rhs updates the package does incrementally; the reference A*, the
 package's earlier dict-based plan_global kept verbatim on the package's
-moves rule, which guards plan_global's tie order.
+moves rule, which guards plan_global's tie order; and the reference repair,
+the package's earlier replan_incremental and ReplanState._compute kept
+verbatim, which update every touched vertex and queue each neighbour through
+the queue helpers, and guard the replanner's state and heap entry for entry.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from semnav.navigation import (
     DrivingMap,
     PathCost,
     ReplanState,
+    _connected,
     _moves,
     decode,
     octile,
@@ -760,5 +764,111 @@ def eager_replan_incremental(
     grid = [[dmap.composite(col, row) for col in range(width)] for row in range(height)]
     if not reference_connected(grid, rs.start, rs.goal):
         return None
+    rs._compute(costs)
+    return rs._extract(costs)
+
+
+# --- reference repair ----------------------------------------------------------
+
+# The package's repair skips touched vertices an update would leave as they
+# are, and its search writes each neighbour's queue update out inline. This
+# is the form before either: every state, queue key and heap entry must
+# stay the same.
+
+class ReferenceReplanState(ReplanState):
+    """ReplanState with the search that queues each neighbour through
+    _queue, _calc_key and _push."""
+
+    def _compute(self, costs: list[int]) -> None:
+        stride = self.dmap.stride
+        cardinal = (1, -1, stride, -stride)
+        si = self.dmap.index(self.start)
+        g, rhs, goal = self.g, self.rhs, self._goal_index
+        while True:
+            g_start = g[si]
+            rhs_start = rhs[si]
+            top = self._peek()
+            if top is None:
+                break
+            key, i = top
+            start_key = self._calc_key(si)
+            if not (key < start_key or rhs_start != g_start):
+                break
+            heapq.heappop(self._heap)
+            self._key_of[i] = None
+            fresh = self._calc_key(i)
+            if key < fresh:
+                self._push(i, fresh)
+                continue
+            # i's predecessors are its moves (see the class docstring); the
+            # step from one into i costs STRAIGHT or DIAG of costs[i], and a
+            # blocked i has none
+            moves = _moves(costs, stride, i)
+            if moves:
+                straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
+            g_old = g[i]
+            rhs_i = rhs[i]
+            if g_old > rhs_i:
+                g[i] = rhs_i
+                for j, _ in moves:
+                    if j != goal:
+                        through = rhs_i + (straight if j - i in cardinal else diag)
+                        if through < rhs[j]:
+                            rhs[j] = through
+                    self._queue(j)
+            else:
+                g[i] = INF
+                self._update_vertex(costs, i)
+                for j, _ in moves:
+                    if rhs[j] == g_old + (straight if j - i in cardinal else diag):
+                        self._update_vertex(costs, j)
+                    else:
+                        self._queue(j)
+
+
+def reference_replan_incremental(
+    rs: ReplanState,
+    changed_cells: set[tuple[int, int]],
+    new_start: tuple[int, int] | None = None,
+) -> list[tuple[int, int]] | None:
+    """Repair the search after costmap changes (and optionally a moved
+    start), then extract the current optimal path.
+
+    While start and goal are disconnected the changed cells are set aside
+    on the state and None is returned at once, with no vertex updated and
+    no search run: there is no path to find, and a repair would only drain
+    the goal's component. The first call that finds them connected updates
+    each in-bounds cell of the 3 x 3 blocks of every cell set aside so far
+    once, in index order, on its own snapshot, then searches. That gives the
+    rhs values an update on every call would: a vertex's rhs reads only its
+    own block, a later change in that block puts it in a later block too,
+    and g does not change while no search runs.
+    """
+    dmap = rs.dmap
+    if new_start is not None and new_start != rs.start:
+        if not dmap.in_bounds(*new_start):
+            raise ValueError("new start must lie inside the map")
+        km = rs.km + octile(rs.start, new_start)
+        if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
+            raise ValueError("the start has moved too far for exact path costs")
+        rs.km = km
+        rs._start_key = divmod(dmap.index(new_start), dmap.stride)
+        rs.start = new_start
+    rs._set_aside |= changed_cells
+    if not _connected(dmap, rs.start, rs.goal):
+        return None
+    costs = dmap.snapshot()
+    width, height, stride = dmap.width, dmap.height, dmap.stride
+    # a block's border cells are updated too: on the LETHAL border that
+    # leaves g, rhs and the queue as they were
+    touched = {
+        (row + dr + 1) * stride + col + dc + 1
+        for col, row in rs._set_aside
+        if 0 <= col < width and 0 <= row < height
+        for dc, dr in _NEIGHBOURHOOD
+    }
+    rs._set_aside.clear()
+    for i in sorted(touched):
+        rs._update_vertex(costs, i)
     rs._compute(costs)
     return rs._extract(costs)

@@ -4,6 +4,7 @@ uniform-cost search, and incremental replanning against fresh plans."""
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EagerReplanState,
+    ReferenceReplanState,
     cmp_sqrt2,
     decimal_cmp_sqrt2,
     dijkstra_pair_cost,
@@ -24,6 +26,7 @@ from oracles import (
     reference_connected,
     reference_dynamic_fold,
     reference_plan_global,
+    reference_replan_incremental,
 )
 from semnav import navigation
 from semnav.geometry import Point2, Pose2
@@ -707,19 +710,34 @@ def test_far_away_block_keeps_cost():
 
 
 def test_repair_updates_each_touched_vertex_once(monkeypatch):
+    # The search reaches only the corridor along row 10: g is finite on it
+    # and rhs on rows 9 and 11. (8, 11) is blocked while the state is built
+    # and reopened by the repair, so it has g == rhs == INF next to a finite
+    # g; (14, 10) is blocked on the path.
     dmap = DrivingMap(open_map(20, 20, 1.0), robot_radius=0.8)
+    dmap.dynamic[(8, 11)] = 10_000
     rs = ReplanState(dmap, (0, 10), (19, 10))
-    changed = {(0, 0), (1, 0), (5, 5), (6, 6), (40, 40)}  # (40, 40) lies off the map
-    for cell in changed - {(40, 40)}:
+    del dmap.dynamic[(8, 11)]
+    # (40, 40) lies off the map
+    changed = {(0, 0), (1, 0), (5, 5), (6, 6), (8, 11), (14, 10), (40, 40)}
+    for cell in changed - {(8, 11), (40, 40)}:
         dmap.dynamic[cell] = 10_000
+    costs = dmap.snapshot()
+    before = copy.deepcopy(rs)
     updated = []
     original = ReplanState._update_vertex
+    search = ReplanState._compute
 
     def recording(self, costs, i):
         updated.append(i)
         original(self, costs, i)
 
+    def searching(self, costs):
+        updated.append("search")
+        search(self, costs)
+
     monkeypatch.setattr(ReplanState, "_update_vertex", recording)
+    monkeypatch.setattr(ReplanState, "_compute", searching)
     replan_incremental(rs, changed)
     touched = {
         (col + dc, row + dr)
@@ -727,13 +745,44 @@ def test_repair_updates_each_touched_vertex_once(monkeypatch):
         for dc in (-1, 0, 1)
         for dr in (-1, 0, 1)
     }
-    # the repair's own pass comes first, in index order, cells of the LETHAL
-    # border included; the search follows
-    assert updated[: len(touched)] == sorted(dmap.index(cell) for cell in touched)
-    # updating a border cell leaves it unknown and unqueued
+
+    def kept(i):
+        # skipped: g == rhs == INF, and blocked or with no finite g around
+        col, row = dmap.cell(i)
+        return before.g[i] < INF or before.rhs[i] < INF or (
+            costs[i] < UNKNOWN_COST
+            and any(
+                before.g[dmap.index((col + dc, row + dr))] < INF
+                for dc in (-1, 0, 1)
+                for dr in (-1, 0, 1)
+            )
+        )
+
+    order = sorted(dmap.index(cell) for cell in touched)
+    # the repair's own pass comes first, in index order, and updates exactly
+    # the touched vertices the rule keeps; the search follows
+    assert updated[: updated.index("search")] == [i for i in order if kept(i)]
+    skipped = [i for i in order if not kept(i)]
+    # every kind of vertex is exercised: kept for a finite g, for a finite
+    # rhs, and for a finite g around it; skipped blocked and open
+    assert any(before.g[i] < INF for i in order if kept(i))
+    assert any(before.g[i] == INF and before.rhs[i] < INF for i in order if kept(i))
+    assert dmap.index((8, 11)) in order and kept(dmap.index((8, 11)))
+    assert any(costs[i] >= UNKNOWN_COST for i in skipped)
+    assert any(costs[i] < UNKNOWN_COST for i in skipped)
+    # a skipped update would have changed nothing: forced on a copy of the
+    # state the pass saw, each leaves g, rhs, the queue keys and the heap
+    forced = copy.deepcopy(before)
+    for i in skipped:
+        original(forced, costs, i)
+        assert forced.g == before.g and forced.rhs == before.rhs, dmap.cell(i)
+        assert forced._key_of == before._key_of and forced._heap == before._heap, dmap.cell(i)
+    # cells of the LETHAL border are touched, skipped, and stay unknown and
+    # unqueued
     border = [dmap.index(cell) for cell in touched if not dmap.in_bounds(*cell)]
     assert border
     for i in border:
+        assert i in skipped
         assert rs.g[i] == rs.rhs[i] == INF and rs._key_of[i] is None
 
 
@@ -828,6 +877,104 @@ def test_replan_matches_the_eager_replanner_state_for_state():
                 assert rs.rhs == eager.rhs, f"trial {trial}"
     # both kinds of call are exercised
     assert 0 < connected < calls
+
+
+def toggle_rim_cells(rng, dmap, count):
+    """toggle_cells, plus one to four cells on the map's edges and corners,
+    whose 3 x 3 blocks reach the LETHAL border."""
+    right, top = dmap.width - 1, dmap.height - 1
+    rim = [
+        (0, 0), (right, 0), (0, top), (right, top),
+        (rng.randint(0, right), 0), (rng.randint(0, right), top),
+        (0, rng.randint(0, top)), (right, rng.randint(0, top)),
+    ]
+    changed = toggle_cells(rng, dmap, count)
+    for cell in rng.sample(rim, rng.randint(1, 4)):
+        if cell in changed:
+            continue
+        if cell in dmap.dynamic:
+            del dmap.dynamic[cell]
+        else:
+            dmap.dynamic[cell] = 10**9
+        changed.add(cell)
+    return changed
+
+
+def repair_trials(seed):
+    """Random repair trials on 16 x 16 and NON_SQUARE maps, the start moving
+    along the path and toggles reaching every edge and corner. Runs the
+    package's replanner and the reference side by side, yielding
+    (trial, rs, ref, path, ref_path, connected) after each construction and
+    each repair."""
+    rng = random.Random(seed)
+    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
+        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
+        start, goal = pick_free_cells(rng, dmap)
+        rs = ReplanState(dmap, start, goal)
+        ref = ReferenceReplanState(dmap, start, goal)
+        path = rs.extract_path()
+        yield trial, rs, ref, path, ref.extract_path(), navigation._connected(dmap, start, goal)
+        for _ in range(rng.randint(2, 6)):
+            if path is not None and len(path) > 2:
+                start = path[1]  # the robot moves one step along its path
+            changed = toggle_rim_cells(rng, dmap, rng.randint(1, 25))
+            path = replan_incremental(rs, changed, new_start=start)
+            ref_path = reference_replan_incremental(ref, changed, new_start=start)
+            yield trial, rs, ref, path, ref_path, navigation._connected(dmap, start, goal)
+
+
+def test_repair_matches_the_reference_repair_entry_for_entry():
+    # The repair skips touched vertices with g == rhs == INF that are blocked
+    # or have no finite g around them, and the search queues neighbours
+    # inline; the reference does neither. Every path, g, rhs, queue key and
+    # heap entry must agree after every call.
+    calls = connected = 0
+    for trial, rs, ref, path, ref_path, joined in repair_trials(8128):
+        assert path == ref_path, f"trial {trial}"
+        assert rs.g == ref.g, f"trial {trial}"
+        assert rs.rhs == ref.rhs, f"trial {trial}"
+        assert rs._key_of == ref._key_of, f"trial {trial}"
+        assert rs._heap == ref._heap, f"trial {trial}"
+        calls += 1
+        connected += joined
+    # both kinds of call are exercised
+    assert 100 < connected < calls
+
+
+def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
+    # With the start on the goal the search settles the goal alone, so a
+    # neighbour blocked while the state is built keeps g == rhs == INF and,
+    # once reopened, has exactly one finite g around it: the goal, in each
+    # of the eight directions in turn. The skip must not drop it.
+    goal = (2, 2)
+    for dc, dr in navigation._NEIGHBOURHOOD[1:]:
+        cell = (goal[0] + dc, goal[1] + dr)
+        dmap = DrivingMap(open_map(5, 5, 1.0), robot_radius=0.4)
+        dmap.dynamic[cell] = 10**9
+        rs = ReplanState(dmap, goal, goal)
+        ref = ReferenceReplanState(dmap, goal, goal)
+        assert [i for i, g in enumerate(rs.g) if g < INF] == [dmap.index(goal)]
+        assert rs.rhs[dmap.index(cell)] == INF
+        del dmap.dynamic[cell]
+        assert replan_incremental(rs, {cell}) == reference_replan_incremental(ref, {cell}) == [goal]
+        step = DIAG[0] if dc and dr else STRAIGHT[0]
+        assert rs.rhs[dmap.index(cell)] == step, cell
+        assert rs.g == ref.g and rs.rhs == ref.rhs, cell
+        assert rs._key_of == ref._key_of and rs._heap == ref._heap, cell
+
+
+def test_consistent_vertices_hold_no_live_key():
+    # The repair's skip leaves a touched vertex with g == rhs == INF as it
+    # is, which is exact only if such a vertex holds no live queue key:
+    # after every construction and repair, g[i] == rhs[i] means no key.
+    checked = 0
+    for trial, rs, _, _, _, _ in repair_trials(8128):
+        for i, key in enumerate(rs._key_of):
+            if rs.g[i] == rs.rhs[i]:
+                assert key is None, f"trial {trial}, cell {rs.dmap.cell(i)}"
+            else:
+                checked += key is not None
+    assert checked > 1000
 
 
 def test_live_queue_keys_match_the_octile_formula():

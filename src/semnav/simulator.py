@@ -22,13 +22,15 @@ import functools
 import hashlib
 import math
 import random
+import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Point2, Pose2, normalize_angle
 from .learning import Detection
-from .mapgen import SensorSpec
+from .mapgen import Lidar2dSpec, SensorSpec
 from .navigation import RobotState
 from .world import WorldDescription
 
@@ -134,6 +136,23 @@ class Walls:
         return self._crossings(ox, oy, dx, dy, segments, _MIN_HIT).min(axis=0, initial=np.inf)
 
 
+class WallRanges(NamedTuple):
+    """What lidar_scan computed last from the walls alone: the pose (its
+    floats' bits) and lidar spec it was computed for, the beams' angles from
+    the heading, and, as read-only arrays, the beams' world-frame directions
+    and each beam's nearest wall distance (inf where it meets none)."""
+
+    pose_bits: bytes
+    lidar: Lidar2dSpec
+    angles: tuple[float, ...]
+    cos: np.ndarray
+    sin: np.ndarray
+    walls: np.ndarray
+
+
+_pose_bits = struct.Struct("3d").pack  # (x, y, heading) -> 24 bytes
+
+
 @dataclass
 class WorldState:
     world: WorldDescription
@@ -149,6 +168,7 @@ class WorldState:
     noise_sigma: float = 0.0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     trace: list[str] = field(default_factory=list)
+    wall_ranges: WallRanges | None = None  # the last scan's, reused at the same pose
 
 
 def _trace_record(ws: WorldState, v: float, omega: float) -> str:
@@ -316,21 +336,32 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
 
     The wall minimum is taken over the walls within range, from the values
     the per-beam minimum of Walls.ray_hits would take, so it is the same
-    float. The noise is drawn in one block (_gauss_block) that reproduces
-    the per-beam random.gauss calls bit for bit, generator state included.
+    float. It is a function of the pose's floats and the spec alone (the
+    walls never change), so a scan from the bit-identical pose with an
+    equal spec reuses the last scan's (ws.wall_ranges); the actors and the
+    noise are folded in afresh on every call. The noise is drawn in one
+    block (_gauss_block) that reproduces the per-beam random.gauss calls bit
+    for bit, generator state included.
     """
     lidar = spec.lidar2d
     if lidar is None:
         raise ValueError("sensor spec has no 2D lidar")
     pose = ws.robot.pose
-    rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
-    absolute = rel_array + pose.heading
-    dx = np.cos(absolute)
-    dy = np.sin(absolute)
-    # beams within a quarter turn of the heading meet nothing behind it
-    facing = pose.heading if lidar.fov <= math.pi else None
-    nearby = ws.walls.within(pose.x, pose.y, lidar.range_m, facing)
-    best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy, nearby)
+    bits = _pose_bits(pose.x, pose.y, pose.heading)
+    memo = ws.wall_ranges
+    if memo is None or memo.pose_bits != bits or memo.lidar != lidar:
+        rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
+        absolute = rel_array + pose.heading
+        dx = np.cos(absolute)
+        dy = np.sin(absolute)
+        # beams within a quarter turn of the heading meet nothing behind it
+        facing = pose.heading if lidar.fov <= math.pi else None
+        nearby = ws.walls.within(pose.x, pose.y, lidar.range_m, facing)
+        best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy, nearby)
+        for array in (dx, dy, best):
+            array.flags.writeable = False
+        memo = ws.wall_ranges = WallRanges(bits, lidar, rel, dx, dy, best)
+    rel, dx, dy, best = memo.angles, memo.cos, memo.sin, memo.walls
 
     actors = ws.world.actors
     if actors:

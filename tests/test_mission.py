@@ -561,6 +561,32 @@ def test_semantic_frames_are_taken_only_at_action_boundaries(monkeypatch):
     )
 
 
+def test_demo_recomputes_wall_ranges_only_where_the_robot_moved(monkeypatch):
+    # lidar_scan reuses the last scan's wall ranges at a bit-identical pose:
+    # on the demo the robot stands still for 35 of its 143 scans.
+    import semnav.mission as mission_module
+    from semnav.simulator import Walls
+
+    poses, recomputed = [], []
+    scan, nearest_hits = mission_module.lidar_scan, Walls.nearest_hits
+
+    def scan_spy(ws, spec):
+        pose = ws.robot.pose
+        poses.append(np.array((pose.x, pose.y, pose.heading)).tobytes())
+        return scan(ws, spec)
+
+    def nearest_hits_spy(self, *args):
+        recomputed.append(poses[-1])
+        return nearest_hits(self, *args)
+
+    monkeypatch.setattr(mission_module, "lidar_scan", scan_spy)
+    monkeypatch.setattr(Walls, "nearest_hits", nearest_hits_spy)
+    execute_mission(load_scenario(DEMO_SCENARIO))
+    moved = [pose for i, pose in enumerate(poses) if i == 0 or pose != poses[i - 1]]
+    assert recomputed == moved
+    assert (len(poses), len(recomputed)) == (143, 108)
+
+
 def test_report_json_is_canonical(demo_run):
     text = report_to_json(demo_run.report)
     assert text.endswith("\n")

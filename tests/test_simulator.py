@@ -3,6 +3,7 @@ semantic occlusion against an explicit crossing check, and trace hashing."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from semnav.geometry import Footprint, Point2, Pose2
 from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
+from semnav.navigation import RobotState
 from semnav.simulator import (
+    Walls,
     _gauss_block,
     lidar_scan,
     make_world_state,
@@ -438,6 +441,115 @@ def test_lidar_ranges_and_noise_stream_equal_the_per_actor_reference():
             step(got, 0.1, (0.5, 0.4))
             step(ref, 0.1, (0.5, 0.4))
     assert culled > len(cases) // 2 and empty >= 8
+
+
+def bits(values) -> bytes:
+    if isinstance(values, Pose2):
+        values = (values.x, values.y, values.heading)
+    return np.array(values, dtype=float).tobytes()
+
+
+def cold_scan(ws, spec):
+    """A scan of a deep copy of ws with its stored wall ranges dropped, and
+    the copy, whose generator it advanced."""
+    cold = copy.deepcopy(ws)
+    cold.wall_ranges = None
+    return lidar_scan(cold, spec), cold
+
+
+def test_scan_at_a_repeated_pose_equals_a_cold_scan():
+    # A zero command leaves the robot where it was and moves the actors: the
+    # second scan reuses the stored wall ranges, and must equal a scan that
+    # recomputes them, bit for bit, generator state included.
+    rng = random.Random(5151)
+    reused = noisy = 0
+    for trial in range(120):
+        world, spec, seed, sigma = random_lidar_case(rng)
+        ws = make_world_state(world, seed=seed, noise_sigma=sigma)
+        lidar_scan(ws, spec)
+        for _ in range(3):
+            memo = ws.wall_ranges
+            pose = ws.robot.pose
+            step(ws, 0.1, (0.0, 0.0))
+            expected, cold = cold_scan(ws, spec)
+            got = lidar_scan(ws, spec)
+            if bits(ws.robot.pose) == bits(pose):
+                assert ws.wall_ranges is memo, trial
+                reused += 1
+                noisy += sigma > 0.0
+            assert bits(got.ranges) == bits(expected.ranges), trial
+            assert got.angles == expected.angles and got.pose == expected.pose, trial
+            assert ws.rng.getstate() == cold.rng.getstate(), trial
+    assert reused >= 300 and noisy >= 100
+
+
+def test_actors_that_moved_appear_in_a_reused_scan():
+    actor = ActorScript("p", "person", footprint_radius=0.5, speed=1.0,
+                        waypoints=(Point2(4.0, 1.0), Point2(4.0, 3.0)))
+    ws = make_world_state(tiny_world([wall("w", 8, -5, 8.2, 5)], actors=[actor]))
+    ref = make_world_state(tiny_world([wall("w", 8, -5, 8.2, 5)], actors=[actor]))
+    assert lidar_scan(ws, LIDAR).ranges[1] == pytest.approx(2.5, abs=1e-12)
+    memo = ws.wall_ranges
+    for world_state in (ws, ref):
+        step(world_state, 1.0, (0.0, 0.0))  # the actor walks off the beam
+    scan = lidar_scan(ws, LIDAR)
+    assert ws.wall_ranges is memo
+    assert scan.ranges == reference_lidar_ranges(ref, LIDAR)
+    assert scan.ranges[1] == pytest.approx(7.0, abs=1e-12)  # the wall behind it
+
+
+def nudged(pose, field):
+    x, y, heading = pose.x, pose.y, pose.heading
+    if field == "x":
+        return Pose2(math.nextafter(x, math.inf), y, heading)
+    if field == "y":
+        return Pose2(x, math.nextafter(y, -math.inf), heading)
+    if field == "heading":
+        return Pose2(x, y, heading + 1e-12)  # Pose2 wraps it, keeping about 4e-16
+    # "sign": 0.0 against -0.0, which Pose2's wrap would turn back into 0.0
+    flipped = Pose2(x, y, heading)
+    object.__setattr__(flipped, "heading", -heading)
+    return flipped
+
+
+@pytest.mark.parametrize("change", ["x", "y", "heading", "sign", "spec", "same"])
+def test_wall_ranges_are_recomputed_when_the_pose_or_the_spec_changes(change, monkeypatch):
+    calls = []
+    original = Walls.nearest_hits
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        return original(self, *args)
+
+    monkeypatch.setattr(Walls, "nearest_hits", counted)
+    world = tiny_world([wall("w", 3, -2, 3.2, 2), wall("v", -1, 2, 3, 2.2)],
+                       spawn=Pose2(1.0, 1.0, 0.0))
+    ws = make_world_state(world, seed=3, noise_sigma=0.05)
+    lidar_scan(ws, LIDAR)
+    spec = LIDAR
+    if change == "spec":
+        spec = SensorSpec(lidar2d=Lidar2dSpec(10.0, math.pi, 5))
+    elif change == "same":
+        ws.robot = RobotState(nudged(nudged(ws.robot.pose, "sign"), "sign"))  # equal floats, a new object
+    else:
+        ws.robot = RobotState(nudged(ws.robot.pose, change))
+    expected, _ = cold_scan(ws, spec)
+    calls.clear()
+    got = lidar_scan(ws, spec)
+    assert len(calls) == (change != "same")
+    assert bits(got.ranges) == bits(expected.ranges)
+    assert ws.wall_ranges.pose_bits == bits(ws.robot.pose)
+    assert ws.wall_ranges.lidar == spec.lidar2d
+
+
+def test_stored_wall_ranges_are_read_only():
+    ws = make_world_state(tiny_world([wall("w", 3, 0, 3.2, 2)]))
+    lidar_scan(ws, LIDAR)
+    memo = ws.wall_ranges
+    for array in (memo.cos, memo.sin, memo.walls):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_lidar_noise_is_seeded_and_bounded():

@@ -614,7 +614,7 @@ class MissionEngine:
             changed: set[tuple[int, int]] = set()
             if has_lidar:
                 scan = lidar_scan(ws, scenario.sensor_spec)
-                changed = dmap.update_dynamic_layer(scan, ws.robot.pose, ws.tick)
+                changed = dmap.update_dynamic_layer(scan, ws.tick)
             if changed:
                 pending |= changed
                 # The driven path is kept while its remaining stretch stays

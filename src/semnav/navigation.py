@@ -210,21 +210,23 @@ class DrivingMap(GridFrame):
 
     # -- dynamic layer --
 
-    def update_dynamic_layer(self, scan, pose: Pose2, tick: int) -> set[tuple[int, int]]:
-        """Fold a lidar scan into the dynamic layer and age out old entries.
+    def update_dynamic_layer(self, scan, tick: int) -> set[tuple[int, int]]:
+        """Fold a lidar scan (a simulator.LidarScan, taken at scan.pose) into
+        the dynamic layer and age out old entries.
 
         Every hit lands as cost 254 with expiry tick + DEFAULT_TTL unless the
         cell is already static-lethal; hit cells are found for all beams at
-        once and folded in beam order. Returns the cells whose composite cost
-        differs from before the call. A non-finite hit point short of
-        range_max raises ValueError before anything changes.
+        once, from the scan's direction and range arrays, and folded in beam
+        order. Returns the cells whose composite cost differs from before
+        the call. A non-finite hit point short of range_max raises
+        ValueError before anything changes.
         """
-        ranges = np.asarray(scan.ranges, dtype=float)
-        heading = pose.heading + np.asarray(scan.angles, dtype=float)
+        pose = scan.pose
+        ranges = scan.range_array
         near = ~(ranges >= scan.range_max - 1e-9)  # a NaN range stays in, and fails below
         dist = ranges[near]
-        hx = pose.x + dist * np.cos(heading[near])
-        hy = pose.y + dist * np.sin(heading[near])
+        hx = pose.x + dist * scan.cos[near]
+        hy = pose.y + dist * scan.sin[near]
         if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
             raise ValueError("non-finite lidar hit point")
         col = np.floor((hx - self.origin.x) / self.resolution)

@@ -44,6 +44,21 @@ class LidarScan:
     range_max: float
     angles: tuple[float, ...]  # beam angles relative to pose.heading
     ranges: tuple[float, ...]
+    # the same beams as read-only arrays, which the costmap fold reads: the
+    # cos and sin of pose.heading + angle, and the ranges
+    cos: np.ndarray = field(repr=False, compare=False)
+    sin: np.ndarray = field(repr=False, compare=False)
+    range_array: np.ndarray = field(repr=False, compare=False)
+
+    @classmethod
+    def of(cls, tick: int, pose: Pose2, range_max: float, angles: tuple[float, ...],
+           cos: np.ndarray, sin: np.ndarray, ranges: np.ndarray) -> LidarScan:
+        """A scan whose beams have the given angles, world-frame directions
+        (cos, sin) and ranges; the arrays are made read-only, and the ranges
+        are kept as a tuple too."""
+        for array in (cos, sin, ranges):
+            array.flags.writeable = False
+        return cls(tick, pose, range_max, angles, tuple(ranges.tolist()), cos, sin, ranges)
 
     @property
     def beam_count(self) -> int:
@@ -382,13 +397,7 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         # one draw per beam, in beam order, from the mission's one generator
         noise = _gauss_block(ws.rng, ranges.size, ws.noise_sigma)
         ranges = np.minimum(lidar.range_m, np.maximum(_MIN_HIT, ranges + noise))
-    return LidarScan(
-        tick=ws.tick,
-        pose=pose,
-        range_max=lidar.range_m,
-        angles=rel,
-        ranges=tuple(ranges.tolist()),
-    )
+    return LidarScan.of(ws.tick, pose, lidar.range_m, rel, dx, dy, ranges)
 
 
 def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:

@@ -5,9 +5,10 @@ uniform-cost search, and incremental replanning against fresh plans."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import random
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
 from semnav import navigation
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, UNKNOWN, MetricLayer
+from semnav.mission import data_dir, execute_mission, load_scenario
 from semnav.navigation import (
     DEFAULT_TTL,
     DIAG,
@@ -54,7 +56,7 @@ from semnav.navigation import (
     plan_global,
     replan_incremental,
 )
-from semnav.simulator import make_world_state, step
+from semnav.simulator import LidarScan, make_world_state, step
 from semnav.world import WorldDescription
 
 
@@ -87,11 +89,11 @@ def composite_grid(dmap):
     ]
 
 
-@dataclass
-class FakeScan:
-    angles: tuple
-    ranges: tuple
-    range_max: float
+def beam_scan(angles, ranges, range_max, pose, tick=0):
+    """A scan of the given beams from pose, built as lidar_scan builds one."""
+    absolute = np.array(angles, dtype=float) + pose.heading
+    return LidarScan.of(tick, pose, range_max, tuple(angles), np.cos(absolute),
+                        np.sin(absolute), np.array(ranges, dtype=float))
 
 
 def scan_hitting(points, pose, range_max=10.0):
@@ -100,7 +102,7 @@ def scan_hitting(points, pose, range_max=10.0):
     for p in points:
         angles.append(math.atan2(p.y - pose.y, p.x - pose.x) - pose.heading)
         ranges.append(pose.position.distance_to(p))
-    return FakeScan(tuple(angles), tuple(ranges), range_max)
+    return beam_scan(angles, ranges, range_max, pose)
 
 
 # --- exact cost algebra ---
@@ -291,14 +293,14 @@ def test_dynamic_hit_expires_after_ttl():
     dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = scan_hitting([Point2(4.5, 0.5)], pose)
-    changed = dmap.update_dynamic_layer(scan, pose, tick=0)
+    changed = dmap.update_dynamic_layer(scan, tick=0)
     assert changed == {(4, 0)}
     assert dmap.composite(4, 0) == LETHAL
-    empty = FakeScan((), (), 10.0)
+    empty = beam_scan((), (), 10.0, pose)
     for tick in range(1, DEFAULT_TTL):
-        assert dmap.update_dynamic_layer(empty, pose, tick) == set()
+        assert dmap.update_dynamic_layer(empty, tick) == set()
         assert dmap.composite(4, 0) == LETHAL
-    assert dmap.update_dynamic_layer(empty, pose, DEFAULT_TTL) == {(4, 0)}
+    assert dmap.update_dynamic_layer(empty, DEFAULT_TTL) == {(4, 0)}
     assert dmap.composite(4, 0) == 0
 
 
@@ -306,12 +308,12 @@ def test_reobservation_refreshes_expiry():
     dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = scan_hitting([Point2(4.5, 0.5)], pose)
-    dmap.update_dynamic_layer(scan, pose, tick=0)
-    assert dmap.update_dynamic_layer(scan, pose, tick=10) == set()  # refresh, no change
-    empty = FakeScan((), (), 10.0)
+    dmap.update_dynamic_layer(scan, tick=0)
+    assert dmap.update_dynamic_layer(scan, tick=10) == set()  # refresh, no change
+    empty = beam_scan((), (), 10.0, pose)
     # expiry moved from DEFAULT_TTL to 10 + DEFAULT_TTL
-    assert dmap.update_dynamic_layer(empty, pose, DEFAULT_TTL) == set()
-    assert dmap.update_dynamic_layer(empty, pose, 10 + DEFAULT_TTL) == {(4, 0)}
+    assert dmap.update_dynamic_layer(empty, DEFAULT_TTL) == set()
+    assert dmap.update_dynamic_layer(empty, 10 + DEFAULT_TTL) == {(4, 0)}
 
 
 def test_hits_on_static_walls_change_nothing():
@@ -319,15 +321,15 @@ def test_hits_on_static_walls_change_nothing():
     dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5)
     pose = Pose2(0.5, 1.5, 0.0)
     scan = scan_hitting([Point2(2.5, 1.5)], pose)
-    assert dmap.update_dynamic_layer(scan, pose, tick=0) == set()
+    assert dmap.update_dynamic_layer(scan, tick=0) == set()
     assert dmap.dynamic == {}
 
 
 def test_max_range_beams_do_not_mark_cells():
     dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
     pose = Pose2(0.5, 0.5, 0.0)
-    scan = FakeScan((0.0, 0.3), (10.0, 10.0), 10.0)
-    assert dmap.update_dynamic_layer(scan, pose, tick=0) == set()
+    scan = beam_scan((0.0, 0.3), (10.0, 10.0), 10.0, pose)
+    assert dmap.update_dynamic_layer(scan, tick=0) == set()
 
 
 def test_dynamic_layer_matches_full_recompute_oracle():
@@ -347,7 +349,7 @@ def test_dynamic_layer_matches_full_recompute_oracle():
             for _ in range(rng.randint(0, 3))
         ]
         scan = scan_hitting(points, pose, range_max=40.0)
-        changed = dmap.update_dynamic_layer(scan, pose, tick)
+        changed = dmap.update_dynamic_layer(scan, tick)
         # oracle: recompute the whole composite from the observation history
         for p in points:
             cell = (int(p.x), int(p.y))
@@ -419,7 +421,7 @@ def fold_cases(draw):
                     [cut, range_max, math.nextafter(cut, 0.0), math.inf])))
             else:
                 ranges.append(draw(st.floats(0.0, 1.5 * range_max)))
-        frames.append((tick, pose, FakeScan(tuple(angles), tuple(ranges), range_max)))
+        frames.append((tick, pose, beam_scan(angles, ranges, range_max, pose)))
     return metric, frames
 
 
@@ -434,7 +436,7 @@ def test_dynamic_fold_matches_per_beam_reference(case):
         expected = reference_dynamic_fold(
             static, reference, metric.origin, metric.resolution, DEFAULT_TTL, scan, pose, tick
         )
-        assert dmap.update_dynamic_layer(scan, pose, tick) == expected, tick
+        assert dmap.update_dynamic_layer(scan, tick) == expected, tick
         # insertion order too: the snapshot and connectivity walk the dict
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
 
@@ -445,12 +447,12 @@ def test_dynamic_fold_edge_cases_match_reference():
     static = dmap.static.tolist()
     pose = Pose2(0.5, 1.5, 0.0)
     cut = 10.0 - 1e-9
-    empty = FakeScan((), (), 10.0)
+    empty = beam_scan((), (), 10.0, pose)
     # beams: a free cell, static-lethal (2, 1), exactly at the cut, off the
     # grid ahead and behind, and (0, 2) above
-    full = FakeScan((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2),
-                    (1.0, 2.0, cut, 7.0, 3.0, 1.0), 10.0)
-    above = FakeScan((math.pi / 2,), (1.0,), 10.0)
+    full = beam_scan((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2),
+                     (1.0, 2.0, cut, 7.0, 3.0, 1.0), 10.0, pose)
+    above = beam_scan((math.pi / 2,), (1.0,), 10.0, pose)
     ttl = DEFAULT_TTL
     frames = [(0, empty, set()), (1, full, {(1, 1), (0, 2)}), (2, above, set()),
               (ttl, empty, set()), (ttl + 1, empty, {(1, 1)}), (ttl + 2, empty, {(0, 2)}),
@@ -460,8 +462,42 @@ def test_dynamic_fold_edge_cases_match_reference():
         assert reference_dynamic_fold(
             static, reference, Point2(0.0, 0.0), 1.0, ttl, scan, pose, tick
         ) == changed
-        assert dmap.update_dynamic_layer(scan, pose, tick) == changed, tick
+        assert dmap.update_dynamic_layer(scan, tick) == changed, tick
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
+
+
+MISSIONS = {
+    "demo": data_dir() / "demo.scenario",
+    "noisy": Path(__file__).resolve().parents[1] / "missionbench" / "scenarios" / "noisy.scenario",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSIONS))
+def test_dynamic_fold_of_mission_scans_matches_per_beam_reference(name, monkeypatch):
+    # The first 60 ticks of a mission: each lidar scan, read through its
+    # arrays, folds as the per-beam reference folds its angle and range
+    # tuples, and leaves the dynamic dict in the same order.
+    scenario = dataclasses.replace(load_scenario(MISSIONS[name]), max_ticks=60)
+    fold = DrivingMap.update_dynamic_layer
+    reference: dict[tuple[int, int], int] = {}
+    changes = []
+
+    def checked(dmap, scan, tick):
+        expected = reference_dynamic_fold(
+            dmap.static.tolist(), reference, dmap.origin, dmap.resolution, DEFAULT_TTL,
+            scan, scan.pose, tick,
+        )
+        changed = fold(dmap, scan, tick)
+        assert changed == expected, tick
+        assert list(dmap.dynamic.items()) == list(reference.items()), tick
+        changes.append((tick, len(changed)))
+        return changed
+
+    monkeypatch.setattr(DrivingMap, "update_dynamic_layer", checked)
+    execute_mission(scenario)
+    # a scan per tick, two on a tick where one leg ends and the next begins
+    assert {tick for tick, _ in changes} == set(range(60))
+    assert sum(count for _, count in changes) > 0
 
 
 @pytest.mark.parametrize(
@@ -473,7 +509,7 @@ def test_non_finite_beam_raises_and_changes_nothing(angles, ranges):
     # a silent skip would hide a sensor fault
     dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
     with pytest.raises(ValueError):
-        dmap.update_dynamic_layer(FakeScan(angles, ranges, 10.0), Pose2(0.5, 0.5, 0.0), tick=0)
+        dmap.update_dynamic_layer(beam_scan(angles, ranges, 10.0, Pose2(0.5, 0.5, 0.0)), tick=0)
     assert dmap.dynamic == {}
 
 

@@ -53,10 +53,9 @@ updates only the vertices a search has reached: it skips one with g == rhs
 its rhs, the minimum of g + step over its moves, would come out INF again,
 and a consistent vertex already holds no queue entry. The search itself
 does work in proportion to what changed: an expansion relaxes each
-predecessor's rhs in O(1) (the moves rule is symmetric, so _moves lists
-them), rescans one only when its minimum ran through a vertex whose g rose,
-and pushes no heap entry a vertex already holds; it queues each neighbour
-with the key formula written out, not through the queue helpers.
+predecessor's rhs in O(1) (the moves rule is symmetric, so a vertex's
+moves are its predecessors), rescans one only when its minimum ran through
+a vertex whose g rose, and pushes no heap entry a vertex already holds.
 
 Searches run on a padded flat index. The map keeps its static costs once
 more as a row-major Python list framed by a LETHAL border, so cell
@@ -64,11 +63,15 @@ more as a row-major Python list framed by a LETHAL border, so cell
 and the index is monotone in row-major order, so it breaks heap ties
 exactly as the row-major cell order does. Each search entry point
 (plan_global, ReplanState, replan_incremental, extract_path) takes one
-snapshot, a copy of that list with the dynamic cells overlaid, and expands
-neighbours on it with one helper, _moves; cells become (col, row) pairs
-only at the API boundary. The hottest caller, the replanner's vertex
-update, scans the same rule inline without building a list, and its keys
-take the start's padded (row, col), kept on the state. Per-search state
+snapshot, a copy of that list with the dynamic cells overlaid; cells
+become (col, row) pairs only at the API boundary. Every expansion scans
+the moves rule inline, from one table of neighbour offsets per search
+(_move_offsets), and takes the octile heuristic from two step tables per
+search (_octile_steps) against the goal's or the start's padded
+(row, col): no expansion or push calls a helper or builds a move list,
+and the replanner writes its key formula out wherever it queues a vertex.
+The start's own key needs no heuristic: it is (min(g, rhs) + km,
+min(g, rhs)). Per-search state
 (A*'s g, parent and closed marks; the replanner's g, rhs and queue keys)
 is lists over the padded index too, allocated whole when the search
 starts: each search holds two or three grid-sized lists beside its
@@ -267,33 +270,20 @@ def _near_squared_distances(lethal: np.ndarray, k: int) -> np.ndarray:
     return d2
 
 
-def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
-    """Every legal move out of cell i of a padded snapshot, as (index, exact
-    cost of the move), cardinals first, then diagonals: none when i itself
-    is blocked, and a diagonal only past two open cardinal cells. The LETHAL
-    border makes bounds checks unnecessary."""
-    if costs[i] >= UNKNOWN_COST:
-        return []
-    moves = []
-    east, west, north, south = i + 1, i - 1, i + stride, i - stride
-    e = costs[east] < UNKNOWN_COST
-    w = costs[west] < UNKNOWN_COST
-    n = costs[north] < UNKNOWN_COST
-    s = costs[south] < UNKNOWN_COST
-    if e:
-        moves.append((east, STRAIGHT[costs[east]]))
-    if w:
-        moves.append((west, STRAIGHT[costs[west]]))
-    if n:
-        moves.append((north, STRAIGHT[costs[north]]))
-    if s:
-        moves.append((south, STRAIGHT[costs[south]]))
-    for ok, j in (
-        (e and n, north + 1), (e and s, south + 1), (w and n, north - 1), (w and s, south - 1)
-    ):
-        if ok and costs[j] < UNKNOWN_COST:
-            moves.append((j, DIAG[costs[j]]))
-    return moves
+def _move_offsets(stride: int) -> tuple[tuple[int, int, int, bool], ...]:
+    """The moves rule on a padded snapshot of the given stride, as (offset
+    to the neighbour, the two offsets that must be open for the move, is
+    diagonal): E, W, N, S, then NE, SE, NW, SW. A cardinal move needs only
+    its own cell open, so both its offsets are its own; a diagonal needs
+    the two cardinal cells beside it too. A blocked cell has no moves, and
+    the LETHAL border makes bounds checks unnecessary. Each search takes
+    the table once and scans it inline for every expansion."""
+    north, south = stride, -stride
+    return (
+        (1, 1, 1, False), (-1, -1, -1, False), (north, north, north, False),
+        (south, south, south, False), (north + 1, 1, north, True), (south + 1, 1, south, True),
+        (north - 1, -1, north, True), (south - 1, -1, south, True),
+    )
 
 
 def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
@@ -334,10 +324,11 @@ def plan_global(
     g[si] = 0
     parent = [0] * len(costs)
     closed = bytearray(len(costs))
-    # octile() from the goal's padded (row, col): the padding offsets cancel
-    goal_rc = divmod(gi, stride)
-    h0 = octile(divmod(si, stride), goal_rc)
+    straight_h, diag_h = _octile_steps(dmap)
+    goal_row, goal_col = divmod(gi, stride)  # padded: the offsets cancel
+    h0 = octile(start, goal)
     heap: list[tuple[int, int, int]] = [(h0, h0, si)]
+    moves = _move_offsets(stride)
     while heap:
         _, _, i = heapq.heappop(heap)
         if closed[i]:
@@ -351,14 +342,30 @@ def plan_global(
             path.reverse()
             return [dmap.cell(i) for i in path], decode(g[gi])
         g_cur = g[i]
-        for j, step in _moves(costs, stride, i):
-            ng = g_cur + step
+        # every cell pushed is open, so i has its moves
+        for d, a, b, diagonal in moves:
+            j = i + d
+            c = costs[j]
+            if c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
+                continue
+            ng = g_cur + (DIAG[c] if diagonal else STRAIGHT[c])
             if ng < g[j] and not closed[j]:
                 g[j] = ng
                 parent[j] = i
-                h = octile(divmod(j, stride), goal_rc)
+                # octile(), from the step tables
+                row, col = divmod(j, stride)
+                dr, dc = abs(row - goal_row), abs(col - goal_col)
+                h = straight_h[dr - dc] + diag_h[dc] if dc < dr else straight_h[dc - dr] + diag_h[dr]
                 heapq.heappush(heap, (ng + h, h, j))
     return None
+
+
+def _octile_steps(dmap: DrivingMap) -> tuple[list[int], list[int]]:
+    """The octile distance's straight and diagonal parts by step count, up
+    to the map's larger side: octile() is straight[hi - lo] + diag[lo] for
+    the larger and smaller of the row and column distances."""
+    reach = range(max(dmap.width, dmap.height) + 2)
+    return [n * STRAIGHT[0] for n in reach], [n * DIAG[0] for n in reach]
 
 
 class ReplanState:
@@ -371,8 +378,8 @@ class ReplanState:
     goal are disconnected no search runs, here or in a repair, and a
     repair's changed cells wait in a set until they are connected again.
 
-    An expansion of vertex i changes only g[i]. Since j is in _moves(i)
-    exactly when i is in _moves(j), with the step j -> i costing STRAIGHT
+    An expansion of vertex i changes only g[i]. Since j is a move of i
+    exactly when i is a move of j, with the step j -> i costing STRAIGHT
     or DIAG of costs[i], a falling g[i] lowers each predecessor's rhs to at
     most g[i] + step, and a rising g[i] rescans only a predecessor whose rhs
     equalled the old g[i] + step. Costs are exact ints and every rhs is the
@@ -406,52 +413,23 @@ class ReplanState:
         self.rhs[self._goal_index] = 0
         self._heap: list[tuple[int | float, int | float, int]] = []
         self._key_of: list[tuple[int | float, int | float] | None] = [None] * size
-        # the octile heuristic's straight and diagonal parts, by step count
-        reach = range(max(dmap.width, dmap.height) + 2)
-        self._straight = [n * STRAIGHT[0] for n in reach]
-        self._diag = [n * DIAG[0] for n in reach]
+        self._straight, self._diag = _octile_steps(dmap)
         self._set_aside: set[tuple[int, int]] = set()  # changed while disconnected
-        self._push(self._goal_index, self._calc_key(self._goal_index))
+        # the goal's key: rhs 0 plus the heuristic from the start
+        key = (octile(start, goal), 0)
+        self._key_of[self._goal_index] = key
+        self._heap.append((*key, self._goal_index))
         if _connected(dmap, start, goal):
             self._compute(dmap.snapshot())
 
-    # -- queue helpers --
-
-    def _calc_key(self, i: int) -> tuple[int | float, int | float]:
-        m = self.g[i]
-        r = self.rhs[i]
-        if r < m:
-            m = r
-        if m == INF:
-            return (INF, INF)
-        # octile() from the start, whose padded (row, col) is kept
-        row, col = divmod(i, self.dmap.stride)
-        dr = abs(row - self._start_key[0])
-        dc = abs(col - self._start_key[1])
-        if dc < dr:
-            return (m + self._straight[dr - dc] + self._diag[dc] + self.km, m)
-        return (m + self._straight[dc - dr] + self._diag[dr] + self.km, m)
-
-    def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
-        self._key_of[i] = key
-        heapq.heappush(self._heap, (key[0], key[1], i))
-
-    def _peek(self) -> tuple[tuple[int | float, int | float], int] | None:
-        while self._heap:
-            k1, k2, i = self._heap[0]
-            if self._key_of[i] == (k1, k2):
-                return (k1, k2), i
-            heapq.heappop(self._heap)  # stale or removed entry
-        return None
-
     def _update_vertex(self, costs: list[int], i: int) -> None:
+        g, rhs = self.g, self.rhs
+        stride = self.dmap.stride
         if i != self._goal_index:
-            # the minimum of g[j] + step over _moves(costs, stride, i), with
-            # the same rule scanned inline rather than built as a list
+            # the minimum of g[j] + step over i's moves, the rule scanned
+            # inline with each diagonal after the cardinals it needs
             best = INF
             if costs[i] < UNKNOWN_COST:
-                g = self.g
-                stride = self.dmap.stride
                 north, south = i + stride, i - stride
                 ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
                 e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
@@ -475,51 +453,58 @@ class ReplanState:
                         cand = g[j - 1] + DIAG[costs[j - 1]]
                         if cand < best:
                             best = cand
-            self.rhs[i] = best
-        self._queue(i)
-
-    def _queue(self, i: int) -> None:
-        """The queue half of a vertex update: an inconsistent vertex holds
-        one entry at its current key (an equal key is already in the heap,
-        so it is not pushed again), a consistent one none."""
-        if self.g[i] != self.rhs[i]:
-            key = self._calc_key(i)
-            if self._key_of[i] != key:
-                self._push(i, key)
-        else:
+            rhs[i] = best
+        # the queue half: an inconsistent vertex holds one entry at its
+        # current key (an equal key is already in the heap, so it is not
+        # pushed again), a consistent one none
+        m, r = g[i], rhs[i]
+        if m == r:
             self._key_of[i] = None
+            return
+        if r < m:
+            m = r
+        row, col = divmod(i, stride)
+        dr, dc = abs(row - self._start_key[0]), abs(col - self._start_key[1])
+        if dc < dr:
+            k1 = m + self._straight[dr - dc] + self._diag[dc] + self.km
+        else:
+            k1 = m + self._straight[dc - dr] + self._diag[dr] + self.km
+        if self._key_of[i] != (k1, m):
+            self._key_of[i] = (k1, m)
+            heapq.heappush(self._heap, (k1, m, i))
 
     def _compute(self, costs: list[int]) -> None:
         stride = self.dmap.stride
-        cardinal = (1, -1, stride, -stride)
         si = self.dmap.index(self.start)
         g, rhs, goal = self.g, self.rhs, self._goal_index
-        # for the neighbours' queue half, written out below
-        key_of, heap, push = self._key_of, self._heap, heapq.heappush
+        key_of, heap, push, pop = self._key_of, self._heap, heapq.heappush, heapq.heappop
         straight_h, diag_h, km = self._straight, self._diag, self.km
         start_row, start_col = self._start_key
+        moves = _move_offsets(stride)
         while True:
-            g_start = g[si]
-            rhs_start = rhs[si]
-            top = self._peek()
-            if top is None:
+            # the top live entry: stale and removed ones are dropped
+            while heap:
+                k1, k2, i = heap[0]
+                if key_of[i] == (k1, k2):
+                    break
+                pop(heap)
+            else:
                 break
-            key, i = top
-            start_key = self._calc_key(si)
-            if not (key < start_key or rhs_start != g_start):
+            # the start's key, whose heuristic is 0
+            m = rhs[si] if rhs[si] < g[si] else g[si]
+            if not ((k1, k2) < (m + km, m) or rhs[si] != g[si]):
                 break
-            heapq.heappop(self._heap)
-            self._key_of[i] = None
-            fresh = self._calc_key(i)
-            if key < fresh:
-                self._push(i, fresh)
+            pop(heap)
+            key_of[i] = None
+            # i's key as it is now; an outdated entry goes back at it
+            m = rhs[i] if rhs[i] < g[i] else g[i]
+            row, col = divmod(i, stride)
+            dr, dc = abs(row - start_row), abs(col - start_col)
+            h = straight_h[dr - dc] + diag_h[dc] if dc < dr else straight_h[dc - dr] + diag_h[dr]
+            if (k1, k2) < (m + h + km, m):
+                key_of[i] = (m + h + km, m)
+                push(heap, (m + h + km, m, i))
                 continue
-            # i's predecessors are its moves (see the class docstring); the
-            # step from one into i costs STRAIGHT or DIAG of costs[i], and a
-            # blocked i has none
-            moves = _moves(costs, stride, i)
-            if moves:
-                straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
             g_old = g[i]
             rhs_i = rhs[i]
             falling = g_old > rhs_i
@@ -528,8 +513,17 @@ class ReplanState:
             else:
                 g[i] = INF
                 self._update_vertex(costs, i)
-            for j, _ in moves:
-                step = straight if j - i in cardinal else diag
+            # i's predecessors are its moves (see the class docstring); the
+            # step from one into i costs STRAIGHT or DIAG of costs[i], and a
+            # blocked i has none
+            if costs[i] >= UNKNOWN_COST:
+                continue
+            straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
+            for d, a, b, diagonal in moves:
+                j = i + d
+                if costs[j] >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
+                    continue
+                step = diag if diagonal else straight
                 if falling:
                     through = rhs_i + step
                     if j != goal and through < rhs[j]:
@@ -537,7 +531,7 @@ class ReplanState:
                 elif rhs[j] == g_old + step:
                     self._update_vertex(costs, j)
                     continue
-                # _queue(j) with _calc_key's formula: g[j] != rhs[j] makes
+                # j's queue half, as in _update_vertex: g[j] != rhs[j] makes
                 # the smaller of the two finite
                 m, r = g[j], rhs[j]
                 if m == r:
@@ -546,15 +540,13 @@ class ReplanState:
                 if r < m:
                     m = r
                 row, col = divmod(j, stride)
-                dr = abs(row - start_row)
-                dc = abs(col - start_col)
+                dr, dc = abs(row - start_row), abs(col - start_col)
                 if dc < dr:
                     k1 = m + straight_h[dr - dc] + diag_h[dc] + km
                 else:
                     k1 = m + straight_h[dc - dr] + diag_h[dr] + km
-                key = (k1, m)
-                if key_of[j] != key:
-                    key_of[j] = key
+                if key_of[j] != (k1, m):
+                    key_of[j] = (k1, m)
                     push(heap, (k1, m, j))
 
     def extract_path(self) -> list[tuple[int, int]] | None:
@@ -562,19 +554,26 @@ class ReplanState:
 
     def _extract(self, costs: list[int]) -> list[tuple[int, int]] | None:
         dmap = self.dmap
+        g = self.g
         i = dmap.index(self.start)
         if costs[i] >= UNKNOWN_COST or self.rhs[i] == INF:
             return None
         path = [i]
         limit = dmap.width * dmap.height
+        moves = _move_offsets(dmap.stride)
         while i != self._goal_index:
             best = None
             best_through = INF
-            for j, step in _moves(costs, dmap.stride, i):
-                g_next = self.g[j]
+            # i is open: the start is checked above, and each later i is a move
+            for d, a, b, diagonal in moves:
+                j = i + d
+                c = costs[j]
+                if c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
+                    continue
+                g_next = g[j]
                 if g_next == INF:
                     continue
-                through = g_next + step
+                through = g_next + (DIAG[c] if diagonal else STRAIGHT[c])
                 # ties go to the lower (row-major) index
                 if best is None or through < best_through or (
                     through == best_through and j < best

@@ -33,7 +33,6 @@ from semnav.navigation import (
     PathCost,
     ReplanState,
     _connected,
-    _moves,
     decode,
     octile,
 )
@@ -602,6 +601,118 @@ def inflation_oracle(lethal_cells, width, height, radius_cells):
     return out
 
 
+# --- the package's search helpers, as they stood ------------------------------
+
+# The package's searches now scan the moves rule and compute their keys
+# inline. The references below keep the helpers they were written with,
+# copied verbatim from the package.
+
+def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
+    """Every legal move out of cell i of a padded snapshot, as (index, exact
+    cost of the move), cardinals first, then diagonals: none when i itself
+    is blocked, and a diagonal only past two open cardinal cells. The LETHAL
+    border makes bounds checks unnecessary."""
+    if costs[i] >= UNKNOWN_COST:
+        return []
+    moves = []
+    east, west, north, south = i + 1, i - 1, i + stride, i - stride
+    e = costs[east] < UNKNOWN_COST
+    w = costs[west] < UNKNOWN_COST
+    n = costs[north] < UNKNOWN_COST
+    s = costs[south] < UNKNOWN_COST
+    if e:
+        moves.append((east, STRAIGHT[costs[east]]))
+    if w:
+        moves.append((west, STRAIGHT[costs[west]]))
+    if n:
+        moves.append((north, STRAIGHT[costs[north]]))
+    if s:
+        moves.append((south, STRAIGHT[costs[south]]))
+    for ok, j in (
+        (e and n, north + 1), (e and s, south + 1), (w and n, north - 1), (w and s, south - 1)
+    ):
+        if ok and costs[j] < UNKNOWN_COST:
+            moves.append((j, DIAG[costs[j]]))
+    return moves
+
+
+class QueueHelpers:
+    """ReplanState's queue helpers: the key formula, the push, the peek past
+    stale entries, and the vertex update with its queue half."""
+
+    def _calc_key(self, i: int) -> tuple[int | float, int | float]:
+        m = self.g[i]
+        r = self.rhs[i]
+        if r < m:
+            m = r
+        if m == INF:
+            return (INF, INF)
+        # octile() from the start, whose padded (row, col) is kept
+        row, col = divmod(i, self.dmap.stride)
+        dr = abs(row - self._start_key[0])
+        dc = abs(col - self._start_key[1])
+        if dc < dr:
+            return (m + self._straight[dr - dc] + self._diag[dc] + self.km, m)
+        return (m + self._straight[dc - dr] + self._diag[dr] + self.km, m)
+
+    def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
+        self._key_of[i] = key
+        heapq.heappush(self._heap, (key[0], key[1], i))
+
+    def _peek(self) -> tuple[tuple[int | float, int | float], int] | None:
+        while self._heap:
+            k1, k2, i = self._heap[0]
+            if self._key_of[i] == (k1, k2):
+                return (k1, k2), i
+            heapq.heappop(self._heap)  # stale or removed entry
+        return None
+
+    def _update_vertex(self, costs: list[int], i: int) -> None:
+        if i != self._goal_index:
+            # the minimum of g[j] + step over _moves(costs, stride, i), with
+            # the same rule scanned inline rather than built as a list
+            best = INF
+            if costs[i] < UNKNOWN_COST:
+                g = self.g
+                stride = self.dmap.stride
+                north, south = i + stride, i - stride
+                ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
+                e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
+                if e:
+                    best = g[i + 1] + STRAIGHT[ce]
+                if w:
+                    cand = g[i - 1] + STRAIGHT[cw]
+                    if cand < best:
+                        best = cand
+                for j, c in ((north, cn), (south, cs)):
+                    if c >= UNKNOWN_COST:
+                        continue
+                    cand = g[j] + STRAIGHT[c]
+                    if cand < best:
+                        best = cand
+                    if e and costs[j + 1] < UNKNOWN_COST:
+                        cand = g[j + 1] + DIAG[costs[j + 1]]
+                        if cand < best:
+                            best = cand
+                    if w and costs[j - 1] < UNKNOWN_COST:
+                        cand = g[j - 1] + DIAG[costs[j - 1]]
+                        if cand < best:
+                            best = cand
+            self.rhs[i] = best
+        self._queue(i)
+
+    def _queue(self, i: int) -> None:
+        """The queue half of a vertex update: an inconsistent vertex holds
+        one entry at its current key (an equal key is already in the heap,
+        so it is not pushed again), a consistent one none."""
+        if self.g[i] != self.rhs[i]:
+            key = self._calc_key(i)
+            if self._key_of[i] != key:
+                self._push(i, key)
+        else:
+            self._key_of[i] = None
+
+
 # --- reference A* ----------------------------------------------------------
 
 def _octile(stride: int, i: int, j: int) -> int:
@@ -666,7 +777,7 @@ def reference_plan_global(
 # it rescans every successor of every predecessor and updates every changed
 # cell's block on every call.
 
-class EagerReplanState(ReplanState):
+class EagerReplanState(QueueHelpers, ReplanState):
     """ReplanState with a full rhs rescan for every neighbour of every
     expanded vertex."""
 
@@ -775,7 +886,7 @@ def eager_replan_incremental(
 # is the form before either: every state, queue key and heap entry must
 # stay the same.
 
-class ReferenceReplanState(ReplanState):
+class ReferenceReplanState(QueueHelpers, ReplanState):
     """ReplanState with the search that queues each neighbour through
     _queue, _calc_key and _push."""
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     EagerReplanState,
     ReferenceReplanState,
+    _moves,
     cmp_sqrt2,
     decimal_cmp_sqrt2,
     dijkstra_pair_cost,
@@ -878,7 +879,7 @@ def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
             for i, rhs in enumerate(rs.rhs):
                 if i == dmap.index(goal) or i in not_due:
                     continue
-                moves = navigation._moves(costs, dmap.stride, i)
+                moves = _moves(costs, dmap.stride, i)
                 assert rhs == min((rs.g[j] + step for j, step in moves), default=INF), (
                     f"trial {trial}, cell {dmap.cell(i)}"
                 )
@@ -1077,7 +1078,7 @@ def test_moves_rule_is_symmetric(snapshot):
     # STRAIGHT or DIAG of costs[i] by direction.
     costs, stride, width, height = snapshot
     interior = [(row + 1) * stride + col + 1 for row in range(height) for col in range(width)]
-    moves = {i: dict(navigation._moves(costs, stride, i)) for i in interior}
+    moves = {i: dict(_moves(costs, stride, i)) for i in interior}
     for i in interior:
         for j in moves[i]:
             assert j in moves, "a move leaves the interior"

@@ -355,7 +355,10 @@ def plan_global(
                 # octile(), from the step tables
                 row, col = divmod(j, stride)
                 dr, dc = abs(row - goal_row), abs(col - goal_col)
-                h = straight_h[dr - dc] + diag_h[dc] if dc < dr else straight_h[dc - dr] + diag_h[dr]
+                if dc < dr:
+                    h = straight_h[dr - dc] + diag_h[dc]
+                else:
+                    h = straight_h[dc - dr] + diag_h[dr]
                 heapq.heappush(heap, (ng + h, h, j))
     return None
 
@@ -500,10 +503,13 @@ class ReplanState:
             m = rhs[i] if rhs[i] < g[i] else g[i]
             row, col = divmod(i, stride)
             dr, dc = abs(row - start_row), abs(col - start_col)
-            h = straight_h[dr - dc] + diag_h[dc] if dc < dr else straight_h[dc - dr] + diag_h[dr]
-            if (k1, k2) < (m + h + km, m):
-                key_of[i] = (m + h + km, m)
-                push(heap, (m + h + km, m, i))
+            if dc < dr:
+                fresh = m + straight_h[dr - dc] + diag_h[dc] + km
+            else:
+                fresh = m + straight_h[dc - dr] + diag_h[dr] + km
+            if (k1, k2) < (fresh, m):
+                key_of[i] = (fresh, m)
+                push(heap, (fresh, m, i))
                 continue
             g_old = g[i]
             rhs_i = rhs[i]
@@ -521,7 +527,9 @@ class ReplanState:
             straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
             for d, a, b, diagonal in moves:
                 j = i + d
-                if costs[j] >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
+                c = costs[j]
+                if (c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST
+                        or costs[i + b] >= UNKNOWN_COST):
                     continue
                 step = diag if diagonal else straight
                 if falling:
@@ -568,7 +576,8 @@ class ReplanState:
             for d, a, b, diagonal in moves:
                 j = i + d
                 c = costs[j]
-                if c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
+                if (c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST
+                        or costs[i + b] >= UNKNOWN_COST):
                     continue
                 g_next = g[j]
                 if g_next == INF:

@@ -10,10 +10,15 @@ disks return lidar echoes or occlude the semantic sensor. The static walls and
 the elements' reference points are built once per world; one ray–segment
 kernel serves the lidar, the motion clamp and, in one call per frame, every
 line of sight; the lidar and the clamp give it only the walls within their
-reach (Walls.within), which changes no result. A scan meets all actor disks
-in one array pass and clamps its noise in one more; the noise, one Gaussian
-per beam in beam order, is drawn in one block equal bit for bit to one
-random.gauss call per beam.
+reach (Walls.within), which changes no result. The walls alone fix a
+scan's per-beam wall distances for a given pose and lidar spec, so the
+world state keeps the last scan's (WorldState.wall_ranges) and a scan from
+the bit-identical pose with an equal spec reuses them, as the robot stands
+still. A scan meets all actor disks in one array pass and clamps its noise
+in one more, on every call; the noise, one Gaussian per beam in beam order,
+is drawn in one block equal bit for bit to one random.gauss call per beam.
+A LidarScan carries its beams as read-only arrays (directions and ranges)
+beside the angle and range tuples, and the costmap fold reads the arrays.
 """
 
 from __future__ import annotations
@@ -153,13 +158,12 @@ class Walls:
 
 class WallRanges(NamedTuple):
     """What lidar_scan computed last from the walls alone: the pose (its
-    floats' bits) and lidar spec it was computed for, the beams' angles from
-    the heading, and, as read-only arrays, the beams' world-frame directions
-    and each beam's nearest wall distance (inf where it meets none)."""
+    floats' bits) and lidar spec it was computed for and, as read-only
+    arrays, the beams' world-frame directions and each beam's nearest wall
+    distance (inf where it meets none)."""
 
     pose_bits: bytes
     lidar: Lidar2dSpec
-    angles: tuple[float, ...]
     cos: np.ndarray
     sin: np.ndarray
     walls: np.ndarray
@@ -183,7 +187,8 @@ class WorldState:
     noise_sigma: float = 0.0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     trace: list[str] = field(default_factory=list)
-    wall_ranges: WallRanges | None = None  # the last scan's, reused at the same pose
+    # the last scan's, reused at the same pose
+    wall_ranges: WallRanges | None = field(default=None, repr=False, compare=False)
 
 
 def _trace_record(ws: WorldState, v: float, omega: float) -> str:
@@ -362,10 +367,10 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     if lidar is None:
         raise ValueError("sensor spec has no 2D lidar")
     pose = ws.robot.pose
+    rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
     bits = _pose_bits(pose.x, pose.y, pose.heading)
     memo = ws.wall_ranges
     if memo is None or memo.pose_bits != bits or memo.lidar != lidar:
-        rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
         absolute = rel_array + pose.heading
         dx = np.cos(absolute)
         dy = np.sin(absolute)
@@ -375,8 +380,8 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         best = ws.walls.nearest_hits(pose.x, pose.y, dx, dy, nearby)
         for array in (dx, dy, best):
             array.flags.writeable = False
-        memo = ws.wall_ranges = WallRanges(bits, lidar, rel, dx, dy, best)
-    rel, dx, dy, best = memo.angles, memo.cos, memo.sin, memo.walls
+        memo = ws.wall_ranges = WallRanges(bits, lidar, dx, dy, best)
+    dx, dy, best = memo.cos, memo.sin, memo.walls
 
     actors = ws.world.actors
     if actors:

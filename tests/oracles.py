@@ -10,6 +10,9 @@ moves rule, which guards plan_global's tie order; and the reference repair,
 the package's earlier replan_incremental and ReplanState._compute kept
 verbatim, which update every touched vertex and queue each neighbour through
 the queue helpers, and guard the replanner's state and heap entry for entry.
+The package's searches now scan the moves rule and write their keys out
+inline; the helpers these references were written with, _moves and the
+queue helpers, are kept here verbatim as the package had them.
 """
 
 from __future__ import annotations
@@ -601,11 +604,7 @@ def inflation_oracle(lethal_cells, width, height, radius_cells):
     return out
 
 
-# --- the package's search helpers, as they stood ------------------------------
-
-# The package's searches now scan the moves rule and compute their keys
-# inline. The references below keep the helpers they were written with,
-# copied verbatim from the package.
+# --- the package's former search helpers -----------------------------------
 
 def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
     """Every legal move out of cell i of a padded snapshot, as (index, exact

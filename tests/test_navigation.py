@@ -1075,11 +1075,19 @@ def padded_snapshots(draw):
 def test_moves_rule_is_symmetric(snapshot):
     # The search relaxes predecessors through _moves(i): that needs j in
     # _moves(i) exactly when i is in _moves(j), and the step j -> i to cost
-    # STRAIGHT or DIAG of costs[i] by direction.
+    # STRAIGHT or DIAG of costs[i] by direction. The searches scan the rule
+    # from navigation._move_offsets, which must list the same moves in the
+    # same order.
     costs, stride, width, height = snapshot
     interior = [(row + 1) * stride + col + 1 for row in range(height) for col in range(width)]
     moves = {i: dict(_moves(costs, stride, i)) for i in interior}
     for i in interior:
+        scanned = [
+            (i + d, (DIAG if diagonal else STRAIGHT)[costs[i + d]])
+            for d, a, b, diagonal in navigation._move_offsets(stride)
+            if max(costs[i], costs[i + d], costs[i + a], costs[i + b]) < UNKNOWN_COST
+        ]
+        assert scanned == _moves(costs, stride, i)
         for j in moves[i]:
             assert j in moves, "a move leaves the interior"
             assert i in moves[j]

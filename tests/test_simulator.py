@@ -530,7 +530,8 @@ def test_wall_ranges_are_recomputed_when_the_pose_or_the_spec_changes(change, mo
     if change == "spec":
         spec = SensorSpec(lidar2d=Lidar2dSpec(10.0, math.pi, 5))
     elif change == "same":
-        ws.robot = RobotState(nudged(nudged(ws.robot.pose, "sign"), "sign"))  # equal floats, a new object
+        pose = ws.robot.pose
+        ws.robot = RobotState(Pose2(pose.x, pose.y, pose.heading))  # equal floats, a new object
     else:
         ws.robot = RobotState(nudged(ws.robot.pose, change))
     expected, _ = cold_scan(ws, spec)

@@ -153,6 +153,8 @@ class Scenario:
             raise ScenarioError("max_ticks must be > 0")
         if not 0 < self.dt < math.inf:
             raise ScenarioError("dt must be a finite number > 0")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         if not 0 <= self.noise_sigma < math.inf:
             raise ScenarioError("noise_sigma must be a finite number >= 0")
         if not 0 < self.resolution < math.inf:
@@ -498,23 +500,26 @@ class MissionEngine:
         self.distance = 0.0
         self.replans = 0
         self.learned = 0
+        # the last tick a lidar scan was folded into the costmap: a leg that
+        # starts where the last one ended does not scan that tick again
+        self._scanned_tick: int | None = None
         # the path _ahead_is_blocked last checked, and the cells its moves read
         self._path_reads: tuple[list | None, dict[tuple[int, int], int]] = (None, {})
 
     # -- helpers --
 
-    def _episode(self, kind: str, subject: str | None = None, tick: int | None = None) -> None:
+    def _episode(self, kind: str, subject: str | None = None) -> None:
         assert self.emap is not None
         if self.ws is None:
             pose = self.world.robot_spawn
-            at_tick = 0
+            tick = 0
         else:
             pose = self.ws.robot.pose
-            at_tick = self.ws.tick
+            tick = self.ws.tick
         append_episode(
             self.emap,
             EpisodeEvent(
-                tick=at_tick if tick is None else tick,
+                tick=tick,
                 kind=kind,
                 pose=pose,
                 subject=subject,
@@ -612,7 +617,8 @@ class MissionEngine:
             if ws.tick >= scenario.max_ticks:
                 return "timeout"
             changed: set[tuple[int, int]] = set()
-            if has_lidar:
+            if has_lidar and ws.tick != self._scanned_tick:
+                self._scanned_tick = ws.tick
                 scan = lidar_scan(ws, scenario.sensor_spec)
                 changed = dmap.update_dynamic_layer(scan, ws.tick)
             if changed:

@@ -16,7 +16,8 @@ world state keeps the last scan's (WorldState.wall_ranges) and a scan from
 the bit-identical pose with an equal spec reuses them, as the robot stands
 still. A scan meets all actor disks in one array pass and clamps its noise
 in one more, on every call; the noise, one Gaussian per beam in beam order,
-is drawn in one block equal bit for bit to one random.gauss call per beam.
+is one normal() call on the world state's numpy Generator, seeded from the
+scenario seed and built only when the lidar is noisy.
 A LidarScan carries its beams as read-only arrays (directions and ranges)
 beside the angle and range tuples, and the costmap fold reads the arrays.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import random
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -185,7 +185,7 @@ class WorldState:
     static_collisions: int = 0
     actor_collisions: int = 0
     noise_sigma: float = 0.0
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    rng: np.random.Generator | None = None  # the lidar noise's, when noise_sigma > 0
     trace: list[str] = field(default_factory=list)
     # the last scan's, reused at the same pose
     wall_ranges: WallRanges | None = field(default=None, repr=False, compare=False)
@@ -223,7 +223,8 @@ def make_world_state(
             a.symbol: 1 % len(a.waypoints) for a in world.actors
         },
         noise_sigma=noise_sigma,
-        rng=random.Random(seed),
+        # only a noisy lidar imports numpy.random, which adds about 2 MB of RSS
+        rng=np.random.default_rng(seed) if noise_sigma > 0.0 else None,
     )
     ws.trace.append(_trace_record(ws, 0.0, 0.0))
     return ws
@@ -321,35 +322,6 @@ def _beam_angles(fov: float, beam_count: int) -> tuple[tuple[float, ...], np.nda
     return rel, array
 
 
-def _gauss_block(rng: random.Random, n: int, sigma: float) -> np.ndarray:
-    """n draws of rng.gauss(0.0, sigma) as one array, bit for bit, leaving
-    rng in the state (rng.getstate()) those n calls would.
-
-    random.gauss is Box-Muller: each pair of uniforms (u1, u2) gives
-    cos(2*pi*u1) * g and sin(2*pi*u1) * g with g = sqrt(-2*log(1 - u2)); the
-    cosine is returned and the sine kept in rng.gauss_next for the next call.
-    So a pending gauss_next is drawn first, the uniforms come from
-    rng.random() in the same order, and with an odd remainder the last sine
-    is left pending. Products, np.sqrt (correctly rounded, like math.sqrt)
-    and np.cos/np.sin (equal to math's bit for bit, as
-    test_numpy_trig_matches_math_bitwise checks) give the scalar code's
-    floats. The logarithm stays math.log, one call per pair, because np.log
-    is not libm's: numpy 2.4's AVX-512 logarithm differs from math.log in the
-    last bit for about one uniform in 300, which would change the reports.
-    """
-    pending = [] if rng.gauss_next is None else [rng.gauss_next]
-    rng.gauss_next = None
-    random_ = rng.random
-    uniforms = [random_() for _ in range((n - len(pending) + 1) // 2 * 2)]
-    g2rad = np.sqrt(-2.0 * np.array([math.log(1.0 - u) for u in uniforms[1::2]]))
-    x2pi = np.array(uniforms[0::2]) * (2.0 * math.pi)
-    # (cos, sin) of each pair, pair after pair: the order gauss returns them
-    z = np.concatenate((pending, (np.array((np.cos(x2pi), np.sin(x2pi))) * g2rad).T.ravel()))
-    if z.size > n:
-        rng.gauss_next = float(z[n])  # the sine of an odd remainder waits
-    return 0.0 + z[:n] * sigma
-
-
 def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     """Exact per-beam minimum intersection over static footprint edges and
     actor disks, capped at range_max, plus optional Gaussian range noise.
@@ -359,9 +331,9 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     float. It is a function of the pose's floats and the spec alone (the
     walls never change), so a scan from the bit-identical pose with an
     equal spec reuses the last scan's (ws.wall_ranges); the actors and the
-    noise are folded in afresh on every call. The noise is drawn in one
-    block (_gauss_block) that reproduces the per-beam random.gauss calls bit
-    for bit, generator state included.
+    noise are folded in afresh on every call. The noise is one normal()
+    call for all beams on ws.rng, which draws what one call per beam, in
+    beam order, would.
     """
     lidar = spec.lidar2d
     if lidar is None:
@@ -400,7 +372,7 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     ranges = np.minimum(best, lidar.range_m)
     if ws.noise_sigma > 0.0:
         # one draw per beam, in beam order, from the mission's one generator
-        noise = _gauss_block(ws.rng, ranges.size, ws.noise_sigma)
+        noise = ws.rng.normal(0.0, ws.noise_sigma, ranges.size)
         ranges = np.minimum(lidar.range_m, np.maximum(_MIN_HIT, ranges + noise))
     return LidarScan.of(ws.tick, pose, lidar.range_m, rel, dx, dy, ranges)
 

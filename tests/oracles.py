@@ -481,9 +481,10 @@ def reference_dynamic_fold(static, dynamic, origin, resolution, ttl, scan, pose,
 
 def reference_lidar_ranges(ws, spec):
     """A lidar scan's ranges with one numpy pass per actor disk and the
-    noise clamped beam by beam on Python floats, drawing one ws.rng.gauss
-    per beam in beam order. The static walls come from the package's own
-    ray-segment kernel (ws.walls), which this reference does not re-derive."""
+    noise clamped beam by beam on Python floats, drawing one scalar
+    ws.rng.normal per beam in beam order. The static walls come from the
+    package's own ray-segment kernel (ws.walls), which this reference does
+    not re-derive."""
     lidar = spec.lidar2d
     pose = ws.robot.pose
     if lidar.beam_count == 1:
@@ -515,7 +516,7 @@ def reference_lidar_ranges(ws, spec):
     ranges = np.minimum(best, lidar.range_m)
     if ws.noise_sigma > 0.0:
         noisy = [
-            min(lidar.range_m, max(1e-9, r + ws.rng.gauss(0.0, ws.noise_sigma)))
+            min(lidar.range_m, max(1e-9, r + ws.rng.normal(0.0, ws.noise_sigma)))
             for r in ranges
         ]
         ranges = np.asarray(noisy)

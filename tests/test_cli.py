@@ -317,6 +317,7 @@ def test_non_utf8_input_file_is_domain_error_naming_the_file(
     "line, bad",
     [
         ("dt = 0.1", "dt = nan"),
+        ("seed = 7", "seed = -1"),  # numpy seeds the lidar noise and takes none below 0
         ("noise_sigma = 0.0", "noise_sigma = nan"),
         ("lidar.range = 6.0", "lidar.range = inf"),
         ("lidar.beams = 181", "lidar.beams = 0"),
@@ -341,6 +342,12 @@ def test_invalid_scenario_value_is_usage_error(tmp_path, capsys, line, bad):
 def test_non_finite_noise_override_is_usage_error(capsys):
     assert main(["run", DEMO_SCENARIO, "--noise-sigma", "nan"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_override_is_usage_error(capsys):
+    assert main(["run", DEMO_SCENARIO, "--seed", "-1", "--noise-sigma", "0.1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: seed must be >= 0" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two():

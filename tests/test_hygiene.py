@@ -5,6 +5,7 @@ it, and every engine name the benchmark harness hooks still exists."""
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -167,15 +168,16 @@ def test_the_cli_reaches_pipeline_stages_only_through_the_engine():
     assert (imported | read) & ENGINE_STAGES == set()
 
 
-def test_the_demo_runs_without_scipy():
-    # numpy is the one dependency: a fresh interpreter that imports the CLI
-    # and runs the demo mission in process loads no scipy module
+@functools.lru_cache(maxsize=1)
+def demo_run_modules() -> frozenset[str]:
+    """The modules a fresh interpreter holds after it imports the CLI and
+    runs the demo mission in process."""
     code = (
         "import sys\n"
         "from semnav.cli import main\n"
         "from semnav.mission import data_dir\n"
         "assert main(['run', str(data_dir() / 'demo.scenario')]) == 0\n"
-        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -185,5 +187,17 @@ def test_the_demo_runs_without_scipy():
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return frozenset(proc.stdout.splitlines()[-1].split())
+
+
+def test_the_demo_runs_without_scipy():
+    # numpy is the one dependency: the demo run loads no scipy module
+    assert {name for name in demo_run_modules() if name.partition(".")[0] == "scipy"} == set()
     assert "scipy" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def test_the_demo_runs_without_numpy_random():
+    # the noise generator is built only for a noisy lidar, and the demo's is
+    # noise-free: numpy.random and its extension modules stay unloaded
+    assert "numpy" in demo_run_modules()
+    assert {name for name in demo_run_modules() if name.startswith("numpy.random")} == set()

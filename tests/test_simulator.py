@@ -18,7 +18,6 @@ from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
 from semnav.navigation import RobotState
 from semnav.simulator import (
     Walls,
-    _gauss_block,
     lidar_scan,
     make_world_state,
     semantic_detect,
@@ -437,10 +436,15 @@ def test_lidar_ranges_and_noise_stream_equal_the_per_actor_reference():
         empty += kept == 0 < got.walls.ax.size
         for _ in range(3):
             assert lidar_scan(got, spec).ranges == reference_lidar_ranges(ref, spec), trial
-            assert got.rng.getstate() == ref.rng.getstate(), trial
+            assert rng_state(got) == rng_state(ref), trial
             step(got, 0.1, (0.5, 0.4))
             step(ref, 0.1, (0.5, 0.4))
     assert culled > len(cases) // 2 and empty >= 8
+
+
+def rng_state(ws):
+    """The state of ws's noise generator, or None when it has none."""
+    return None if ws.rng is None else ws.rng.bit_generator.state
 
 
 def bits(values) -> bytes:
@@ -479,7 +483,7 @@ def test_scan_at_a_repeated_pose_equals_a_cold_scan():
                 noisy += sigma > 0.0
             assert bits(got.ranges) == bits(expected.ranges), trial
             assert got.angles == expected.angles and got.pose == expected.pose, trial
-            assert ws.rng.getstate() == cold.rng.getstate(), trial
+            assert rng_state(ws) == rng_state(cold), trial
     assert reused >= 300 and noisy >= 100
 
 
@@ -568,29 +572,33 @@ def test_lidar_noise_is_seeded_and_bounded():
     assert clean.ranges != scan_a.ranges
 
 
+def test_only_a_noisy_lidar_gets_a_generator():
+    world = tiny_world([wall("w", 3, 0, 3.2, 2)])
+    assert make_world_state(world, seed=42).rng is None
+    noisy = make_world_state(world, seed=42, noise_sigma=0.05)
+    assert isinstance(noisy.rng, np.random.Generator)
+    assert rng_state(noisy) == np.random.default_rng(42).bit_generator.state
+
+
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(
     counts=st.lists(st.integers(0, 400), min_size=1, max_size=3),
     sigma=st.sampled_from((0.05, 0.5, 5.0)),
     seed=st.integers(0, 2**32 - 1),
-    pending=st.booleans(),
 )
-@example(counts=[181, 181, 181], sigma=0.05, seed=0, pending=False)
-@example(counts=[0, 1, 0], sigma=0.5, seed=1, pending=True)
-def test_gauss_block_equals_one_gauss_call_per_draw(counts, sigma, seed, pending):
-    # The lidar draws a scan's noise in one block; it must equal the same
-    # number of random.gauss calls bit for bit and leave the generator in
-    # the same state, a pending Box-Muller spare included, block after block.
-    got, ref = random.Random(seed), random.Random(seed)
-    if pending:  # a prior gauss call leaves its spare in gauss_next
-        got.gauss()
-        ref.gauss()
+@example(counts=[181, 181, 181], sigma=0.05, seed=0)
+@example(counts=[0, 1, 7, 0], sigma=0.5, seed=1)
+def test_block_normal_draw_equals_one_scalar_draw_per_beam(counts, sigma, seed):
+    # The lidar draws a scan's noise in one normal() call; it must equal the
+    # same number of scalar normal() calls bit for bit and leave the
+    # generator in the same state, block after block.
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in counts:
-        block = _gauss_block(got, n, sigma)
-        calls = np.array([ref.gauss(0.0, sigma) for _ in range(n)], dtype=float)
+        block = got.normal(0.0, sigma, n)
+        calls = np.array([ref.normal(0.0, sigma) for _ in range(n)], dtype=float)
         assert block.shape == (n,)
         assert np.array_equal(block.view(np.int64), calls.view(np.int64))
-        assert got.getstate() == ref.getstate()
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 # --- semantic detection ---

@@ -13,13 +13,12 @@ import json
 import logging
 import math
 import os
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .geometry import Pose2
+from .geometry import Point2, Pose2
 from .learning import Rule, commit_learned, detect_novelty, infer_facts, parse_rules
 from .mapgen import (
     EpisodeEvent,
@@ -45,7 +44,9 @@ from .navigation import (
     ReplanState,
     cells_to_points,
     follow_step,
+    nearest_waypoint,
     path_cost,
+    path_reads,
     plan_global,
     replan_incremental,
 )
@@ -406,18 +407,6 @@ def initial_facts(store: TierStore, start_space: str) -> frozenset[Fact]:
     return frozenset(facts)
 
 
-_ACTION_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)")
-
-
-def _split_action(name: str) -> tuple[str, tuple[str, ...]]:
-    match = _ACTION_NAME.fullmatch(name)
-    if not match:
-        return name, ()
-    head, arg_text = match.groups()
-    args = tuple(a for a in arg_text.split(",") if a)
-    return head, args
-
-
 def _goal_symbols(goal: tuple[Fact, ...]) -> list[str]:
     """Environment symbols a goal refers to ('robot' names the agent, not a
     stored element)."""
@@ -441,16 +430,9 @@ def goal_anchor(goal: tuple[Fact, ...]) -> str:
 
 # --- execution engine ---
 
-def _cells_read(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """Every cell a move of the path reads, as path_cost reads them (both
-    ends, and both corner cells of a diagonal), mapped to the last move that
-    reads it; move k runs from path[k] to path[k + 1]."""
-    reads: dict[tuple[int, int], int] = {}
-    for k, ((uc, ur), (vc, vr)) in enumerate(zip(path, path[1:])):
-        reads[uc, ur] = reads[vc, vr] = k
-        if uc != vc and ur != vr:
-            reads[vc, ur] = reads[uc, vr] = k
-    return reads
+def _route(dmap: DrivingMap, path: list[tuple[int, int]] | None) -> tuple[list, dict]:
+    """A driven path's waypoints and the cells its moves read (path_reads)."""
+    return (cells_to_points(dmap, path), path_reads(path)) if path else ([], {})
 
 
 class MissionEngine:
@@ -503,8 +485,6 @@ class MissionEngine:
         # the last tick a lidar scan was folded into the costmap: a leg that
         # starts where the last one ended does not scan that tick again
         self._scanned_tick: int | None = None
-        # the path _ahead_is_blocked last checked, and the cells its moves read
-        self._path_reads: tuple[list | None, dict[tuple[int, int], int]] = (None, {})
 
     # -- helpers --
 
@@ -609,7 +589,7 @@ class MissionEngine:
         # path so later change detection never trips on tie-breaking
         # differences between the two planners.
         path = rs.extract_path() if initial is not None else None
-        waypoints = cells_to_points(dmap, path) if path else []
+        waypoints, reads = _route(dmap, path)
         pending: set[tuple[int, int]] = set()  # changed since the last repair
         stall = 0
 
@@ -629,7 +609,9 @@ class MissionEngine:
                 # changed since its last repair, and its path swapped in (a
                 # replan counted), so equal-cost extraction flips don't
                 # register as replans.
-                if path is not None and self._ahead_is_blocked(path, ws.robot.pose):
+                if path is not None and self._ahead_is_blocked(
+                    path, reads, waypoints, ws.robot.pose
+                ):
                     self._episode("OBSTACLE_DETECTED")
                     path = None
                 if path is None:
@@ -640,7 +622,7 @@ class MissionEngine:
                         self.replans += 1
                         self._episode("REPLAN", subject=destination)
                     path = new_path
-                    waypoints = cells_to_points(dmap, path) if path else []
+                    waypoints, reads = _route(dmap, path)
             if ws.robot.pose.position.distance_to(goal_point) <= GOAL_TOLERANCE:
                 return "ok"  # arrived, whatever the costmap momentarily says
             if path is None:
@@ -652,31 +634,25 @@ class MissionEngine:
             stall = 0
             self._step(follow_step(ws.robot, waypoints))
 
-    def _ahead_is_blocked(self, path: list[tuple[int, int]], pose: Pose2) -> bool:
-        """True when the path's remaining stretch (from the cell nearest the
-        robot onward) is no longer drivable on the current costmap.
+    def _ahead_is_blocked(
+        self, path: list[tuple[int, int]], reads: dict, waypoints: list[Point2], pose: Pose2
+    ) -> bool:
+        """True when the path's remaining stretch (from the waypoint nearest
+        the robot onward) is no longer drivable on the current costmap; reads
+        and waypoints are the path's path_reads and cells_to_points.
 
         path_cost decides, but it is called only when it could say no. A
         driven path was extracted move by move on a snapshot of this costmap,
         and static costs never change, so only a dynamic cell can block one
         of its moves, and only a cell that move reads. So while no cell the
         path's moves read is in the dynamic layer, or each such cell is read
-        only by moves before the nearest cell, the stretch is drivable.
+        only by moves before the nearest waypoint, the stretch is drivable.
         """
         dmap = self.dmap
-        if self._path_reads[0] is not path:  # _drive_to swaps paths, never edits one
-            self._path_reads = (path, _cells_read(path))
-        reads = self._path_reads[1]
         marked = reads.keys() & dmap.dynamic.keys()
         if not marked:
             return False
-        ox, oy, res = dmap.origin.x, dmap.origin.y, dmap.resolution
-        # the operands of center_of(...).distance_to(pose), without the Point2s
-        gaps = [
-            math.hypot(ox + (col + 0.5) * res - pose.x, oy + (row + 0.5) * res - pose.y)
-            for col, row in path
-        ]
-        nearest = gaps.index(min(gaps))
+        _, nearest = nearest_waypoint(pose.position, waypoints)
         if max(reads[cell] for cell in marked) < nearest:
             return False
         return path_cost(dmap, path[nearest:]) is None
@@ -728,8 +704,8 @@ class MissionEngine:
         queue = list(self.behavior_plan.actions)
         while queue:
             action = queue.pop(0)
-            head, args = _split_action(action.name)
-            if head == "navigate" and len(args) == 2:
+            args = action.args
+            if action.template == "navigate" and len(args) == 2:
                 outcome = self._drive_to(args[1])
                 if outcome == "timeout":
                     return self._report(False, FAIL_TIMEOUT)

@@ -305,6 +305,18 @@ def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
     return PathCost(a, b)
 
 
+def path_reads(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The cells path_cost reads for the path (both ends of every move, and
+    both corner cells of a diagonal), each mapped to the last move that reads
+    it; move k runs from path[k] to path[k + 1]."""
+    reads: dict[tuple[int, int], int] = {}
+    for k, ((uc, ur), (vc, vr)) in enumerate(zip(path, path[1:])):
+        reads[uc, ur] = reads[vc, vr] = k
+        if uc != vc and ur != vr:
+            reads[vc, ur] = reads[uc, vr] = k
+    return reads
+
+
 def plan_global(
     dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[tuple[int, int]], PathCost] | None:
@@ -712,6 +724,15 @@ def cells_to_points(dmap: DrivingMap, path: list[tuple[int, int]]) -> list[Point
     return [dmap.center_of(*cell) for cell in path]
 
 
+def nearest_waypoint(here: Point2, waypoints: list[Point2]) -> tuple[list[float], int]:
+    """The distance from here to each waypoint, and the index of the nearest
+    one (the first of equals)."""
+    x, y = here.x, here.y
+    # here.distance_to(point), bit for bit, without the method calls
+    gaps = [math.hypot(x - point.x, y - point.y) for point in waypoints]
+    return gaps, gaps.index(min(gaps))
+
+
 # Pure-pursuit limits: forward speed (m/s), turn rate (rad/s), how far ahead
 # along the path to aim (m), the arrival distance to the goal at which the
 # mission stops driving (m) and the turn rate per radian of heading error.
@@ -733,8 +754,7 @@ def follow_step(state: RobotState, waypoints: list[Point2]) -> tuple[float, floa
         raise ValueError("follow_step needs at least one waypoint")
     pose = state.pose
     here = pose.position
-    gaps = [here.distance_to(point) for point in waypoints]
-    nearest = gaps.index(min(gaps))
+    gaps, nearest = nearest_waypoint(here, waypoints)
     target = waypoints[nearest]
     for i in range(nearest, len(waypoints)):
         if gaps[i] <= LOOKAHEAD:

@@ -15,7 +15,7 @@ import itertools
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
@@ -108,13 +108,16 @@ class ActionTemplate:
 
 @dataclass(frozen=True)
 class GroundAction:
-    name: str  # e.g. navigate(lobby,hall_a)
+    template: str  # e.g. navigate
+    args: tuple[str, ...]  # the symbols bound to its params, e.g. (lobby, hall_a)
     preconditions: frozenset[Fact]
     add_effects: frozenset[Fact]
     del_effects: frozenset[Fact]
     cost: float
+    name: str = field(init=False)  # template(args), e.g. navigate(lobby,hall_a)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "name", f"{self.template}({','.join(self.args)})")
         if not self.cost > 0:
             raise ValueError(f"ground action '{self.name}' cost must be positive")
 
@@ -258,19 +261,18 @@ def ground_actions(templates, emap) -> list[GroundAction]:
                     continue
             else:
                 cost = template.cost_spec
-            name = f"{template.name}({','.join(combo)})"
-            if name in seen:
-                continue
-            seen.add(name)
-            grounded.append(
-                GroundAction(
-                    name=name,
-                    preconditions=frozenset(f.substitute(binding) for f in template.preconditions),
-                    add_effects=add,
-                    del_effects=dele,
-                    cost=cost,
-                )
+            action = GroundAction(
+                template=template.name,
+                args=combo,
+                preconditions=frozenset(f.substitute(binding) for f in template.preconditions),
+                add_effects=add,
+                del_effects=dele,
+                cost=cost,
             )
+            if action.name in seen:
+                continue
+            seen.add(action.name)
+            grounded.append(action)
     return grounded
 
 

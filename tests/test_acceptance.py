@@ -306,7 +306,8 @@ def _random_domain(rng):
         pres = frozenset(rng.sample(facts, rng.randint(0, 2)))
         actions.append(
             GroundAction(
-                name=f"a{j}",
+                template=f"a{j}",
+                args=(),
                 preconditions=pres,
                 add_effects=adds,
                 del_effects=dels,

@@ -17,7 +17,14 @@ import pytest
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, MetricLayer, episodic_log
 from semnav.memory import TierId, UnknownSymbolError
-from semnav.navigation import DrivingMap, ReplanState, path_cost, replan_incremental
+from semnav.navigation import (
+    DrivingMap,
+    ReplanState,
+    cells_to_points,
+    path_cost,
+    path_reads,
+    replan_incremental,
+)
 from semnav.mission import (
     FAIL_TIMEOUT,
     FAIL_UNKNOWN_GOAL,
@@ -35,7 +42,7 @@ from semnav.mission import (
     resolve_input,
     seed_store,
 )
-from semnav.planner import Fact, parse_behavior_db
+from semnav.planner import Fact, ground_actions, parse_behavior_db
 from semnav.world import parse_world
 
 DEMO_SCENARIO = data_dir() / "demo.scenario"
@@ -275,6 +282,45 @@ def test_multi_fact_goal_navigate_and_inspect(tmp_path):
     names = [a.name for a in run.behavior_plan.actions]
     assert "navigate(lobby,hall_a)" in names
     assert "inspect(booth_1,hall_a)" in names
+
+
+DEMO_GROUNDED = [
+    "navigate(hall_a,hall_b)", "navigate(hall_a,lobby)", "navigate(hall_b,hall_a)",
+    "navigate(hall_b,lobby)", "navigate(lobby,hall_a)", "navigate(lobby,hall_b)",
+    "inspect(booth_1,hall_a)", "inspect(booth_1,hall_b)", "inspect(booth_1,lobby)",
+    "inspect(booth_2,hall_a)", "inspect(booth_2,hall_b)", "inspect(booth_2,lobby)",
+    "inspect(booth_3,hall_a)", "inspect(booth_3,hall_b)", "inspect(booth_3,lobby)",
+    "inspect(booth_4,hall_a)", "inspect(booth_4,hall_b)", "inspect(booth_4,lobby)",
+    "wait(hall_a)", "wait(hall_b)", "wait(lobby)",
+]
+
+
+def test_demo_grounded_action_names_are_pinned():
+    # plan tie-breaks and reports compare action names, so their text and
+    # order must not move when actions carry their template and arguments
+    engine = MissionEngine(load_scenario(DEMO_SCENARIO))
+    engine.build_map()
+    grounded = ground_actions(engine.templates, engine.emap)
+    assert [a.name for a in grounded] == DEMO_GROUNDED
+    assert all(a.name == f"{a.template}({','.join(a.args)})" for a in grounded)
+
+
+def test_one_parameter_navigate_is_applied_without_driving(tmp_path):
+    # only navigate(from, to), two arguments, is driven; another navigate
+    # template is a symbolic action like inspect or wait
+    (tmp_path / "one_param.txt").write_text(
+        "action navigate(?to:space)\npre: at(robot,lobby)\nadd: at(robot,?to)\n"
+        "del: at(robot,lobby)\ncost: 1\n"
+    )
+    path = write_scenario(tmp_path, goal="at(robot,hall_b)", start="lobby")
+    path.write_text(path.read_text().replace("[world]\n", "[world]\nbehaviors = one_param.txt\n"))
+    run = execute_mission(load_scenario(path))
+    assert [(a.template, a.args) for a in run.behavior_plan.actions] == [("navigate", ("hall_b",))]
+    assert run.report.success
+    assert run.report.ticks_used == 0
+    assert run.report.distance_m == 0.0
+    kinds = [e["kind"] for e in run.report.episodes]
+    assert "WAYPOINT_REACHED" not in kinds and "MISSION_COMPLETE" in kinds
 
 
 def test_start_space_contradicting_spawn_rejected(tmp_path):
@@ -667,6 +713,7 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
         path = rs.extract_path()
         if path is None:
             continue
+        reads, waypoints = path_reads(path), cells_to_points(dmap, path)
         pending, last = set(), 0
         for _ in range(25):
             for _ in range(rng.randint(0, 3)):  # toggles mostly on or beside the path
@@ -686,7 +733,8 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
             pose = Pose2(x, y, rng.uniform(-math.pi, math.pi))
             nearest = nearest_cell(dmap, path, pose)
             expected = path_cost(dmap, path[nearest:]) is None
-            assert engine._ahead_is_blocked(path, pose) == expected, f"trial {trial}"
+            blocked = engine._ahead_is_blocked(path, reads, waypoints, pose)
+            assert blocked == expected, f"trial {trial}"
             seen["blocked" if expected else "clear"] += 1
             seen["backward"] += nearest < last
             seen["one_cell"] += nearest == len(path) - 1
@@ -695,6 +743,7 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
                 repaired = replan_incremental(rs, pending)
                 pending = set()
                 path = repaired if repaired is not None else list(path)
+                reads, waypoints = path_reads(path), cells_to_points(dmap, path)
                 seen["swap"] += 1
     assert min(seen[k] for k in ("blocked", "clear", "backward", "one_cell", "swap")) > 0, seen
 
@@ -722,7 +771,41 @@ def test_path_check_sees_a_diagonal_blocked_only_through_a_corner_cell():
     ]
     for path, cell, blocked in checks:
         assert (path_cost(dmap, path[nearest_cell(dmap, path, at(cell)):]) is None) is blocked
-        assert engine._ahead_is_blocked(path, at(cell)) is blocked, (path[0], cell)
+        reads, waypoints = path_reads(path), cells_to_points(dmap, path)
+        assert engine._ahead_is_blocked(path, reads, waypoints, at(cell)) is blocked, (path[0], cell)
+
+
+def test_path_reads_are_the_cells_path_cost_reads(monkeypatch):
+    # path_reads is the read set the path check filters on: exactly the cells
+    # path_cost passes to traversable, each under the last move that reads it
+    rng = random.Random(1414)
+    traversable = DrivingMap.traversable
+    read: list[tuple[int, int]] = []
+
+    def traversable_spy(self, col, row):
+        read.append((col, row))
+        return traversable(self, col, row)
+
+    monkeypatch.setattr(DrivingMap, "traversable", traversable_spy)
+    diagonals = 0
+    for _ in range(60):
+        width, height = rng.choice(((16, 16), (23, 7), (7, 23)))
+        dmap = driving_map(rng, width, height, obstacle_rate=0.1)
+        free = [(c, r) for r in range(height) for c in range(width) if dmap.traversable(c, r)]
+        path = ReplanState(dmap, rng.choice(free), rng.choice(free)).extract_path()
+        if path is None:
+            continue
+        expected = {}
+        for k in range(len(path) - 1):
+            read.clear()
+            assert path_cost(dmap, path[k:k + 2]) is not None
+            expected.update(dict.fromkeys(read, k))
+        read.clear()
+        assert path_cost(dmap, path) is not None
+        assert set(read) == expected.keys()
+        assert path_reads(path) == expected
+        diagonals += sum(u[0] != v[0] and u[1] != v[1] for u, v in zip(path, path[1:]))
+    assert diagonals > 0
 
 
 def test_reports_byte_identical_across_runs(demo_run):

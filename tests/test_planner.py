@@ -178,6 +178,41 @@ class TestGrounding:
         ]
 
 
+class TestGroundActionNames:
+    def test_name_is_the_template_applied_to_its_args(self):
+        db = DB + """
+action wait(?s:space)
+pre: at(robot,?s)
+add: waited(?s)
+cost: 0.5
+
+action reset()
+pre:
+add: ready()
+cost: 2
+"""
+        grounded = ground_actions(parse_behavior_db(db), ChainMap3())
+        assert {len(a.args) for a in grounded} == {0, 1, 2}
+        for action in grounded:
+            assert action.name == f"{action.template}({','.join(action.args)})"
+        names = [a.name for a in grounded]
+        assert "reset()" in names and "wait(hall_a)" in names and "navigate(lobby,hall_a)" in names
+
+    def test_name_is_derived_not_passed(self):
+        action = GroundAction(
+            template="navigate",
+            args=("lobby", "hall_a"),
+            preconditions=frozenset(),
+            add_effects=frozenset(),
+            del_effects=frozenset(),
+            cost=1.0,
+        )
+        assert action.name == "navigate(lobby,hall_a)"
+        with pytest.raises(TypeError):
+            GroundAction(name="navigate(lobby,hall_a)", preconditions=frozenset(),
+                         add_effects=frozenset(), del_effects=frozenset(), cost=1.0)
+
+
 class TestPlan:
     def test_goal_already_satisfied(self):
         grounded = ground_actions(parse_behavior_db(DB), ChainMap3())
@@ -258,7 +293,8 @@ def random_domain(rng: random.Random, n_facts: int, n_actions: int):
         dele = frozenset(rng.sample(del_pool, rng.randint(0, min(2, len(del_pool)))))
         actions.append(
             GroundAction(
-                name=f"act_{i:02d}",
+                template=f"act_{i:02d}",
+                args=(),
                 preconditions=pre,
                 add_effects=add,
                 del_effects=dele,

@@ -77,15 +77,21 @@ is lists over the padded index too, allocated whole when the search
 starts: each search holds two or three grid-sized lists beside its
 snapshot, O(cells) memory, and a world too large for that still ends in
 cli.main's MemoryError exit 1. The dynamic layer stays a {cell: expiry}
-dict and the only source of truth, since callers write it directly: a
-snapshot taken per call needs no invalidation. The static array is never
-written after it is built.
+dict and the only source of truth for costs, since callers write it
+directly: a snapshot taken per call needs no invalidation. Beside it the
+fold keeps a FIFO of due buckets, one (expiry, cells) pair per fold with
+hits, and ages entries out by popping the buckets due at its tick (a timing
+wheel with one slot per tick: Varghese & Lauck, "Hashed and Hierarchical
+Timing Wheels", SOSP 1987), never by walking the whole layer. Only the fold
+puts entries in buckets, so an entry written into the dict directly never
+expires. The static array is never written after it is built.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -176,7 +182,11 @@ class DrivingMap(GridFrame):
             static = np.maximum(static, inflation)
 
         self.static = static
+        self._open = static != LETHAL  # where a hit may enter the dynamic layer
         self.dynamic: dict[tuple[int, int], int] = {}  # cell -> expiry tick
+        # (expiry, cells) per fold with hits, oldest first: see update_dynamic_layer
+        self._due: deque[tuple[int, tuple[tuple[int, int], ...]]] = deque()
+        self._last_fold = -math.inf
         self.stride = self.width + 2
         padded = np.full((self.height + 2, self.stride), LETHAL, dtype=np.int16)
         padded[1:-1, 1:-1] = static
@@ -221,9 +231,21 @@ class DrivingMap(GridFrame):
         cell is already static-lethal; hit cells are found for all beams at
         once, from the scan's direction and range arrays, and folded in beam
         order. Returns the cells whose composite cost differs from before
-        the call. A non-finite hit point short of range_max raises
-        ValueError before anything changes.
+        the call. A non-finite hit point short of range_max, or a tick
+        earlier than the last fold's, raises ValueError before anything
+        changes.
+
+        Entries age out by due bucket: each fold queues its hit cells under
+        their common expiry, and since every expiry is tick + DEFAULT_TTL and
+        ticks never decrease, the buckets fall due in queue order. A fold
+        pops only the buckets due at its tick and drops a cell of one only
+        while its expiry is still that bucket's (a later hit moved it to a
+        later bucket), so it costs O(hits + cells due), not O(live cells).
+        Entries enter only through this fold: one written into self.dynamic
+        directly sits in no bucket and never falls due.
         """
+        if tick < self._last_fold:
+            raise ValueError(f"tick {tick} is earlier than the last fold's, {self._last_fold}")
         pose = scan.pose
         ranges = scan.range_array
         near = ~(ranges >= scan.range_max - 1e-9)  # a NaN range stays in, and fails below
@@ -236,18 +258,29 @@ class DrivingMap(GridFrame):
         row = np.floor((hy - self.origin.y) / self.resolution)
         inside = (col >= 0) & (col < self.width) & (row >= 0) & (row < self.height)
         col, row = col[inside].astype(np.intp), row[inside].astype(np.intp)
-        free = self.static[row, col] != LETHAL
-        hits = dict.fromkeys(zip(col[free].tolist(), row[free].tolist()))  # in beam order
+        free = self._open[row, col]
+        expiry = tick + DEFAULT_TTL
+        hits = dict.fromkeys(zip(col[free].tolist(), row[free].tolist()), expiry)  # in beam order
         # The dynamic layer only ever holds such non-static-lethal hit cells,
         # so a cell's composite cost changes exactly when it enters the layer
         # (a fresh hit) or leaves it (expired and not hit again).
-        expired = {cell for cell, expiry in self.dynamic.items() if tick >= expiry}
-        fresh = hits.keys() - self.dynamic.keys()
-        for cell in expired:
-            del self.dynamic[cell]
-        for cell in hits:
-            self.dynamic[cell] = tick + DEFAULT_TTL
-        return (expired - hits.keys()) | fresh
+        self._last_fold = tick
+        dynamic, due = self.dynamic, self._due
+        fresh = set(hits).difference(dynamic)
+        expired = set()
+        while due and due[0][0] <= tick:
+            due_at, cells = due.popleft()
+            for cell in cells:
+                if dynamic.get(cell) == due_at:
+                    del dynamic[cell]
+                    expired.add(cell)
+        dynamic.update(hits)
+        if hits:
+            if due and due[-1][0] == expiry:  # a second fold on the same tick
+                due[-1] = (expiry, due[-1][1] + tuple(hits))
+            else:
+                due.append((expiry, tuple(hits)))
+        return expired.difference(hits) | fresh
 
 
 def _near_squared_distances(lethal: np.ndarray, k: int) -> np.ndarray:

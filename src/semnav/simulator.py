@@ -14,10 +14,11 @@ reach (Walls.within), which changes no result. The walls alone fix a
 scan's per-beam wall distances for a given pose and lidar spec, so the
 world state keeps the last scan's (WorldState.wall_ranges) and a scan from
 the bit-identical pose with an equal spec reuses them, as the robot stands
-still. A scan meets all actor disks in one array pass and clamps its noise
-in one more, on every call; the noise, one Gaussian per beam in beam order,
-is one normal() call on the world state's numpy Generator, seeded from the
-scenario seed and built only when the lidar is noisy.
+still. A scan meets the actor disks within its range in one array pass,
+skipped when none is, and clamps its noise in one more, on every call; the
+noise, one Gaussian per beam in beam order, is one normal() call on the
+world state's numpy Generator, seeded from the scenario seed and built only
+when the lidar is noisy.
 A LidarScan carries its beams as read-only arrays (directions and ranges)
 beside the angle and range tuples, and the costmap fold reads the arrays.
 """
@@ -176,7 +177,6 @@ _pose_bits = struct.Struct("3d").pack  # (x, y, heading) -> 24 bytes
 class WorldState:
     world: WorldDescription
     walls: Walls  # built once: the world is immutable
-    actor_radii2: np.ndarray  # one row per actor: its squared footprint radius
     landmarks: tuple[tuple[str, str, Point2], ...]  # (symbol, class, point), by symbol
     tick: int
     robot: RobotState
@@ -208,7 +208,6 @@ def make_world_state(
     ws = WorldState(
         world=world,
         walls=Walls.of(world),
-        actor_radii2=np.array([[actor.footprint_radius**2] for actor in world.actors]),
         # a geometry-free element has no reference point and nothing to localize
         landmarks=tuple(
             (rec.symbol, rec.explicit.model3d.semantic_class, rec.position())
@@ -331,9 +330,12 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     float. It is a function of the pose's floats and the spec alone (the
     walls never change), so a scan from the bit-identical pose with an
     equal spec reuses the last scan's (ws.wall_ranges); the actors and the
-    noise are folded in afresh on every call. The noise is one normal()
-    call for all beams on ws.rng, which draws what one call per beam, in
-    beam order, would.
+    noise are folded in afresh on every call. Only the actors whose disk
+    comes within range_m + 1e-6 of the robot are folded in, since a farther
+    disk meets every beam beyond range_m, where the range cap hides it, so
+    the ranges are those of a pass over every actor. The noise is one
+    normal() call for all beams on ws.rng, which draws what one call per
+    beam, in beam order, would.
     """
     lidar = spec.lidar2d
     if lidar is None:
@@ -355,13 +357,18 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         memo = ws.wall_ranges = WallRanges(bits, lidar, dx, dy, best)
     dx, dy, best = memo.cos, memo.sin, memo.walls
 
-    actors = ws.world.actors
-    if actors:
-        # every actor disk at once: one row per actor, one column per beam
-        centers = [ws.actor_positions[actor.symbol] for actor in actors]
-        fx, fy = np.array([(pose.x - c.x, pose.y - c.y) for c in centers]).T[..., None]
+    reach = lidar.range_m + 1e-6  # the walls' slack (Walls.within)
+    disks = []
+    for actor in ws.world.actors:
+        center = ws.actor_positions[actor.symbol]
+        fx, fy = pose.x - center.x, pose.y - center.y
+        if math.hypot(fx, fy) - actor.footprint_radius <= reach:
+            disks.append((fx, fy, actor.footprint_radius**2))
+    if disks:
+        # every such disk at once: one row per disk, one column per beam
+        fx, fy, radii2 = np.array(disks).T[..., None]
         b = fx * dx + fy * dy
-        disc = b * b - (fx * fx + fy * fy - ws.actor_radii2)
+        disc = b * b - (fx * fx + fy * fy - radii2)
         root = np.sqrt(np.maximum(disc, 0.0))
         # the near root where it is ahead, else the far one
         near = -b - root

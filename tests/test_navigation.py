@@ -399,9 +399,12 @@ def fold_cases(draw):
     frames, tick, pose = [], 0, None
     for _ in range(draw(st.integers(1, 8))):
         # steps from a third of the ttl to just past it, so that hits are
-        # refreshed and expire, some exactly at their expiry tick
+        # refreshed and expire, some exactly at their expiry tick; a second
+        # fold on the same tick; and steps of two or three ttls, so that
+        # several due buckets fall due at once
         tick += draw(st.sampled_from(
-            [DEFAULT_TTL // 3, DEFAULT_TTL // 2, DEFAULT_TTL - 1, DEFAULT_TTL, DEFAULT_TTL + 1]))
+            [0, DEFAULT_TTL // 3, DEFAULT_TTL // 2, DEFAULT_TTL - 1, DEFAULT_TTL, DEFAULT_TTL + 1,
+             2 * DEFAULT_TTL, 2 * DEFAULT_TTL + 1, 3 * DEFAULT_TTL]))
         if pose is None or moving:
             pose = Pose2(
                 draw(st.floats(origin.x - 1.0, origin.x + width * resolution + 1.0)),
@@ -440,6 +443,54 @@ def test_dynamic_fold_matches_per_beam_reference(case):
         assert dmap.update_dynamic_layer(scan, tick) == expected, tick
         # insertion order too: the snapshot and connectivity walk the dict
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
+        assert_due_index(dmap, tick)
+
+
+def assert_due_index(dmap, tick):
+    """The fold's due buckets after a fold at tick: none is due yet, their
+    expiries rise, there are at most DEFAULT_TTL of them, and every live
+    cell sits in the bucket of its own expiry."""
+    expiries = [expiry for expiry, _ in dmap._due]
+    assert expiries == sorted(set(expiries)), expiries
+    assert all(tick < expiry <= tick + DEFAULT_TTL for expiry in expiries), (tick, expiries)
+    assert len(expiries) <= DEFAULT_TTL
+    pending = {(cell, expiry) for expiry, cells in dmap._due for cell in cells}
+    assert all(entry in pending for entry in dmap.dynamic.items())
+
+
+def test_cell_that_expires_and_is_hit_again_on_one_tick_moves_to_the_end():
+    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
+    static = dmap.static.tolist()
+    pose = Pose2(0.5, 0.5, 0.0)
+    a, b, c = Point2(4.5, 0.5), Point2(6.5, 0.5), Point2(0.5, 5.5)
+    ttl = DEFAULT_TTL
+    # a and b are due at ttl; a is hit again then, so only b changes, and a
+    # re-enters the layer after c
+    frames = [(0, [a, b], {(4, 0), (6, 0)}), (5, [c], {(0, 5)}), (ttl, [a], {(6, 0)})]
+    reference: dict[tuple[int, int], int] = {}
+    for tick, points, changed in frames:
+        scan = scan_hitting(points, pose)
+        assert reference_dynamic_fold(
+            static, reference, Point2(0.0, 0.0), 1.0, ttl, scan, pose, tick
+        ) == changed
+        assert dmap.update_dynamic_layer(scan, tick) == changed, tick
+        assert list(dmap.dynamic.items()) == list(reference.items()), tick
+        assert_due_index(dmap, tick)
+    assert list(dmap.dynamic.items()) == [((0, 5), 5 + ttl), ((4, 0), 2 * ttl)]
+
+
+def test_fold_at_an_earlier_tick_raises_and_changes_nothing():
+    # the due buckets assume ticks never decrease; an earlier tick would
+    # expire its hits late
+    dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
+    pose = Pose2(0.5, 0.5, 0.0)
+    dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 0.5)], pose), tick=5)
+    layer, due = list(dmap.dynamic.items()), list(dmap._due)
+    with pytest.raises(ValueError, match="earlier"):
+        dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose), tick=4)
+    assert list(dmap.dynamic.items()) == layer and list(dmap._due) == due
+    # the same tick again is no earlier
+    assert dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose), tick=5) == {(6, 0)}
 
 
 def test_dynamic_fold_edge_cases_match_reference():
@@ -499,6 +550,25 @@ def test_dynamic_fold_of_mission_scans_matches_per_beam_reference(name, monkeypa
     # a scan per tick, two on a tick where one leg ends and the next begins
     assert {tick for tick, _ in changes} == set(range(60))
     assert sum(count for _, count in changes) > 0
+
+
+def test_due_buckets_index_every_live_cell_over_a_noisy_mission(monkeypatch):
+    # After every fold of a whole noisy mission each live cell sits in the
+    # pending bucket of its own expiry, and at most DEFAULT_TTL buckets are
+    # pending, so the index cannot grow without bound.
+    fold = DrivingMap.update_dynamic_layer
+    ticks = []
+
+    def checked(dmap, scan, tick):
+        changed = fold(dmap, scan, tick)
+        assert_due_index(dmap, tick)
+        ticks.append((tick, len(dmap.dynamic)))
+        return changed
+
+    monkeypatch.setattr(DrivingMap, "update_dynamic_layer", checked)
+    execute_mission(load_scenario(MISSIONS["noisy"]))
+    assert [tick for tick, _ in ticks] == list(range(136))
+    assert max(live for _, live in ticks) > 10 * DEFAULT_TTL  # many more cells than buckets
 
 
 @pytest.mark.parametrize(

@@ -487,6 +487,36 @@ def test_scan_at_a_repeated_pose_equals_a_cold_scan():
     assert reused >= 300 and noisy >= 100
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_actor_reach_test_is_exact_at_its_boundary(sigma):
+    # A scan folds in only the actor disks that come within range_m (plus
+    # 1e-6 m) of the robot. Disks whose edge lies just inside, exactly at
+    # and just beyond range_m, on both sides of the slack, and one behind
+    # the robot, each alone and all together, must scan as the reference
+    # that folds every actor does, bit for bit, generator state included.
+    spec = SensorSpec(lidar2d=Lidar2dSpec(6.0, math.pi, 181))
+    radius = 0.5
+    gaps = (-1e-9, 0.0, 1e-9, 1e-6 - 1e-9, 1e-6, 1e-6 + 1e-9, 1e-3)
+    for spawn, bearing in ((Pose2(0.0, 0.0, 0.0), 0.0), (Pose2(1.0, -2.0, 0.5), 0.7)):
+
+        def disk(symbol, distance, direction):
+            center = Point2(spawn.x + distance * math.cos(direction),
+                            spawn.y + distance * math.sin(direction))
+            return ActorScript(symbol, "person", footprint_radius=radius, speed=0.0,
+                               waypoints=(center,))
+
+        ahead = [disk(f"a{i}", spec.lidar2d.range_m + radius + gap, bearing)
+                 for i, gap in enumerate(gaps)]
+        behind = disk("b", 3.0, spawn.heading + math.pi)
+        for actors in [[actor] for actor in ahead] + [[behind], ahead + [behind]]:
+            world = tiny_world([wall("w", -3.0, 2.0, 3.0, 2.2)], actors, spawn=spawn)
+            got = make_world_state(world, seed=11, noise_sigma=sigma)
+            ref = make_world_state(world, seed=11, noise_sigma=sigma)
+            for _ in range(2):
+                assert bits(lidar_scan(got, spec).ranges) == bits(reference_lidar_ranges(ref, spec))
+                assert rng_state(got) == rng_state(ref)
+
+
 def test_actors_that_moved_appear_in_a_reused_scan():
     actor = ActorScript("p", "person", footprint_radius=0.5, speed=1.0,
                         waypoints=(Point2(4.0, 1.0), Point2(4.0, 3.0)))

@@ -19,7 +19,9 @@ import numpy as np
 
 
 def normalize_angle(theta: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
+    """Wrap an angle into (-pi, pi]; one already there comes back unchanged."""
+    if -math.pi < theta <= math.pi:
+        return theta
     wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi

@@ -585,10 +585,7 @@ class MissionEngine:
 
         initial = plan_global(dmap, start_cell, goal_cell)
         rs = ReplanState(dmap, start_cell, goal_cell)
-        # Keep the incremental planner's own extraction as the reference
-        # path so later change detection never trips on tie-breaking
-        # differences between the two planners.
-        path = rs.extract_path() if initial is not None else None
+        path = None if initial is None else initial[0]
         waypoints, reads = _route(dmap, path)
         pending: set[tuple[int, int]] = set()  # changed since the last repair
         stall = 0

@@ -1,5 +1,11 @@
 """Layered driving map, global planning, and incremental replanning.
 
+There is one grid search: the D*-Lite of ReplanState (Koenig & Likhachev,
+AAAI 2002), run backward from the goal. It has two entry points.
+plan_global is a fresh state's first search, and replan_incremental
+repairs a state after cells change or the start moves (and runs that first
+search when it is the state's first repair).
+
 The costmap stacks three layers and takes their maximum per cell: a static
 layer from the metric map (occupied 254, unknown 253, free 0), an inflation
 layer around lethal cells (200 within the robot radius, decaying linearly to
@@ -25,7 +31,7 @@ cells to be traversable. Because every edge weight is (100 + c) or
 resolution * (a + b*sqrt(2)) / 100 for non-negative integers a and b, and
 sqrt(2) being irrational makes that pair unique per length.
 
-All searches carry such a cost as one Python int, C(a, b) = a*UA + b*UB
+The search carries such a cost as one Python int, C(a, b) = a*UA + b*UB
 with UA = 2**120 and UB = floor(sqrt(2) * 2**80) * 2**40 + 1. The encoding
 is linear, so a move adds a precomputed STRAIGHT[c] or DIAG[c] and equal
 pairs give equal ints whatever the order of the sums. C / 2**120 lies within
@@ -33,9 +39,8 @@ b * 2**-80 of a + b*sqrt(2), while two distinct pairs with a + b <= S differ
 by at least 1 / (2*sqrt(2)*S); so comparing ints orders costs exactly as the
 reals do while S < 4.6e11 (PAIR_SUM_LIMIT). UB is 1 modulo 2**40 and UA
 is 0, so b = C & (2**40 - 1) and a = (C - b*UB) >> 120 decode a cost. INF is
-math.inf, which compares correctly with any int. The initial planner, the
-incremental replanner, and any from-scratch re-check therefore agree on
-optimal cost bit-for-bit.
+math.inf, which compares correctly with any int. A repaired search and a
+search from scratch therefore agree on optimal cost bit for bit.
 
 The incremental replanner is repaired lazily: the drive loop batches the
 cells that change while its path stays drivable and repairs only once that
@@ -61,30 +66,28 @@ Searches run on a padded flat index. The map keeps its static costs once
 more as a row-major Python list framed by a LETHAL border, so cell
 (col, row) sits at (row+1)*(width+2) + col+1: no move needs a bounds check,
 and the index is monotone in row-major order, so it breaks heap ties
-exactly as the row-major cell order does. Each search entry point
-(plan_global, ReplanState, replan_incremental, extract_path) takes one
-snapshot, a copy of that list with the dynamic cells overlaid; cells
-become (col, row) pairs only at the API boundary. Every expansion scans
-the moves rule inline, from one table of neighbour offsets per search
+exactly as the row-major cell order does. Each repair takes one snapshot,
+a copy of that list with the dynamic cells overlaid; cells become
+(col, row) pairs only at the API boundary. Every expansion scans the moves
+rule inline, from one table of neighbour offsets per search
 (_move_offsets), and takes the octile heuristic from two step tables per
-search (_octile_steps) against the goal's or the start's padded
-(row, col): no expansion or push calls a helper or builds a move list,
-and the replanner writes its key formula out wherever it queues a vertex.
-The start's own key needs no heuristic: it is (min(g, rhs) + km,
-min(g, rhs)). Per-search state
-(A*'s g, parent and closed marks; the replanner's g, rhs and queue keys)
-is lists over the padded index too, allocated whole when the search
-starts: each search holds two or three grid-sized lists beside its
-snapshot, O(cells) memory, and a world too large for that still ends in
-cli.main's MemoryError exit 1. The dynamic layer stays a {cell: expiry}
-dict and the only source of truth for costs, since callers write it
-directly: a snapshot taken per call needs no invalidation. Beside it the
-fold keeps a FIFO of due buckets, one (expiry, cells) pair per fold with
-hits, and ages entries out by popping the buckets due at its tick (a timing
-wheel with one slot per tick: Varghese & Lauck, "Hashed and Hierarchical
-Timing Wheels", SOSP 1987), never by walking the whole layer. Only the fold
-puts entries in buckets, so an entry written into the dict directly never
-expires. The static array is never written after it is built.
+state (_octile_steps) against the start's padded (row, col): no expansion
+or push calls a helper or builds a move list, and the search writes its
+key formula out wherever it queues a vertex. The start's own key needs no
+heuristic: it is (min(g, rhs) + km, min(g, rhs)). The search state (g,
+rhs and queue keys) is lists over the padded index too, allocated whole
+when a ReplanState is built: each state holds three grid-sized lists
+beside its snapshot, O(cells) memory, and a world too large for that
+still ends in cli.main's MemoryError exit 1. The dynamic layer stays a
+{cell: expiry} dict and the only source of truth for costs, since callers
+write it directly: a snapshot taken per call needs no invalidation.
+Beside it the fold keeps a FIFO of due buckets, one (expiry, cells) pair
+per fold with hits, and ages entries out by popping the buckets due at its
+tick (a timing wheel with one slot per tick: Varghese & Lauck, "Hashed and
+Hierarchical Timing Wheels", SOSP 1987), never by walking the whole layer.
+Only the fold puts entries in buckets, so an entry written into the dict
+directly never expires. The static array is never written after it is
+built.
 """
 
 from __future__ import annotations
@@ -353,59 +356,19 @@ def path_reads(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
 def plan_global(
     dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[tuple[int, int]], PathCost] | None:
-    """A* over the composite costmap; None when the goal is unreachable.
+    """An optimal path over the composite costmap and its cost; None when an
+    endpoint is off the map or blocked, or the goal is unreachable.
 
-    Ties pop in (f, h, row-major index) order, so identical inputs give an
-    identical cell sequence, not merely an identical cost.
+    This is a fresh ReplanState's first search, run by its first repair, so
+    identical inputs give an identical cell sequence.
     """
     if not dmap.in_bounds(*start) or not dmap.in_bounds(*goal):
         return None
-    costs = dmap.snapshot()
-    stride = dmap.stride
-    si, gi = dmap.index(start), dmap.index(goal)
-    if costs[si] >= UNKNOWN_COST or costs[gi] >= UNKNOWN_COST:
+    rs = ReplanState(dmap, start, goal)
+    path = replan_incremental(rs, set())
+    if path is None:
         return None
-    g: list[int | float] = [INF] * len(costs)
-    g[si] = 0
-    parent = [0] * len(costs)
-    closed = bytearray(len(costs))
-    straight_h, diag_h = _octile_steps(dmap)
-    goal_row, goal_col = divmod(gi, stride)  # padded: the offsets cancel
-    h0 = octile(start, goal)
-    heap: list[tuple[int, int, int]] = [(h0, h0, si)]
-    moves = _move_offsets(stride)
-    while heap:
-        _, _, i = heapq.heappop(heap)
-        if closed[i]:
-            continue
-        closed[i] = 1
-        if i == gi:
-            path = [i]
-            while i != si:
-                i = parent[i]
-                path.append(i)
-            path.reverse()
-            return [dmap.cell(i) for i in path], decode(g[gi])
-        g_cur = g[i]
-        # every cell pushed is open, so i has its moves
-        for d, a, b, diagonal in moves:
-            j = i + d
-            c = costs[j]
-            if c >= UNKNOWN_COST or costs[i + a] >= UNKNOWN_COST or costs[i + b] >= UNKNOWN_COST:
-                continue
-            ng = g_cur + (DIAG[c] if diagonal else STRAIGHT[c])
-            if ng < g[j] and not closed[j]:
-                g[j] = ng
-                parent[j] = i
-                # octile(), from the step tables
-                row, col = divmod(j, stride)
-                dr, dc = abs(row - goal_row), abs(col - goal_col)
-                if dc < dr:
-                    h = straight_h[dr - dc] + diag_h[dc]
-                else:
-                    h = straight_h[dc - dr] + diag_h[dr]
-                heapq.heappush(heap, (ng + h, h, j))
-    return None
+    return path, decode(rs.g[dmap.index(start)])
 
 
 def _octile_steps(dmap: DrivingMap) -> tuple[list[int], list[int]]:
@@ -421,10 +384,12 @@ class ReplanState:
 
     The search runs backward from the goal, so per-cell g values estimate
     remaining cost-to-goal and survive robot movement; km compensates the
-    heuristic as the start slides. After each repair the extracted path
+    heuristic as the start slides. A new state has searched nothing: it
+    holds the goal's queue entry alone, and its first repair runs the whole
+    search, which is plan_global. After each repair the extracted path
     cost equals a from-scratch plan on the same costmap. While start and
-    goal are disconnected no search runs, here or in a repair, and a
-    repair's changed cells wait in a set until they are connected again.
+    goal are disconnected a repair runs no search, and its changed cells
+    wait in a set until they are connected again.
 
     An expansion of vertex i changes only g[i]. Since j is a move of i
     exactly when i is a move of j, with the step j -> i costing STRAIGHT
@@ -443,7 +408,7 @@ class ReplanState:
     g, rhs and the queue's current keys (_key_of, None for a vertex with no
     live heap entry) are lists over the map's padded flat index, sized to
     the snapshot; g and rhs hold exact int costs, INF when unknown. Each
-    entry point takes one costmap snapshot and hands it down.
+    repair takes one costmap snapshot and hands it down.
     """
 
     def __init__(self, dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]):
@@ -467,8 +432,6 @@ class ReplanState:
         key = (octile(start, goal), 0)
         self._key_of[self._goal_index] = key
         self._heap.append((*key, self._goal_index))
-        if _connected(dmap, start, goal):
-            self._compute(dmap.snapshot())
 
     def _update_vertex(self, costs: list[int], i: int) -> None:
         g, rhs = self.g, self.rhs
@@ -601,9 +564,6 @@ class ReplanState:
                 if key_of[j] != (k1, m):
                     key_of[j] = (k1, m)
                     push(heap, (k1, m, j))
-
-    def extract_path(self) -> list[tuple[int, int]] | None:
-        return self._extract(self.dmap.snapshot())
 
     def _extract(self, costs: list[int]) -> list[tuple[int, int]] | None:
         dmap = self.dmap

@@ -6,13 +6,15 @@ package beyond its public data types. The exceptions are the eager
 replanner, which keeps the package's search bookkeeping and redoes only the
 rhs updates the package does incrementally; the reference A*, the
 package's earlier dict-based plan_global kept verbatim on the package's
-moves rule, which guards plan_global's tie order; and the reference repair,
-the package's earlier replan_incremental and ReplanState._compute kept
-verbatim, which update every touched vertex and queue each neighbour through
-the queue helpers, and guard the replanner's state and heap entry for entry.
-The package's searches now scan the moves rule and write their keys out
-inline; the helpers these references were written with, _moves and the
-queue helpers, are kept here verbatim as the package had them.
+moves rule, which guards plan_global's cost and its None answers but not
+its path (plan_global is now the replanner's first search, which breaks
+ties its own way); and the reference repair, the package's earlier
+replan_incremental and ReplanState._compute kept verbatim, which update
+every touched vertex and queue each neighbour through the queue helpers,
+and guard the replanner's state and heap entry for entry. The package's
+search now scans the moves rule and writes its keys out inline; the
+helpers these references were written with, _moves and the queue helpers,
+are kept here verbatim as the package had them.
 """
 
 from __future__ import annotations
@@ -724,8 +726,10 @@ def _octile(stride: int, i: int, j: int) -> int:
 def reference_plan_global(
     dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[tuple[int, int]], PathCost] | None:
-    """The package's A* as it stood with dict and set state: a guard on the
-    tie order of plan_global, which must return the same path and cost.
+    """The package's A* as it stood with dict and set state: a guard on
+    plan_global's cost and on where it finds no path. plan_global is now the
+    replanner's first search, which breaks ties its own way, so its path
+    may differ from this one among paths of equal cost.
 
     A* over the composite costmap; None when the goal is unreachable.
 

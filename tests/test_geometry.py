@@ -76,6 +76,19 @@ class TestNormalizeAngle:
         assert normalize_angle(-math.pi) == pytest.approx(math.pi)
         assert normalize_angle(0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "theta", [0.3, math.nextafter(0.0, math.inf), -0.0, math.pi, -math.pi + 1e-12]
+    )
+    def test_angle_in_range_comes_back_unchanged(self, theta):
+        # bit for bit: 0.3 + pi - pi would give 0.2999999999999998, a
+        # subnormal would become 0.0, and -0.0 would lose its sign
+        wrapped = normalize_angle(theta)
+        assert math.copysign(1.0, wrapped) == math.copysign(1.0, theta)
+        assert wrapped.hex() == theta.hex()
+
+    def test_minus_pi_wraps_to_pi(self):
+        assert normalize_angle(-math.pi) == math.pi
+
     def test_many_wraps(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -18,6 +18,7 @@ from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, MetricLayer, episodic_log
 from semnav.memory import TierId, UnknownSymbolError
 from semnav.navigation import (
+    INF,
     DrivingMap,
     ReplanState,
     cells_to_points,
@@ -654,6 +655,62 @@ def test_each_tick_is_scanned_once(monkeypatch, path, scans):
     assert ticks == list(range(scans))
 
 
+def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
+    # plan_global is a leg's one search from scratch before the robot moves:
+    # the leg's own ReplanState searches nothing until its first repair, and
+    # the first path driven is plan_global's.
+    import semnav.mission as mission_module
+
+    events = []
+    drive_to, plan_global = MissionEngine._drive_to, mission_module.plan_global
+    search, step = ReplanState._compute, MissionEngine._step
+    follow_step = mission_module.follow_step
+
+    def drive_to_spy(self, destination):
+        events.append(("leg", self.dmap))
+        return drive_to(self, destination)
+
+    def plan_global_spy(dmap, start, goal):
+        result = plan_global(dmap, start, goal)
+        events.append(("plan", result))
+        return result
+
+    def search_spy(self, costs):
+        if all(g == INF for g in self.g):
+            events.append(("scratch", None))
+        search(self, costs)
+
+    def follow_step_spy(state, waypoints):
+        events.append(("follow", waypoints))
+        return follow_step(state, waypoints)
+
+    def step_spy(self, command):
+        events.append(("step", None))
+        step(self, command)
+
+    monkeypatch.setattr(MissionEngine, "_drive_to", drive_to_spy)
+    monkeypatch.setattr(mission_module, "plan_global", plan_global_spy)
+    monkeypatch.setattr(ReplanState, "_compute", search_spy)
+    monkeypatch.setattr(mission_module, "follow_step", follow_step_spy)
+    monkeypatch.setattr(MissionEngine, "_step", step_spy)
+    text = report_to_json(execute_mission(load_scenario(DEMO_SCENARIO)).report)
+    legs = []
+    for kind, value in events:
+        if kind == "leg":
+            legs.append([])
+        legs[-1].append((kind, value))
+    assert len(legs) == 2
+    for leg in legs:
+        kinds = [kind for kind, _ in leg]
+        (_, dmap), _, (_, (path, _)), (_, waypoints) = leg[:4]
+        assert kinds[:kinds.index("step") + 1] == ["leg", "scratch", "plan", "follow", "step"]
+        assert waypoints == cells_to_points(dmap, path)
+    # the same bytes as the pinned demo report above
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d7946bddb3827b744c0ef37757411d5fb0903253f263196b8f029ab62c65f4b9"
+    )
+
+
 def test_report_json_is_canonical(demo_run):
     text = report_to_json(demo_run.report)
     assert text.endswith("\n")
@@ -710,7 +767,7 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
         free = [(c, r) for r in range(height) for c in range(width) if dmap.traversable(c, r)]
         start, goal = rng.choice(free), rng.choice(free)
         rs = ReplanState(dmap, start, goal)
-        path = rs.extract_path()
+        path = replan_incremental(rs, set())  # the first search; the swaps below repair it
         if path is None:
             continue
         reads, waypoints = path_reads(path), cells_to_points(dmap, path)
@@ -751,8 +808,8 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
 def test_path_check_sees_a_diagonal_blocked_only_through_a_corner_cell():
     engine = MissionEngine(load_scenario(DEMO_SCENARIO))
     engine.dmap = dmap = driving_map(random.Random(0), 8, 8, obstacle_rate=0.0)
-    diagonal = ReplanState(dmap, (0, 0), (7, 7)).extract_path()
-    other = ReplanState(dmap, (0, 7), (7, 0)).extract_path()
+    diagonal = replan_incremental(ReplanState(dmap, (0, 0), (7, 7)), set())
+    other = replan_incremental(ReplanState(dmap, (0, 7), (7, 0)), set())
     assert diagonal == [(i, i) for i in range(8)]
     assert other == [(i, 7 - i) for i in range(8)]
     dmap.dynamic[3, 2] = 10**9  # a corner of the move (2, 2) -> (3, 3) alone
@@ -792,7 +849,7 @@ def test_path_reads_are_the_cells_path_cost_reads(monkeypatch):
         width, height = rng.choice(((16, 16), (23, 7), (7, 23)))
         dmap = driving_map(rng, width, height, obstacle_rate=0.1)
         free = [(c, r) for r in range(height) for c in range(width) if dmap.traversable(c, r)]
-        path = ReplanState(dmap, rng.choice(free), rng.choice(free)).extract_path()
+        path = replan_incremental(ReplanState(dmap, rng.choice(free), rng.choice(free)), set())
         if path is None:
             continue
         expected = {}

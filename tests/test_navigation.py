@@ -1,6 +1,7 @@
 """Driving map and path planning: exact-cost algebra, inflation against an
-exhaustive scan, dynamic-layer aging against full recomputation, A* against
-uniform-cost search, and incremental replanning against fresh plans."""
+exhaustive scan, dynamic-layer aging against full recomputation, the global
+plan against uniform-cost search and the A* it replaced, and incremental
+replanning against fresh plans."""
 
 from __future__ import annotations
 
@@ -190,6 +191,7 @@ def test_map_and_start_travel_beyond_the_exact_bound_are_rejected(monkeypatch):
     monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 24128)
     dmap = DrivingMap(open_map(8, 8), robot_radius=0.4)
     rs = ReplanState(dmap, (0, 0), (7, 7))
+    replan_incremental(rs, set())  # the first search
     monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 200)
     assert replan_incremental(rs, set(), (2, 0)) is not None  # km = 200
     with pytest.raises(ValueError, match="too far"):
@@ -738,11 +740,10 @@ def test_plan_global_deterministic_cell_sequence():
 
 
 def test_plan_global_matches_the_reference_a_star():
-    # plan_global keeps its search state in lists over the padded index, the
-    # reference in the dicts and sets it had before: the same path, not
-    # merely the same cost, shows that ties still pop in (f, h, index)
-    # order. Dynamic cells sit on top, and an endpoint may be blocked or
-    # off the map.
+    # plan_global is the replanner's first search, the reference the A* it
+    # replaced: the same cost, and None on the same inputs. Its path is the
+    # eager replanner's first search on the same map. Dynamic cells sit on
+    # top, and an endpoint may be blocked or off the map.
     rng = random.Random(2002)
     found = refused = 0
     for width, height in [(16, 16)] * 80 + list(NON_SQUARE) * 25:
@@ -759,10 +760,16 @@ def test_plan_global_matches_the_reference_a_star():
                 ends[k] = (rng.randrange(width), rng.randrange(height))
         start, goal = ends
         expected = reference_plan_global(dmap, start, goal)
-        assert plan_global(dmap, start, goal) == expected, (width, height, start, goal)
+        result = plan_global(dmap, start, goal)
+        assert (result is None) == (expected is None), (width, height, start, goal)
+        if dmap.in_bounds(*start) and dmap.in_bounds(*goal):
+            eager = EagerReplanState(dmap, start, goal)
+            path = eager_replan_incremental(eager, set())
+            assert (None if result is None else result[0]) == path, (width, height, start, goal)
         if expected is None:
             refused += not (dmap.traversable(*start) and dmap.traversable(*goal))
         else:
+            assert result[1] == expected[1], (width, height, start, goal)
             found += 1
     assert found > 100 and refused > 20
 
@@ -785,6 +792,37 @@ def test_planned_path_avoids_blocked_cells():
 
 # --- incremental replanning ---
 
+def test_a_new_replan_state_has_searched_nothing(monkeypatch):
+    # A state's first search is its first repair's, the one plan_global
+    # runs: a new state checks no connectivity, knows no g and queues the
+    # goal alone, and the first repair runs the gate and then the search.
+    dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
+    start, goal = (0, 4), (11, 4)
+    calls = []
+    connected, search = navigation._connected, ReplanState._compute
+
+    def connected_spy(*args):
+        calls.append("connected")
+        return connected(*args)
+
+    def search_spy(self, costs):
+        calls.append("search")
+        search(self, costs)
+
+    monkeypatch.setattr(navigation, "_connected", connected_spy)
+    monkeypatch.setattr(ReplanState, "_compute", search_spy)
+    rs = ReplanState(dmap, start, goal)
+    gi = dmap.index(goal)
+    assert calls == []
+    assert all(g == INF for g in rs.g)
+    assert [(i, rhs) for i, rhs in enumerate(rs.rhs) if rhs < INF] == [(gi, 0)]
+    assert rs._heap == [(octile(start, goal), 0, gi)]
+    assert [i for i, key in enumerate(rs._key_of) if key is not None] == [gi]
+    path = replan_incremental(rs, set())
+    assert calls == ["connected", "search"]
+    assert (path, decode(rs.g[dmap.index(start)])) == plan_global(dmap, start, goal)
+
+
 def test_initial_replan_state_matches_plan_global():
     rng = random.Random(555)
     for _ in range(25):
@@ -792,7 +830,7 @@ def test_initial_replan_state_matches_plan_global():
         start, goal = pick_free_cells(rng, dmap)
         fresh = plan_global(dmap, start, goal)
         rs = ReplanState(dmap, start, goal)
-        path = rs.extract_path()
+        path = replan_incremental(rs, set())
         if fresh is None:
             assert path is None
         else:
@@ -803,14 +841,14 @@ def test_initial_replan_state_matches_plan_global():
 def test_zero_changes_keep_path_identical():
     dmap = DrivingMap(open_map(12, 12, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 0), (11, 7))
-    first = rs.extract_path()
+    first = replan_incremental(rs, set())
     assert replan_incremental(rs, set()) == first
 
 
 def test_far_away_block_keeps_cost():
     dmap = DrivingMap(open_map(20, 20, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 10), (19, 10))
-    before = path_cost(dmap, rs.extract_path())
+    before = path_cost(dmap, replan_incremental(rs, set()))
     dmap.dynamic[(3, 0)] = 10_000  # corner cell, far from the corridor
     after = replan_incremental(rs, {(3, 0)})
     assert path_cost(dmap, after) == before
@@ -818,12 +856,13 @@ def test_far_away_block_keeps_cost():
 
 def test_repair_updates_each_touched_vertex_once(monkeypatch):
     # The search reaches only the corridor along row 10: g is finite on it
-    # and rhs on rows 9 and 11. (8, 11) is blocked while the state is built
+    # and rhs on rows 9 and 11. (8, 11) is blocked during the first search
     # and reopened by the repair, so it has g == rhs == INF next to a finite
     # g; (14, 10) is blocked on the path.
     dmap = DrivingMap(open_map(20, 20, 1.0), robot_radius=0.8)
     dmap.dynamic[(8, 11)] = 10_000
     rs = ReplanState(dmap, (0, 10), (19, 10))
+    replan_incremental(rs, set())  # the first search
     del dmap.dynamic[(8, 11)]
     # (40, 40) lies off the map
     changed = {(0, 0), (1, 0), (5, 5), (6, 6), (8, 11), (14, 10), (40, 40)}
@@ -911,6 +950,7 @@ def test_replan_equals_fresh_plan_after_random_toggles():
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
+        replan_incremental(rs, set())  # the first search
         for _ in range(rng.randint(1, 4)):
             changed = toggle_cells(rng, dmap, rng.randint(1, 20))
             repaired = replan_incremental(rs, changed)
@@ -934,6 +974,7 @@ def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
+        replan_incremental(rs, set())  # the first search
         for _ in range(rng.randint(1, 4)):
             path = replan_incremental(rs, toggle_cells(rng, dmap, rng.randint(1, 20)))
             if path is not None:
@@ -967,8 +1008,8 @@ def test_replan_matches_the_eager_replanner_state_for_state():
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
         eager = EagerReplanState(dmap, start, goal)
-        path = rs.extract_path()
-        assert path == eager.extract_path(), f"trial {trial}"
+        path = replan_incremental(rs, set())  # the first search
+        assert path == eager_replan_incremental(eager, set()), f"trial {trial}"
         for _ in range(rng.randint(2, 6)):
             if path is not None and len(path) > 2:
                 start = path[1]  # the robot moves one step along its path
@@ -1011,7 +1052,7 @@ def repair_trials(seed):
     """Random repair trials on 16 x 16 and NON_SQUARE maps, the start moving
     along the path and toggles reaching every edge and corner. Runs the
     package's replanner and the reference side by side, yielding
-    (trial, rs, ref, path, ref_path, connected) after each construction and
+    (trial, rs, ref, path, ref_path, connected) after each first search and
     each repair."""
     rng = random.Random(seed)
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
@@ -1019,8 +1060,9 @@ def repair_trials(seed):
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
         ref = ReferenceReplanState(dmap, start, goal)
-        path = rs.extract_path()
-        yield trial, rs, ref, path, ref.extract_path(), navigation._connected(dmap, start, goal)
+        path = replan_incremental(rs, set())  # the first search
+        ref_path = reference_replan_incremental(ref, set())
+        yield trial, rs, ref, path, ref_path, navigation._connected(dmap, start, goal)
         for _ in range(rng.randint(2, 6)):
             if path is not None and len(path) > 2:
                 start = path[1]  # the robot moves one step along its path
@@ -1050,7 +1092,7 @@ def test_repair_matches_the_reference_repair_entry_for_entry():
 
 def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
     # With the start on the goal the search settles the goal alone, so a
-    # neighbour blocked while the state is built keeps g == rhs == INF and,
+    # neighbour blocked during the first search keeps g == rhs == INF and,
     # once reopened, has exactly one finite g around it: the goal, in each
     # of the eight directions in turn. The skip must not drop it.
     goal = (2, 2)
@@ -1060,6 +1102,7 @@ def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
         dmap.dynamic[cell] = 10**9
         rs = ReplanState(dmap, goal, goal)
         ref = ReferenceReplanState(dmap, goal, goal)
+        assert replan_incremental(rs, set()) == reference_replan_incremental(ref, set()) == [goal]
         assert [i for i, g in enumerate(rs.g) if g < INF] == [dmap.index(goal)]
         assert rs.rhs[dmap.index(cell)] == INF
         del dmap.dynamic[cell]
@@ -1073,7 +1116,7 @@ def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
 def test_consistent_vertices_hold_no_live_key():
     # The repair's skip leaves a touched vertex with g == rhs == INF as it
     # is, which is exact only if such a vertex holds no live queue key:
-    # after every construction and repair, g[i] == rhs[i] means no key.
+    # after every first search and repair, g[i] == rhs[i] means no key.
     checked = 0
     for trial, rs, _, _, _, _ in repair_trials(8128):
         for i, key in enumerate(rs._key_of):
@@ -1096,7 +1139,7 @@ def test_live_queue_keys_match_the_octile_formula():
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
-        path = rs.extract_path()
+        path = replan_incremental(rs, set())  # the first search
         history = [(rs.start, rs.km)]
         for _ in range(rng.randint(2, 6)):
             if path is not None and len(path) > 2:
@@ -1171,7 +1214,7 @@ def test_replan_with_moving_start():
         dmap = random_costmap(rng, width=16, height=16, obstacle_rate=0.12)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
-        path = rs.extract_path()
+        path = replan_incremental(rs, set())  # the first search
         for _ in range(4):
             if path is not None and len(path) > 2:
                 start = path[1]  # advance the robot one step along the path
@@ -1188,7 +1231,7 @@ def test_replan_with_moving_start():
 def test_replan_unreachable_after_walling_off():
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 4), (7, 4))
-    assert rs.extract_path() is not None
+    assert replan_incremental(rs, set()) is not None
     changed = set()
     for row in range(8):
         dmap.dynamic[(4, row)] = 10**9
@@ -1205,6 +1248,7 @@ def test_replan_skips_search_while_start_is_cut_off():
     dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (11, 4)
     rs = ReplanState(dmap, start, goal)
+    replan_incremental(rs, set())  # the first search
     g_before = list(rs.g)
     # wall the start in, and at the same time block the straight route
     # everywhere but a gap in the top row
@@ -1229,7 +1273,7 @@ def test_initial_search_skipped_while_start_is_cut_off():
     for row in range(8):
         dmap.dynamic[(4, row)] = 10**9
     rs = ReplanState(dmap, (0, 4), (7, 4))
-    assert all(g == INF for g in rs.g) and rs.extract_path() is None
+    assert replan_incremental(rs, set()) is None and all(g == INF for g in rs.g)
     del dmap.dynamic[(4, 6)]
     path = replan_incremental(rs, {(4, 6)})
     fresh = plan_global(dmap, (0, 4), (7, 4))
@@ -1239,6 +1283,7 @@ def test_initial_search_skipped_while_start_is_cut_off():
 def test_replan_skips_search_when_goal_is_blocked():
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 4), (7, 4))
+    replan_incremental(rs, set())  # the first search
     g_before = list(rs.g)
     dmap.dynamic[(7, 4)] = 10**9
     assert replan_incremental(rs, {(7, 4)}) is None

@@ -610,6 +610,19 @@ def test_only_a_noisy_lidar_gets_a_generator():
     assert rng_state(noisy) == np.random.default_rng(42).bit_generator.state
 
 
+def test_numpy_normal_stream_is_the_one_the_noisy_pins_were_made_with():
+    # Lidar noise is Generator.normal, and every noisy report, trace digest
+    # and identity row was pinned on numpy 2.4.6.
+    draws = np.random.default_rng(0).normal(0.0, 1.0, 4)
+    pinned = np.array([0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+                       0.10490011715303971])
+    assert np.array_equal(draws.view(np.int64), pinned.view(np.int64)), (
+        f"numpy {np.__version__} draws {draws.tolist()} from default_rng(0).normal, not the "
+        "values numpy 2.4.6 drew: NEP 19 lets the Generator stream change between numpy "
+        "releases, and the noisy report and digest pins would change with it"
+    )
+
+
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(
     counts=st.lists(st.integers(0, 400), min_size=1, max_size=3),

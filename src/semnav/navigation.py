@@ -44,19 +44,16 @@ search from scratch therefore agree on optimal cost bit for bit.
 
 The incremental replanner is repaired lazily: the drive loop batches the
 cells that change while its path stays drivable and repairs only once that
-path is blocked or the robot has none. While start and goal lie in
-different connected components a repair updates no vertex and runs no
+path is blocked or the robot has none. While the start or the goal cell is
+blocked there is no path, and a repair updates no vertex and runs no
 search: it sets its changed cells aside, and the first call that finds
-start and goal connected again updates their neighbourhoods once. That
-gate, _connected, splits each row's traversable cells into runs and joins,
-by union-find, every two runs in adjacent rows that share a column. A run
-is connected within itself, and a 4-connected path passes from one run to
-another only where two such runs share a column, so two cells share a root
-exactly when they share a component. Of those neighbourhoods a repair
-updates only the vertices a search has reached: it skips one with g == rhs
-== INF that is blocked or has no finite g among its eight neighbours, since
-its rhs, the minimum of g + step over its moves, would come out INF again,
-and a consistent vertex already holds no queue entry. The search itself
+both cells open updates their neighbourhoods once. When both are open but
+no path joins them the search runs and settles the goal's side of the map,
+and later repairs go on from there. Of the changed cells' neighbourhoods
+a repair updates only the vertices a search has reached: it skips one with
+g == rhs == INF that is blocked or has no finite g among its eight
+neighbours, since its rhs, the minimum of g + step over its moves, would
+come out INF again, and a consistent vertex already holds no queue entry. The search itself
 does work in proportion to what changed: an expansion relaxes each
 predecessor's rhs in O(1) (the moves rule is symmetric, so a vertex's
 moves are its predecessors), rescans one only when its minimum ran through
@@ -387,9 +384,9 @@ class ReplanState:
     heuristic as the start slides. A new state has searched nothing: it
     holds the goal's queue entry alone, and its first repair runs the whole
     search, which is plan_global. After each repair the extracted path
-    cost equals a from-scratch plan on the same costmap. While start and
-    goal are disconnected a repair runs no search, and its changed cells
-    wait in a set until they are connected again.
+    cost equals a from-scratch plan on the same costmap. While the start or
+    the goal cell is blocked a repair runs no search, and its changed cells
+    wait in a set until both are open again.
 
     An expansion of vertex i changes only g[i]. Since j is a move of i
     exactly when i is a move of j, with the step j -> i costing STRAIGHT
@@ -427,7 +424,7 @@ class ReplanState:
         self._heap: list[tuple[int | float, int | float, int]] = []
         self._key_of: list[tuple[int | float, int | float] | None] = [None] * size
         self._straight, self._diag = _octile_steps(dmap)
-        self._set_aside: set[tuple[int, int]] = set()  # changed while disconnected
+        self._set_aside: set[tuple[int, int]] = set()  # changed while an end cell was blocked
         # the goal's key: rhs 0 plus the heuristic from the start
         key = (octile(start, goal), 0)
         self._key_of[self._goal_index] = key
@@ -569,7 +566,7 @@ class ReplanState:
         dmap = self.dmap
         g = self.g
         i = dmap.index(self.start)
-        if costs[i] >= UNKNOWN_COST or self.rhs[i] == INF:
+        if self.rhs[i] == INF:
             return None
         path = [i]
         limit = dmap.width * dmap.height
@@ -577,7 +574,8 @@ class ReplanState:
         while i != self._goal_index:
             best = None
             best_through = INF
-            # i is open: the start is checked above, and each later i is a move
+            # i is open: replan_incremental checks the start, and each later i
+            # is a move
             for d, a, b, diagonal in moves:
                 j = i + d
                 c = costs[j]
@@ -601,51 +599,6 @@ class ReplanState:
         return [dmap.cell(i) for i in path]
 
 
-def _connected(dmap: DrivingMap, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True when cells a and b are traversable and lie in one 4-connected
-    component of the traversable cells. A diagonal move needs both of its
-    cardinal cells traversable, so these are the components of the move
-    graph: a and b are connected exactly when some path joins them."""
-    if not dmap.traversable(*a) or not dmap.traversable(*b):
-        return False
-    # traversable cells, with one closed column after each row so that no
-    # row run wraps into the next row
-    width = dmap.width + 1
-    mask = np.zeros((dmap.height, width), dtype=bool)
-    mask[:, :-1] = dmap.static < UNKNOWN_COST
-    if dmap.dynamic:
-        mask.ravel()[[row * width + col for col, row in dmap.dynamic]] = False
-    flat = mask.ravel()
-    starts = flat.copy()
-    starts[1:] &= ~flat[:-1]
-    first = np.flatnonzero(starts)  # run r starts at flat index first[r]
-    # an open cell with an open cell in the next row joins their two runs;
-    # two runs share one interval of columns, so only its first is kept
-    both = mask[:-1] & mask[1:]
-    contacts = both.copy()
-    contacts[:, 1:] &= ~both[:, :-1]
-    top = np.flatnonzero(contacts)
-    upper = np.searchsorted(first, top, "right") - 1
-    lower = np.searchsorted(first, top + width, "right") - 1
-    parent = list(range(first.size))
-    for u, v in zip(upper.tolist(), lower.tolist()):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]  # path halving
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u < v:
-            parent[v] = u
-        elif v < u:
-            parent[u] = v
-    ends = [a[1] * width + a[0], b[1] * width + b[0]]
-    ra, rb = (np.searchsorted(first, ends, "right") - 1).tolist()
-    while parent[ra] != ra:
-        ra = parent[ra]
-    while parent[rb] != rb:
-        rb = parent[rb]
-    return ra == rb
-
-
 def replan_incremental(
     rs: ReplanState,
     changed_cells: set[tuple[int, int]],
@@ -654,17 +607,18 @@ def replan_incremental(
     """Repair the search after costmap changes (and optionally a moved
     start), then extract the current optimal path.
 
-    While start and goal are disconnected the changed cells are set aside
-    on the state and None is returned at once, with no vertex updated and
-    no search run: there is no path to find, and a repair would only drain
-    the goal's component. The first call that finds them connected updates
-    each in-bounds cell of the 3 x 3 blocks of every cell set aside so far
-    once, in index order, on its own snapshot, then searches. That gives the
-    rhs values an update on every call would: a vertex's rhs reads only its
-    own block, a later change in that block puts it in a later block too,
-    and g does not change while no search runs. Of those cells it skips the
-    ones an update would leave as they are (see ReplanState): g == rhs ==
-    INF, and blocked or with no finite g around them.
+    While the start or the goal cell is blocked the changed cells are set
+    aside on the state and None is returned at once, with no vertex updated
+    and no search run: there is no path to find. The first call that finds
+    both cells open updates each in-bounds cell of the 3 x 3 blocks of every
+    cell set aside so far once, in index order, on its own snapshot, then
+    searches. That gives the rhs values an update on every call would: a
+    vertex's rhs reads only its own block, a later change in that block puts
+    it in a later block too, and g does not change while no search runs. Of
+    those cells it skips the ones an update would leave as they are (see
+    ReplanState): g == rhs == INF, and blocked or with no finite g around
+    them. When both cells are open but no path joins them, the search
+    settles the goal's side and None is returned.
     """
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
@@ -677,7 +631,7 @@ def replan_incremental(
         rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
     rs._set_aside |= changed_cells
-    if not _connected(dmap, rs.start, rs.goal):
+    if not (dmap.traversable(*rs.start) and dmap.traversable(*rs.goal)):
         return None
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride

@@ -37,7 +37,6 @@ from semnav.navigation import (
     DrivingMap,
     PathCost,
     ReplanState,
-    _connected,
     decode,
     octile,
 )
@@ -335,25 +334,6 @@ class _PairPriority:
 
 def grid_traversable(grid, col, row):
     return 0 <= row < len(grid) and 0 <= col < len(grid[0]) and grid[row][col] < 253
-
-
-def reference_connected(grid, a, b):
-    """Whether cells a and b, as (col, row), are both traversable and joined
-    by a 4-connected path of traversable cells: a breadth-first search from
-    a, one cell at a time."""
-    if not grid_traversable(grid, *a) or not grid_traversable(grid, *b):
-        return False
-    seen = {a}
-    frontier = deque([a])
-    while frontier:
-        col, row = frontier.popleft()
-        if (col, row) == b:
-            return True
-        for nxt in ((col + 1, row), (col - 1, row), (col, row + 1), (col, row - 1)):
-            if nxt not in seen and grid_traversable(grid, *nxt):
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
 
 
 def grid_edge_cost(grid, u, v):
@@ -776,10 +756,10 @@ def reference_plan_global(
 
 # --- eager incremental replanner ----------------------------------------------
 
-# The package's replanner relaxes predecessors in O(1) and sets a
-# disconnected repair's cells aside. This is the eager form it must match:
-# it rescans every successor of every predecessor and updates every changed
-# cell's block on every call.
+# The package's replanner relaxes predecessors in O(1) and sets a repair's
+# cells aside while an end cell is blocked. This is the eager form it must
+# match: it rescans every successor of every predecessor and updates every
+# changed cell's block on every call.
 
 class EagerReplanState(QueueHelpers, ReplanState):
     """ReplanState with a full rhs rescan for every neighbour of every
@@ -854,7 +834,8 @@ def eager_replan_incremental(
     changed_cells: set[tuple[int, int]],
     new_start: tuple[int, int] | None = None,
 ) -> list[tuple[int, int]] | None:
-    """Every changed cell's block updated on every call, connected or not."""
+    """Every changed cell's block updated on every call, whether or not an
+    end cell is blocked."""
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
         if not dmap.in_bounds(*new_start):
@@ -876,8 +857,7 @@ def eager_replan_incremental(
     }
     for i in sorted(touched):
         rs._update_vertex(costs, i)
-    grid = [[dmap.composite(col, row) for col in range(width)] for row in range(height)]
-    if not reference_connected(grid, rs.start, rs.goal):
+    if max(costs[dmap.index(rs.start)], costs[dmap.index(rs.goal)]) >= UNKNOWN_COST:
         return None
     rs._compute(costs)
     return rs._extract(costs)
@@ -949,15 +929,14 @@ def reference_replan_incremental(
     """Repair the search after costmap changes (and optionally a moved
     start), then extract the current optimal path.
 
-    While start and goal are disconnected the changed cells are set aside
-    on the state and None is returned at once, with no vertex updated and
-    no search run: there is no path to find, and a repair would only drain
-    the goal's component. The first call that finds them connected updates
-    each in-bounds cell of the 3 x 3 blocks of every cell set aside so far
-    once, in index order, on its own snapshot, then searches. That gives the
-    rhs values an update on every call would: a vertex's rhs reads only its
-    own block, a later change in that block puts it in a later block too,
-    and g does not change while no search runs.
+    While the start or the goal cell is blocked the changed cells are set
+    aside on the state and None is returned at once, with no vertex updated
+    and no search run: there is no path to find. The first call that finds
+    both cells open updates each in-bounds cell of the 3 x 3 blocks of every
+    cell set aside so far once, in index order, on its own snapshot, then
+    searches. That gives the rhs values an update on every call would: a
+    vertex's rhs reads only its own block, a later change in that block puts
+    it in a later block too, and g does not change while no search runs.
     """
     dmap = rs.dmap
     if new_start is not None and new_start != rs.start:
@@ -970,7 +949,7 @@ def reference_replan_incremental(
         rs._start_key = divmod(dmap.index(new_start), dmap.stride)
         rs.start = new_start
     rs._set_aside |= changed_cells
-    if not _connected(dmap, rs.start, rs.goal):
+    if not (dmap.traversable(*rs.start) and dmap.traversable(*rs.goal)):
         return None
     costs = dmap.snapshot()
     width, height, stride = dmap.width, dmap.height, dmap.stride

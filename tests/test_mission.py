@@ -558,8 +558,9 @@ NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenari
          "a0fa7876b0fd711c2f55f08e041e103be68c0366a88ed099ed9755d6ba037b35"),
         (DEMO_SCENARIO, {"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.5"},
          "c675aa9c37ffac01c267fd45251b0cea761b3d00aba0fbff113c1587b7404ee2"),
-        # also unreachable, after a long stretch of start and goal disconnected,
-        # during which the replanner sets its changed cells aside
+        # also unreachable, after a long stretch with the goal cell blocked (all
+        # its no-path verdicts), during which the replanner sets its changed
+        # cells aside
         (DEMO_SCENARIO, {"seed = 7": "seed = 5", "noise_sigma = 0.0": "noise_sigma = 0.2"},
          "d9abd8cc18d98f414ce5004f40e8360f5e65d6150af10eba969ebda19523f97c"),
         (DEMO_SCENARIO, {"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.5"},

@@ -26,7 +26,6 @@ from oracles import (
     eager_replan_incremental,
     grid_edge_cost,
     inflation_oracle,
-    reference_connected,
     reference_dynamic_fold,
     reference_plan_global,
     reference_replan_incremental,
@@ -667,49 +666,6 @@ def pick_free_cells(rng, dmap, count=2):
 NON_SQUARE = ((23, 7), (7, 23), (40, 3))
 
 
-def test_connected_matches_a_breadth_first_search():
-    # Random maps of free, lethal and unknown cells with dynamic cells on
-    # top, some on the border, and the 1 x 1, 1 x N and N x 1 shapes; the
-    # fixed map joins (1, 0) and (0, 1) only if a row run wraps into the
-    # next row.
-    rng = random.Random(4242)
-    maps = [["#.", ".#"]]
-    shapes = [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2)] * 12 + [
-        (rng.randint(3, 14), rng.randint(3, 14)) for _ in range(240)
-    ]
-    for width, height in shapes:
-        rate = rng.choice([0.1, 0.25, 0.4])
-        maps.append([
-            "".join(rng.choices("#?.", weights=(rate, rate / 4, 1 - rate))[0] for _ in range(width))
-            for _ in range(height)
-        ])
-    joined = apart = 0
-    for rows in maps:
-        height, width = len(rows), len(rows[0])
-        dmap = DrivingMap(metric_from_rows(rows, 0.1), robot_radius=0.05)
-        border = [(c, r) for r in range(height) for c in range(width)
-                  if c in (0, width - 1) or r in (0, height - 1)]
-        for cell in rng.sample(border, min(len(border), rng.randint(0, 3))):
-            dmap.dynamic[cell] = 10**9
-        for _ in range(rng.randint(0, width * height // 6)):
-            dmap.dynamic[rng.randrange(width), rng.randrange(height)] = 10**9
-        grid = composite_grid(dmap)
-        cells = [(c, r) for r in range(height) for c in range(width)]
-        open_cells = [cell for cell in cells if dmap.traversable(*cell)] or cells
-        pairs = [((1, 0), (0, 1))] if rows == ["#.", ".#"] else []
-        pairs += [(rng.choice(open_cells), rng.choice(open_cells)) for _ in range(16)]
-        pairs += [(rng.choice(cells), rng.choice(cells)) for _ in range(4)]
-        for a, b in pairs:
-            expected = reference_connected(grid, a, b)
-            assert navigation._connected(dmap, a, b) == expected, (rows, dmap.dynamic, a, b)
-            if dmap.traversable(*a) and dmap.traversable(*b):
-                joined += expected
-                apart += not expected
-    # both answers are exercised between two open cells, not only at the
-    # endpoint check
-    assert joined > 1000 and apart > 1000
-
-
 def test_plan_global_matches_dijkstra_oracle():
     rng = random.Random(1234)
     agree = 0
@@ -794,22 +750,17 @@ def test_planned_path_avoids_blocked_cells():
 
 def test_a_new_replan_state_has_searched_nothing(monkeypatch):
     # A state's first search is its first repair's, the one plan_global
-    # runs: a new state checks no connectivity, knows no g and queues the
-    # goal alone, and the first repair runs the gate and then the search.
+    # runs: a new state knows no g and queues the goal alone, and the first
+    # repair runs the search.
     dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (11, 4)
     calls = []
-    connected, search = navigation._connected, ReplanState._compute
-
-    def connected_spy(*args):
-        calls.append("connected")
-        return connected(*args)
+    search = ReplanState._compute
 
     def search_spy(self, costs):
         calls.append("search")
         search(self, costs)
 
-    monkeypatch.setattr(navigation, "_connected", connected_spy)
     monkeypatch.setattr(ReplanState, "_compute", search_spy)
     rs = ReplanState(dmap, start, goal)
     gi = dmap.index(goal)
@@ -819,23 +770,8 @@ def test_a_new_replan_state_has_searched_nothing(monkeypatch):
     assert rs._heap == [(octile(start, goal), 0, gi)]
     assert [i for i, key in enumerate(rs._key_of) if key is not None] == [gi]
     path = replan_incremental(rs, set())
-    assert calls == ["connected", "search"]
+    assert calls == ["search"]
     assert (path, decode(rs.g[dmap.index(start)])) == plan_global(dmap, start, goal)
-
-
-def test_initial_replan_state_matches_plan_global():
-    rng = random.Random(555)
-    for _ in range(25):
-        dmap = random_costmap(rng, width=16, height=16)
-        start, goal = pick_free_cells(rng, dmap)
-        fresh = plan_global(dmap, start, goal)
-        rs = ReplanState(dmap, start, goal)
-        path = replan_incremental(rs, set())
-        if fresh is None:
-            assert path is None
-        else:
-            assert path is not None
-            assert path_cost(dmap, path) == fresh[1]
 
 
 def test_zero_changes_keep_path_identical():
@@ -944,6 +880,11 @@ def toggle_cells(rng, dmap, count):
     return changed
 
 
+def ends_open(dmap, start, goal):
+    """Whether both end cells are open: a repair searches exactly then."""
+    return dmap.traversable(*start) and dmap.traversable(*goal)
+
+
 def test_replan_equals_fresh_plan_after_random_toggles():
     rng = random.Random(90210)
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
@@ -966,9 +907,10 @@ def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
     # _update_vertex scans the moves of a cell inline and the search relaxes
     # predecessors; after every repair each stored non-goal rhs must equal
     # the minimum of g + step over _moves on the snapshot (same maps and
-    # toggles as the test above). A disconnected repair sets its cells
-    # aside, so the rhs of a vertex whose 3 x 3 block holds one of them is
-    # not yet due; after a repair that found a path none is set aside.
+    # toggles as the test above). A repair that finds an end cell blocked
+    # sets its cells aside, so the rhs of a vertex whose 3 x 3 block holds
+    # one of them is not yet due; after a repair that found a path none is
+    # set aside.
     rng = random.Random(90210)
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
@@ -998,11 +940,11 @@ def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
 
 def test_replan_matches_the_eager_replanner_state_for_state():
     # The package relaxes predecessors in O(1), pushes no duplicate keys
-    # and sets a disconnected repair's cells aside; the eager replanner
-    # does none of these. Paths must agree on every call, and g and rhs on
-    # every call that found start and goal connected.
+    # and sets a repair's cells aside while an end cell is blocked; the
+    # eager replanner does none of these. Paths must agree on every call,
+    # and g and rhs on every call that found both end cells open.
     rng = random.Random(31337)
-    calls = connected = 0
+    calls = open_ends = 0
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
@@ -1019,12 +961,12 @@ def test_replan_matches_the_eager_replanner_state_for_state():
                 f"trial {trial}"
             )
             calls += 1
-            if navigation._connected(dmap, start, goal):
-                connected += 1
+            if ends_open(dmap, start, goal):
+                open_ends += 1
                 assert rs.g == eager.g, f"trial {trial}"
                 assert rs.rhs == eager.rhs, f"trial {trial}"
     # both kinds of call are exercised
-    assert 0 < connected < calls
+    assert 0 < open_ends < calls
 
 
 def toggle_rim_cells(rng, dmap, count):
@@ -1052,8 +994,8 @@ def repair_trials(seed):
     """Random repair trials on 16 x 16 and NON_SQUARE maps, the start moving
     along the path and toggles reaching every edge and corner. Runs the
     package's replanner and the reference side by side, yielding
-    (trial, rs, ref, path, ref_path, connected) after each first search and
-    each repair."""
+    (trial, rs, ref, path, ref_path, open_ends) after each first search and
+    each repair, open_ends telling whether both end cells were open."""
     rng = random.Random(seed)
     for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
@@ -1062,14 +1004,14 @@ def repair_trials(seed):
         ref = ReferenceReplanState(dmap, start, goal)
         path = replan_incremental(rs, set())  # the first search
         ref_path = reference_replan_incremental(ref, set())
-        yield trial, rs, ref, path, ref_path, navigation._connected(dmap, start, goal)
+        yield trial, rs, ref, path, ref_path, ends_open(dmap, start, goal)
         for _ in range(rng.randint(2, 6)):
             if path is not None and len(path) > 2:
                 start = path[1]  # the robot moves one step along its path
             changed = toggle_rim_cells(rng, dmap, rng.randint(1, 25))
             path = replan_incremental(rs, changed, new_start=start)
             ref_path = reference_replan_incremental(ref, changed, new_start=start)
-            yield trial, rs, ref, path, ref_path, navigation._connected(dmap, start, goal)
+            yield trial, rs, ref, path, ref_path, ends_open(dmap, start, goal)
 
 
 def test_repair_matches_the_reference_repair_entry_for_entry():
@@ -1077,17 +1019,17 @@ def test_repair_matches_the_reference_repair_entry_for_entry():
     # or have no finite g around them, and the search queues neighbours
     # inline; the reference does neither. Every path, g, rhs, queue key and
     # heap entry must agree after every call.
-    calls = connected = 0
-    for trial, rs, ref, path, ref_path, joined in repair_trials(8128):
+    calls = open_ends = 0
+    for trial, rs, ref, path, ref_path, searched in repair_trials(8128):
         assert path == ref_path, f"trial {trial}"
         assert rs.g == ref.g, f"trial {trial}"
         assert rs.rhs == ref.rhs, f"trial {trial}"
         assert rs._key_of == ref._key_of, f"trial {trial}"
         assert rs._heap == ref._heap, f"trial {trial}"
         calls += 1
-        connected += joined
+        open_ends += searched
     # both kinds of call are exercised
-    assert 100 < connected < calls
+    assert 100 < open_ends < calls
 
 
 def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
@@ -1250,33 +1192,41 @@ def test_replan_skips_search_while_start_is_cut_off():
     rs = ReplanState(dmap, start, goal)
     replan_incremental(rs, set())  # the first search
     g_before = list(rs.g)
-    # wall the start in, and at the same time block the straight route
+    # block the start cell, and at the same time block the straight route
     # everywhere but a gap in the top row
-    fence = {(1, 4), (0, 3), (0, 5)}
     barrier = {(6, row) for row in range(7)}
-    for cell in fence | barrier:
+    for cell in barrier | {start}:
         dmap.dynamic[cell] = 10**9
-    assert replan_incremental(rs, fence | barrier) is None
+    assert replan_incremental(rs, barrier | {start}) is None
     assert rs.g == g_before  # no expansion ran
-    # reopening only the fence must still route round the barrier, so the
+    # reopening only the start must still route round the barrier, so the
     # barrier's deferred inconsistencies were kept and are repaired now
-    for cell in fence:
-        del dmap.dynamic[cell]
-    path = replan_incremental(rs, fence)
+    del dmap.dynamic[start]
+    path = replan_incremental(rs, {start})
     fresh = plan_global(dmap, start, goal)
     assert path is not None and path_cost(dmap, path) == fresh[1]
     assert (6, 7) in path
 
 
-def test_initial_search_skipped_while_start_is_cut_off():
+def test_first_search_between_walled_off_cells_settles_the_goal_side():
+    # Both end cells are open but a dynamic wall parts them: the first
+    # repair searches, finds no path and leaves the goal's side settled, each
+    # finite g the exact cost to the goal, and a later repair goes on from
+    # that state.
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
+    start, goal = (0, 4), (7, 4)
     for row in range(8):
         dmap.dynamic[(4, row)] = 10**9
-    rs = ReplanState(dmap, (0, 4), (7, 4))
-    assert replan_incremental(rs, set()) is None and all(g == INF for g in rs.g)
+    rs = ReplanState(dmap, start, goal)
+    assert replan_incremental(rs, set()) is None
+    grid = composite_grid(dmap)
+    settled = {dmap.cell(i): g for i, g in enumerate(rs.g) if g < INF}
+    assert set(settled) == {(col, row) for col in range(5, 8) for row in range(8)}
+    for cell, g in settled.items():
+        assert decode(g) == dijkstra_pair_cost(grid, cell, goal), cell
     del dmap.dynamic[(4, 6)]
     path = replan_incremental(rs, {(4, 6)})
-    fresh = plan_global(dmap, (0, 4), (7, 4))
+    fresh = plan_global(dmap, start, goal)
     assert path is not None and path_cost(dmap, path) == fresh[1]
 
 

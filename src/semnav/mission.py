@@ -494,7 +494,7 @@ class MissionEngine:
             pose = self.world.robot_spawn
             tick = 0
         else:
-            pose = self.ws.robot.pose
+            pose = self.ws.pose
             tick = self.ws.tick
         append_episode(
             self.emap,
@@ -580,7 +580,7 @@ class MissionEngine:
         target = self.world.find(destination)
         goal_cell = dmap.cell_of(target.position())
         goal_point = dmap.center_of(*goal_cell)
-        start_cell = dmap.cell_of(ws.robot.pose.position)
+        start_cell = dmap.cell_of(ws.pose.position)
         has_lidar = scenario.sensor_spec.lidar2d is not None
 
         initial = plan_global(dmap, start_cell, goal_cell)
@@ -597,7 +597,7 @@ class MissionEngine:
             if has_lidar and ws.tick != self._scanned_tick:
                 self._scanned_tick = ws.tick
                 scan = lidar_scan(ws, scenario.sensor_spec)
-                changed = dmap.update_dynamic_layer(scan, ws.tick)
+                changed = dmap.update_dynamic_layer(scan)
             if changed:
                 pending |= changed
                 # The driven path is kept while its remaining stretch stays
@@ -607,12 +607,12 @@ class MissionEngine:
                 # replan counted), so equal-cost extraction flips don't
                 # register as replans.
                 if path is not None and self._ahead_is_blocked(
-                    path, reads, waypoints, ws.robot.pose
+                    path, reads, waypoints, ws.pose
                 ):
                     self._episode("OBSTACLE_DETECTED")
                     path = None
                 if path is None:
-                    here = dmap.cell_of(ws.robot.pose.position)
+                    here = dmap.cell_of(ws.pose.position)
                     new_path = replan_incremental(rs, pending, here)
                     pending.clear()
                     if new_path is not None:
@@ -620,7 +620,7 @@ class MissionEngine:
                         self._episode("REPLAN", subject=destination)
                     path = new_path
                     waypoints, reads = _route(dmap, path)
-            if ws.robot.pose.position.distance_to(goal_point) <= GOAL_TOLERANCE:
+            if ws.pose.position.distance_to(goal_point) <= GOAL_TOLERANCE:
                 return "ok"  # arrived, whatever the costmap momentarily says
             if path is None:
                 stall += 1
@@ -629,7 +629,7 @@ class MissionEngine:
                 self._step((0.0, 0.0))
                 continue
             stall = 0
-            self._step(follow_step(ws.robot, waypoints))
+            self._step(follow_step(ws.pose, waypoints))
 
     def _ahead_is_blocked(
         self, path: list[tuple[int, int]], reads: dict, waypoints: list[Point2], pose: Pose2

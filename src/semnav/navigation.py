@@ -92,7 +92,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -223,17 +222,17 @@ class DrivingMap(GridFrame):
 
     # -- dynamic layer --
 
-    def update_dynamic_layer(self, scan, tick: int) -> set[tuple[int, int]]:
-        """Fold a lidar scan (a simulator.LidarScan, taken at scan.pose) into
-        the dynamic layer and age out old entries.
+    def update_dynamic_layer(self, scan) -> set[tuple[int, int]]:
+        """Fold a lidar scan (a simulator.LidarScan, taken at scan.pose on
+        scan.tick) into the dynamic layer and age out old entries.
 
-        Every hit lands as cost 254 with expiry tick + DEFAULT_TTL unless the
-        cell is already static-lethal; hit cells are found for all beams at
-        once, from the scan's direction and range arrays, and folded in beam
-        order. Returns the cells whose composite cost differs from before
-        the call. A non-finite hit point short of range_max, or a tick
-        earlier than the last fold's, raises ValueError before anything
-        changes.
+        Every hit lands as cost 254 with expiry scan.tick + DEFAULT_TTL
+        unless the cell is already static-lethal; hit cells are found for
+        all beams at once, from the scan's direction and range arrays, and
+        folded in beam order. Returns the cells whose composite cost differs
+        from before the call. A non-finite hit point short of range_max, or
+        a scan dated earlier than the last fold's, raises ValueError before
+        anything changes.
 
         Entries age out by due bucket: each fold queues its hit cells under
         their common expiry, and since every expiry is tick + DEFAULT_TTL and
@@ -244,10 +243,11 @@ class DrivingMap(GridFrame):
         Entries enter only through this fold: one written into self.dynamic
         directly sits in no bucket and never falls due.
         """
+        tick = scan.tick
         if tick < self._last_fold:
             raise ValueError(f"tick {tick} is earlier than the last fold's, {self._last_fold}")
         pose = scan.pose
-        ranges = scan.range_array
+        ranges = scan.ranges
         near = ~(ranges >= scan.range_max - 1e-9)  # a NaN range stays in, and fails below
         dist = ranges[near]
         hx = pose.x + dist * scan.cos[near]
@@ -662,11 +662,6 @@ def replan_incremental(
 
 # -- waypoint following --
 
-@dataclass
-class RobotState:
-    pose: Pose2
-
-
 def cells_to_points(dmap: DrivingMap, path: list[tuple[int, int]]) -> list[Point2]:
     return [dmap.center_of(*cell) for cell in path]
 
@@ -690,8 +685,9 @@ GOAL_TOLERANCE = 0.15
 TURN_GAIN = 3.0
 
 
-def follow_step(state: RobotState, waypoints: list[Point2]) -> tuple[float, float]:
-    """Rotate-then-drive pursuit of the furthest waypoint within LOOKAHEAD.
+def follow_step(pose: Pose2, waypoints: list[Point2]) -> tuple[float, float]:
+    """Rotate-then-drive pursuit, from the robot's pose, of the furthest
+    waypoint within LOOKAHEAD.
 
     Large heading error (> 90°) turns in place; otherwise forward speed
     scales with the cosine of the error. Only the command is chosen here:
@@ -699,7 +695,6 @@ def follow_step(state: RobotState, waypoints: list[Point2]) -> tuple[float, floa
     """
     if not waypoints:
         raise ValueError("follow_step needs at least one waypoint")
-    pose = state.pose
     here = pose.position
     gaps, nearest = nearest_waypoint(here, waypoints)
     target = waypoints[nearest]

@@ -19,8 +19,8 @@ skipped when none is, and clamps its noise in one more, on every call; the
 noise, one Gaussian per beam in beam order, is one normal() call on the
 world state's numpy Generator, seeded from the scenario seed and built only
 when the lidar is noisy.
-A LidarScan carries its beams as read-only arrays (directions and ranges)
-beside the angle and range tuples, and the costmap fold reads the arrays.
+A LidarScan holds one read-only array per beam quantity (angle, range and
+world-frame direction), and the costmap fold reads them as they are.
 """
 
 from __future__ import annotations
@@ -37,34 +37,22 @@ import numpy as np
 from .geometry import Point2, Pose2, normalize_angle
 from .learning import Detection
 from .mapgen import Lidar2dSpec, SensorSpec
-from .navigation import RobotState
 from .world import WorldDescription
 
 _MIN_HIT = 1e-9  # hits closer than this are the robot itself
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LidarScan:
     tick: int
     pose: Pose2
     range_max: float
-    angles: tuple[float, ...]  # beam angles relative to pose.heading
-    ranges: tuple[float, ...]
-    # the same beams as read-only arrays, which the costmap fold reads: the
-    # cos and sin of pose.heading + angle, and the ranges
-    cos: np.ndarray = field(repr=False, compare=False)
-    sin: np.ndarray = field(repr=False, compare=False)
-    range_array: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def of(cls, tick: int, pose: Pose2, range_max: float, angles: tuple[float, ...],
-           cos: np.ndarray, sin: np.ndarray, ranges: np.ndarray) -> LidarScan:
-        """A scan whose beams have the given angles, world-frame directions
-        (cos, sin) and ranges; the arrays are made read-only, and the ranges
-        are kept as a tuple too."""
-        for array in (cos, sin, ranges):
-            array.flags.writeable = False
-        return cls(tick, pose, range_max, angles, tuple(ranges.tolist()), cos, sin, ranges)
+    # one read-only array per beam quantity, in beam order: the angle from
+    # pose.heading, the range, and the cos and sin of pose.heading + angle
+    angles: np.ndarray
+    ranges: np.ndarray
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
 
     @property
     def beam_count(self) -> int:
@@ -179,7 +167,7 @@ class WorldState:
     walls: Walls  # built once: the world is immutable
     landmarks: tuple[tuple[str, str, Point2], ...]  # (symbol, class, point), by symbol
     tick: int
-    robot: RobotState
+    pose: Pose2  # the robot's
     actor_positions: dict[str, Point2]
     actor_targets: dict[str, int]  # index of the waypoint being approached
     static_collisions: int = 0
@@ -192,7 +180,7 @@ class WorldState:
 
 
 def _trace_record(ws: WorldState, v: float, omega: float) -> str:
-    pose = ws.robot.pose
+    pose = ws.pose
     collisions = ws.static_collisions + ws.actor_collisions
     return (
         f"{ws.tick} {pose.x:.9f} {pose.y:.9f} {pose.heading:.9f} "
@@ -216,7 +204,7 @@ def make_world_state(
             and rec.explicit.model2d is not None
         ),
         tick=0,
-        robot=RobotState(world.robot_spawn),
+        pose=world.robot_spawn,
         actor_positions={a.symbol: a.waypoints[0] for a in world.actors},
         actor_targets={
             a.symbol: 1 % len(a.waypoints) for a in world.actors
@@ -276,7 +264,7 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
             actor.speed * dt,
         )
 
-    pose = ws.robot.pose
+    pose = ws.pose
     move = v * dt
     new_x = pose.x + move * math.cos(pose.heading)
     new_y = pose.y + move * math.sin(pose.heading)
@@ -291,10 +279,9 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
             new_x = pose.x + ux * allowed
             new_y = pose.y + uy * allowed
             ws.static_collisions += 1
-    new_pose = Pose2(new_x, new_y, normalize_angle(pose.heading + omega * dt))
-    ws.robot = RobotState(new_pose)
+    ws.pose = Pose2(new_x, new_y, normalize_angle(pose.heading + omega * dt))
 
-    here = new_pose.position
+    here = ws.pose.position
     for actor in ws.world.actors:
         gap = here.distance_to(ws.actor_positions[actor.symbol])
         if gap < ws.world.robot_radius + actor.footprint_radius:
@@ -308,17 +295,13 @@ def step(ws: WorldState, dt: float, robot_command: tuple[float, float]) -> World
 # --- sensors ---
 
 @functools.lru_cache(maxsize=8)
-def _beam_angles(fov: float, beam_count: int) -> tuple[tuple[float, ...], np.ndarray]:
-    """The beams' angles from the heading, as a tuple and as a read-only
-    array, built once per lidar spec."""
-    if beam_count == 1:
-        rel = (-fov / 2.0,)
-    else:
-        spacing = fov / (beam_count - 1)
-        rel = tuple(-fov / 2.0 + i * spacing for i in range(beam_count))
-    array = np.array(rel)
-    array.flags.writeable = False
-    return rel, array
+def _beam_angles(fov: float, beam_count: int) -> np.ndarray:
+    """The beams' angles from the heading, -fov/2 + i * spacing for beam i,
+    as a read-only array built once per lidar spec."""
+    spacing = fov / (beam_count - 1) if beam_count > 1 else 0.0
+    angles = -fov / 2.0 + np.arange(beam_count) * spacing
+    angles.flags.writeable = False
+    return angles
 
 
 def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
@@ -340,12 +323,12 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
     lidar = spec.lidar2d
     if lidar is None:
         raise ValueError("sensor spec has no 2D lidar")
-    pose = ws.robot.pose
-    rel, rel_array = _beam_angles(lidar.fov, lidar.beam_count)
+    pose = ws.pose
+    angles = _beam_angles(lidar.fov, lidar.beam_count)
     bits = _pose_bits(pose.x, pose.y, pose.heading)
     memo = ws.wall_ranges
     if memo is None or memo.pose_bits != bits or memo.lidar != lidar:
-        absolute = rel_array + pose.heading
+        absolute = angles + pose.heading
         dx = np.cos(absolute)
         dy = np.sin(absolute)
         # beams within a quarter turn of the heading meet nothing behind it
@@ -381,7 +364,8 @@ def lidar_scan(ws: WorldState, spec: SensorSpec) -> LidarScan:
         # one draw per beam, in beam order, from the mission's one generator
         noise = ws.rng.normal(0.0, ws.noise_sigma, ranges.size)
         ranges = np.minimum(lidar.range_m, np.maximum(_MIN_HIT, ranges + noise))
-    return LidarScan.of(ws.tick, pose, lidar.range_m, rel, dx, dy, ranges)
+    ranges.flags.writeable = False
+    return LidarScan(ws.tick, pose, lidar.range_m, angles, ranges, dx, dy)
 
 
 def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:
@@ -391,7 +375,7 @@ def semantic_detect(ws: WorldState, spec: SensorSpec) -> SemanticFrame:
     sem = spec.semantic3d
     if sem is None:
         raise ValueError("sensor spec has no 3D semantic sensor")
-    pose = ws.robot.pose
+    pose = ws.pose
     here = pose.position
     # elements, then actors, which report no symbol
     targets = ws.landmarks + tuple(

@@ -468,7 +468,7 @@ def reference_lidar_ranges(ws, spec):
     package's own ray-segment kernel (ws.walls), which this reference does
     not re-derive."""
     lidar = spec.lidar2d
-    pose = ws.robot.pose
+    pose = ws.pose
     if lidar.beam_count == 1:
         rel = (-lidar.fov / 2.0,)
     else:
@@ -502,7 +502,7 @@ def reference_lidar_ranges(ws, spec):
             for r in ranges
         ]
         ranges = np.asarray(noisy)
-    return tuple(ranges.tolist())
+    return ranges.tolist()
 
 
 def reference_step_pose(ws, dt, command):
@@ -511,7 +511,7 @@ def reference_step_pose(ws, dt, command):
     crossing in [0, |v*dt|] over every wall segment, from the package's own
     ray-segment kernel (ws.walls.ray_hits, unculled)."""
     v, omega = command
-    pose = ws.robot.pose
+    pose = ws.pose
     move = v * dt
     x = pose.x + move * math.cos(pose.heading)
     y = pose.y + move * math.sin(pose.heading)

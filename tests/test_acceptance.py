@@ -221,7 +221,7 @@ def _random_sensor_world(rng):
 
 
 def _oracle_beam(ws, angle_world, range_max):
-    pose = ws.robot.pose
+    pose = ws.pose
     dx, dy = math.cos(angle_world), math.sin(angle_world)
     best = range_max
     for element in ws.world.elements:
@@ -255,7 +255,7 @@ def test_criterion_3_sensor_models_match_exhaustive_oracles():
         )
         scan = lidar_scan(ws, spec)
         for rel, got in zip(scan.angles, scan.ranges):
-            expected = _oracle_beam(ws, ws.robot.pose.heading + rel, spec.lidar2d.range_m)
+            expected = _oracle_beam(ws, ws.pose.heading + rel, spec.lidar2d.range_m)
             if abs(got - expected) > 1e-9:
                 beam_errors.append(abs(got - expected))
         beams_checked += len(scan.ranges)

@@ -168,6 +168,19 @@ def test_the_cli_reaches_pipeline_stages_only_through_the_engine():
     assert (imported | read) & ENGINE_STAGES == set()
 
 
+def test_the_world_model_does_not_import_the_planning_stack():
+    # the simulator is the world the robot acts in; it holds the robot's
+    # pose itself and takes commands, never the robot's navigation or plans
+    tree = ast.parse((ROOT / "src" / "semnav" / "simulator.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert {name.rpartition(".")[2] for name in names} & {"navigation", "planner", "mission"} == set()
+
+
 @functools.lru_cache(maxsize=1)
 def demo_run_modules() -> frozenset[str]:
     """The modules a fresh interpreter holds after it imports the CLI and

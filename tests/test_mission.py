@@ -620,7 +620,7 @@ def test_demo_recomputes_wall_ranges_only_where_the_robot_moved(monkeypatch):
     scan, nearest_hits = mission_module.lidar_scan, Walls.nearest_hits
 
     def scan_spy(ws, spec):
-        pose = ws.robot.pose
+        pose = ws.pose
         poses.append(np.array((pose.x, pose.y, pose.heading)).tobytes())
         return scan(ws, spec)
 
@@ -681,9 +681,9 @@ def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
             events.append(("scratch", None))
         search(self, costs)
 
-    def follow_step_spy(state, waypoints):
+    def follow_step_spy(pose, waypoints):
         events.append(("follow", waypoints))
-        return follow_step(state, waypoints)
+        return follow_step(pose, waypoints)
 
     def step_spy(self, command):
         events.append(("step", None))

@@ -48,7 +48,6 @@ from semnav.navigation import (
     UNKNOWN_COST,
     DrivingMap,
     ReplanState,
-    RobotState,
     cells_to_points,
     decode,
     follow_step,
@@ -91,19 +90,23 @@ def composite_grid(dmap):
 
 
 def beam_scan(angles, ranges, range_max, pose, tick=0):
-    """A scan of the given beams from pose, built as lidar_scan builds one."""
-    absolute = np.array(angles, dtype=float) + pose.heading
-    return LidarScan.of(tick, pose, range_max, tuple(angles), np.cos(absolute),
-                        np.sin(absolute), np.array(ranges, dtype=float))
+    """A scan of the given beams from pose at tick, built as lidar_scan
+    builds one: one read-only array per beam quantity."""
+    angles = np.array(angles, dtype=float)
+    absolute = angles + pose.heading
+    beams = (angles, np.array(ranges, dtype=float), np.cos(absolute), np.sin(absolute))
+    for array in beams:
+        array.flags.writeable = False
+    return LidarScan(tick, pose, range_max, *beams)
 
 
-def scan_hitting(points, pose, range_max=10.0):
+def scan_hitting(points, pose, range_max=10.0, tick=0):
     """A synthetic scan whose beams hit exactly the given world points."""
     angles, ranges = [], []
     for p in points:
         angles.append(math.atan2(p.y - pose.y, p.x - pose.x) - pose.heading)
         ranges.append(pose.position.distance_to(p))
-    return beam_scan(angles, ranges, range_max, pose)
+    return beam_scan(angles, ranges, range_max, pose, tick)
 
 
 # --- exact cost algebra ---
@@ -295,27 +298,25 @@ def test_dynamic_hit_expires_after_ttl():
     dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = scan_hitting([Point2(4.5, 0.5)], pose)
-    changed = dmap.update_dynamic_layer(scan, tick=0)
+    changed = dmap.update_dynamic_layer(scan)
     assert changed == {(4, 0)}
     assert dmap.composite(4, 0) == LETHAL
-    empty = beam_scan((), (), 10.0, pose)
     for tick in range(1, DEFAULT_TTL):
-        assert dmap.update_dynamic_layer(empty, tick) == set()
+        assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, tick)) == set()
         assert dmap.composite(4, 0) == LETHAL
-    assert dmap.update_dynamic_layer(empty, DEFAULT_TTL) == {(4, 0)}
+    assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, DEFAULT_TTL)) == {(4, 0)}
     assert dmap.composite(4, 0) == 0
 
 
 def test_reobservation_refreshes_expiry():
     dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
-    scan = scan_hitting([Point2(4.5, 0.5)], pose)
-    dmap.update_dynamic_layer(scan, tick=0)
-    assert dmap.update_dynamic_layer(scan, tick=10) == set()  # refresh, no change
-    empty = beam_scan((), (), 10.0, pose)
+    dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 0.5)], pose))
+    # refresh, no change
+    assert dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 0.5)], pose, tick=10)) == set()
     # expiry moved from DEFAULT_TTL to 10 + DEFAULT_TTL
-    assert dmap.update_dynamic_layer(empty, DEFAULT_TTL) == set()
-    assert dmap.update_dynamic_layer(empty, 10 + DEFAULT_TTL) == {(4, 0)}
+    assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, DEFAULT_TTL)) == set()
+    assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, 10 + DEFAULT_TTL)) == {(4, 0)}
 
 
 def test_hits_on_static_walls_change_nothing():
@@ -323,7 +324,7 @@ def test_hits_on_static_walls_change_nothing():
     dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5)
     pose = Pose2(0.5, 1.5, 0.0)
     scan = scan_hitting([Point2(2.5, 1.5)], pose)
-    assert dmap.update_dynamic_layer(scan, tick=0) == set()
+    assert dmap.update_dynamic_layer(scan) == set()
     assert dmap.dynamic == {}
 
 
@@ -331,7 +332,7 @@ def test_max_range_beams_do_not_mark_cells():
     dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
     pose = Pose2(0.5, 0.5, 0.0)
     scan = beam_scan((0.0, 0.3), (10.0, 10.0), 10.0, pose)
-    assert dmap.update_dynamic_layer(scan, tick=0) == set()
+    assert dmap.update_dynamic_layer(scan) == set()
 
 
 def test_dynamic_layer_matches_full_recompute_oracle():
@@ -350,8 +351,7 @@ def test_dynamic_layer_matches_full_recompute_oracle():
             Point2(rng.uniform(0.2, 11.8), rng.uniform(0.2, 11.8))
             for _ in range(rng.randint(0, 3))
         ]
-        scan = scan_hitting(points, pose, range_max=40.0)
-        changed = dmap.update_dynamic_layer(scan, tick)
+        changed = dmap.update_dynamic_layer(scan_hitting(points, pose, range_max=40.0, tick=tick))
         # oracle: recompute the whole composite from the observation history
         for p in points:
             cell = (int(p.x), int(p.y))
@@ -426,7 +426,7 @@ def fold_cases(draw):
                     [cut, range_max, math.nextafter(cut, 0.0), math.inf])))
             else:
                 ranges.append(draw(st.floats(0.0, 1.5 * range_max)))
-        frames.append((tick, pose, beam_scan(angles, ranges, range_max, pose)))
+        frames.append((tick, pose, beam_scan(angles, ranges, range_max, pose, tick)))
     return metric, frames
 
 
@@ -441,7 +441,7 @@ def test_dynamic_fold_matches_per_beam_reference(case):
         expected = reference_dynamic_fold(
             static, reference, metric.origin, metric.resolution, DEFAULT_TTL, scan, pose, tick
         )
-        assert dmap.update_dynamic_layer(scan, tick) == expected, tick
+        assert dmap.update_dynamic_layer(scan) == expected, tick
         # insertion order too: the snapshot and connectivity walk the dict
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
         assert_due_index(dmap, tick)
@@ -470,11 +470,11 @@ def test_cell_that_expires_and_is_hit_again_on_one_tick_moves_to_the_end():
     frames = [(0, [a, b], {(4, 0), (6, 0)}), (5, [c], {(0, 5)}), (ttl, [a], {(6, 0)})]
     reference: dict[tuple[int, int], int] = {}
     for tick, points, changed in frames:
-        scan = scan_hitting(points, pose)
+        scan = scan_hitting(points, pose, tick=tick)
         assert reference_dynamic_fold(
             static, reference, Point2(0.0, 0.0), 1.0, ttl, scan, pose, tick
         ) == changed
-        assert dmap.update_dynamic_layer(scan, tick) == changed, tick
+        assert dmap.update_dynamic_layer(scan) == changed, tick
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
         assert_due_index(dmap, tick)
     assert list(dmap.dynamic.items()) == [((0, 5), 5 + ttl), ((4, 0), 2 * ttl)]
@@ -485,13 +485,13 @@ def test_fold_at_an_earlier_tick_raises_and_changes_nothing():
     # expire its hits late
     dmap = DrivingMap(open_map(10, 10, 1.0), robot_radius=0.8)
     pose = Pose2(0.5, 0.5, 0.0)
-    dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 0.5)], pose), tick=5)
+    dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 0.5)], pose, tick=5))
     layer, due = list(dmap.dynamic.items()), list(dmap._due)
     with pytest.raises(ValueError, match="earlier"):
-        dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose), tick=4)
+        dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose, tick=4))
     assert list(dmap.dynamic.items()) == layer and list(dmap._due) == due
     # the same tick again is no earlier
-    assert dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose), tick=5) == {(6, 0)}
+    assert dmap.update_dynamic_layer(scan_hitting([Point2(6.5, 0.5)], pose, tick=5)) == {(6, 0)}
 
 
 def test_dynamic_fold_edge_cases_match_reference():
@@ -500,22 +500,22 @@ def test_dynamic_fold_edge_cases_match_reference():
     static = dmap.static.tolist()
     pose = Pose2(0.5, 1.5, 0.0)
     cut = 10.0 - 1e-9
-    empty = beam_scan((), (), 10.0, pose)
+    empty = ((), ())
     # beams: a free cell, static-lethal (2, 1), exactly at the cut, off the
     # grid ahead and behind, and (0, 2) above
-    full = beam_scan((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2),
-                     (1.0, 2.0, cut, 7.0, 3.0, 1.0), 10.0, pose)
-    above = beam_scan((math.pi / 2,), (1.0,), 10.0, pose)
+    full = ((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2), (1.0, 2.0, cut, 7.0, 3.0, 1.0))
+    above = ((math.pi / 2,), (1.0,))
     ttl = DEFAULT_TTL
     frames = [(0, empty, set()), (1, full, {(1, 1), (0, 2)}), (2, above, set()),
               (ttl, empty, set()), (ttl + 1, empty, {(1, 1)}), (ttl + 2, empty, {(0, 2)}),
               (ttl + 3, empty, set())]
     reference: dict[tuple[int, int], int] = {}
-    for tick, scan, changed in frames:
+    for tick, (angles, ranges), changed in frames:
+        scan = beam_scan(angles, ranges, 10.0, pose, tick)
         assert reference_dynamic_fold(
             static, reference, Point2(0.0, 0.0), 1.0, ttl, scan, pose, tick
         ) == changed
-        assert dmap.update_dynamic_layer(scan, tick) == changed, tick
+        assert dmap.update_dynamic_layer(scan) == changed, tick
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
 
 
@@ -527,20 +527,21 @@ MISSIONS = {
 
 @pytest.mark.parametrize("name", sorted(MISSIONS))
 def test_dynamic_fold_of_mission_scans_matches_per_beam_reference(name, monkeypatch):
-    # The first 60 ticks of a mission: each lidar scan, read through its
-    # arrays, folds as the per-beam reference folds its angle and range
-    # tuples, and leaves the dynamic dict in the same order.
+    # The first 60 ticks of a mission: each lidar scan folds as the per-beam
+    # reference folds it beam by beam, and leaves the dynamic dict in the
+    # same order.
     scenario = dataclasses.replace(load_scenario(MISSIONS[name]), max_ticks=60)
     fold = DrivingMap.update_dynamic_layer
     reference: dict[tuple[int, int], int] = {}
     changes = []
 
-    def checked(dmap, scan, tick):
+    def checked(dmap, scan):
+        tick = scan.tick
         expected = reference_dynamic_fold(
             dmap.static.tolist(), reference, dmap.origin, dmap.resolution, DEFAULT_TTL,
             scan, scan.pose, tick,
         )
-        changed = fold(dmap, scan, tick)
+        changed = fold(dmap, scan)
         assert changed == expected, tick
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
         changes.append((tick, len(changed)))
@@ -560,10 +561,10 @@ def test_due_buckets_index_every_live_cell_over_a_noisy_mission(monkeypatch):
     fold = DrivingMap.update_dynamic_layer
     ticks = []
 
-    def checked(dmap, scan, tick):
-        changed = fold(dmap, scan, tick)
-        assert_due_index(dmap, tick)
-        ticks.append((tick, len(dmap.dynamic)))
+    def checked(dmap, scan):
+        changed = fold(dmap, scan)
+        assert_due_index(dmap, scan.tick)
+        ticks.append((scan.tick, len(dmap.dynamic)))
         return changed
 
     monkeypatch.setattr(DrivingMap, "update_dynamic_layer", checked)
@@ -581,7 +582,7 @@ def test_non_finite_beam_raises_and_changes_nothing(angles, ranges):
     # a silent skip would hide a sensor fault
     dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
     with pytest.raises(ValueError):
-        dmap.update_dynamic_layer(beam_scan(angles, ranges, 10.0, Pose2(0.5, 0.5, 0.0)), tick=0)
+        dmap.update_dynamic_layer(beam_scan(angles, ranges, 10.0, Pose2(0.5, 0.5, 0.0)))
     assert dmap.dynamic == {}
 
 
@@ -1243,22 +1244,20 @@ def test_replan_skips_search_when_goal_is_blocked():
 # --- waypoint following ---
 
 def test_follow_rotates_in_place_when_facing_away():
-    state = RobotState(Pose2(0.0, 0.0, math.pi))  # target is dead astern
-    v, omega = follow_step(state, [Point2(5.0, 0.0)])
+    pose = Pose2(0.0, 0.0, math.pi)  # target is dead astern
+    v, omega = follow_step(pose, [Point2(5.0, 0.0)])
     assert v == 0.0
     assert abs(omega) == 1.5
 
 
 def test_follow_speed_scales_with_heading_error():
-    state = RobotState(Pose2(0.0, 0.0, math.pi / 4))
-    v, _ = follow_step(state, [Point2(5.0, 0.0)])
+    v, _ = follow_step(Pose2(0.0, 0.0, math.pi / 4), [Point2(5.0, 0.0)])
     assert v == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
 
 def test_follow_targets_furthest_waypoint_within_lookahead():
     waypoints = [Point2(0.1 * i, 0.0) for i in range(1, 30)]
-    state = RobotState(Pose2(0.0, 0.0, 0.0))
-    v, omega = follow_step(state, waypoints)
+    v, omega = follow_step(Pose2(0.0, 0.0, 0.0), waypoints)
     # the 0.5 m lookahead point lies straight ahead: drive at full speed
     assert v == pytest.approx(1.0)
     assert omega == pytest.approx(0.0)
@@ -1275,9 +1274,9 @@ def test_follow_corridor_distance_close_to_path_length():
     traveled = 0.0
     for _ in range(200):
         # the mission engine's arrival rule
-        if ws.robot.pose.position.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
+        if ws.pose.position.distance_to(waypoints[-1]) <= GOAL_TOLERANCE:
             break
-        command = follow_step(ws.robot, waypoints)
+        command = follow_step(ws.pose, waypoints)
         traveled += abs(command[0]) * 0.1
         step(ws, 0.1, command)
     else:
@@ -1288,7 +1287,7 @@ def test_follow_corridor_distance_close_to_path_length():
 
 def test_follow_requires_waypoints():
     with pytest.raises(ValueError):
-        follow_step(RobotState(Pose2(0, 0, 0)), [])
+        follow_step(Pose2(0, 0, 0), [])
 
 
 # --- exports ---

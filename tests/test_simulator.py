@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from semnav.geometry import Footprint, Point2, Pose2
 from semnav.mapgen import Lidar2dSpec, Semantic3dSpec, SensorSpec
-from semnav.navigation import RobotState
 from semnav.simulator import (
     Walls,
     lidar_scan,
@@ -78,10 +77,10 @@ SEMANTIC = SensorSpec(semantic3d=Semantic3dSpec(6.0, 1.0))
 def test_zero_command_changes_only_tick_and_trace():
     world = tiny_world([wall("w", 3, 0, 3.2, 2)])
     ws = make_world_state(world)
-    pose_before = ws.robot.pose
+    pose_before = ws.pose
     step(ws, 0.1, (0.0, 0.0))
     assert ws.tick == 1
-    assert ws.robot.pose == pose_before
+    assert ws.pose == pose_before
     assert ws.static_collisions == 0
     assert len(ws.trace) == 2
 
@@ -139,21 +138,21 @@ def test_robot_clamps_at_wall_contact_and_counts_collision():
     for _ in range(30):
         step(ws, 0.1, (1.0, 0.0))
     # contact face is x=3: the center stops a hair before it, never inside
-    assert ws.robot.pose.x == pytest.approx(3.0 - 1e-9, abs=1e-12)
+    assert ws.pose.x == pytest.approx(3.0 - 1e-9, abs=1e-12)
     assert ws.static_collisions >= 1
     # oracle: the motion segment of the first colliding step crossed x=3
-    assert ws.robot.pose.x < 3.0
+    assert ws.pose.x < 3.0
 
 
 def test_wall_behind_the_motion_does_not_clamp_it():
     world = tiny_world([wall("w", 0.0, 0, 0.2, 2)], spawn=Pose2(1.0, 1.0, 0.0))
     ws = make_world_state(world)
     step(ws, 0.1, (1.0, 0.0))  # driving away from the wall behind
-    assert ws.robot.pose.x == pytest.approx(1.1)
+    assert ws.pose.x == pytest.approx(1.1)
     assert ws.static_collisions == 0
     for _ in range(20):
         step(ws, 0.1, (-1.0, 0.0))  # backing into it stops at its face
-    assert 0.2 <= ws.robot.pose.x <= 0.2 + 2e-9
+    assert 0.2 <= ws.pose.x <= 0.2 + 2e-9
     assert ws.static_collisions >= 1
 
 
@@ -167,9 +166,9 @@ def test_collision_oracle_on_random_drives():
         v = rng.uniform(0.3, 2.0)
         steps = rng.randint(1, 80)
         for _ in range(steps):
-            before = ws.robot.pose
+            before = ws.pose
             step(ws, 0.1, (v, 0.0))
-            after = ws.robot.pose
+            after = ws.pose
             # oracle: step motion may never end strictly past the wall face
             assert after.x < wx + 1e-12, f"case {case}"
             expected_hit = before.x + v * 0.1 >= wx
@@ -208,7 +207,7 @@ def test_motion_clamp_equals_the_unculled_reference():
             expected, stopped = reference_step_pose(ws, dt, command)
             collisions = ws.static_collisions
             step(ws, dt, command)
-            assert ws.robot.pose == expected, case
+            assert ws.pose == expected, case
             assert ws.static_collisions == collisions + stopped, case
             stops += stopped
     assert stops >= 100 and touching >= 50
@@ -220,7 +219,7 @@ def test_actor_collisions_counted_but_non_blocking():
     ws = make_world_state(tiny_world(actors=[actor], spawn=Pose2(1.8, 1.0, 0.0)))
     step(ws, 0.1, (0.5, 0.0))
     assert ws.actor_collisions == 1
-    assert ws.robot.pose.x == pytest.approx(1.85)  # not blocked
+    assert ws.pose.x == pytest.approx(1.85)  # not blocked
 
 
 # --- lidar ---
@@ -237,7 +236,7 @@ def test_beam_normal_to_wall_returns_exact_distance():
 def test_empty_world_scan_is_all_range_max():
     ws = make_world_state(tiny_world())
     scan = lidar_scan(ws, LIDAR)
-    assert scan.ranges == (10.0, 10.0, 10.0)
+    assert scan.ranges.tolist() == [10.0, 10.0, 10.0]
 
 
 def test_actor_disk_echo():
@@ -256,7 +255,7 @@ def test_lidar_requires_lidar_spec():
 
 def oracle_beam(ws, angle_world, range_max):
     """Exhaustive scalar min over every static footprint edge and actor disk."""
-    pose = ws.robot.pose
+    pose = ws.pose
     dx, dy = math.cos(angle_world), math.sin(angle_world)
     best = range_max
     for rec in ws.world.elements:
@@ -303,7 +302,7 @@ def test_random_beams_match_exhaustive_oracle():
                                               beam_count))
         scan = lidar_scan(ws, spec)
         for rel, got in zip(scan.angles, scan.ranges):
-            expected = oracle_beam(ws, ws.robot.pose.heading + rel, spec.lidar2d.range_m)
+            expected = oracle_beam(ws, ws.pose.heading + rel, spec.lidar2d.range_m)
             assert abs(got - expected) <= 1e-9
         beams_checked += beam_count
     assert beams_checked >= 1000
@@ -429,13 +428,13 @@ def test_lidar_ranges_and_noise_stream_equal_the_per_actor_reference():
     for trial, (world, spec, seed, sigma) in enumerate(cases):
         got = make_world_state(world, seed=seed, noise_sigma=sigma)
         ref = make_world_state(world, seed=seed, noise_sigma=sigma)
-        pose = got.robot.pose
+        pose = got.pose
         facing = pose.heading if spec.lidar2d.fov <= math.pi else None
         kept = got.walls.within(pose.x, pose.y, spec.lidar2d.range_m, facing).size
         culled += kept < got.walls.ax.size
         empty += kept == 0 < got.walls.ax.size
         for _ in range(3):
-            assert lidar_scan(got, spec).ranges == reference_lidar_ranges(ref, spec), trial
+            assert lidar_scan(got, spec).ranges.tolist() == reference_lidar_ranges(ref, spec), trial
             assert rng_state(got) == rng_state(ref), trial
             step(got, 0.1, (0.5, 0.4))
             step(ref, 0.1, (0.5, 0.4))
@@ -473,16 +472,16 @@ def test_scan_at_a_repeated_pose_equals_a_cold_scan():
         lidar_scan(ws, spec)
         for _ in range(3):
             memo = ws.wall_ranges
-            pose = ws.robot.pose
+            pose = ws.pose
             step(ws, 0.1, (0.0, 0.0))
             expected, cold = cold_scan(ws, spec)
             got = lidar_scan(ws, spec)
-            if bits(ws.robot.pose) == bits(pose):
+            if bits(ws.pose) == bits(pose):
                 assert ws.wall_ranges is memo, trial
                 reused += 1
                 noisy += sigma > 0.0
             assert bits(got.ranges) == bits(expected.ranges), trial
-            assert got.angles == expected.angles and got.pose == expected.pose, trial
+            assert bits(got.angles) == bits(expected.angles) and got.pose == expected.pose, trial
             assert rng_state(ws) == rng_state(cold), trial
     assert reused >= 300 and noisy >= 100
 
@@ -528,7 +527,7 @@ def test_actors_that_moved_appear_in_a_reused_scan():
         step(world_state, 1.0, (0.0, 0.0))  # the actor walks off the beam
     scan = lidar_scan(ws, LIDAR)
     assert ws.wall_ranges is memo
-    assert scan.ranges == reference_lidar_ranges(ref, LIDAR)
+    assert scan.ranges.tolist() == reference_lidar_ranges(ref, LIDAR)
     assert scan.ranges[1] == pytest.approx(7.0, abs=1e-12)  # the wall behind it
 
 
@@ -564,24 +563,26 @@ def test_wall_ranges_are_recomputed_when_the_pose_or_the_spec_changes(change, mo
     if change == "spec":
         spec = SensorSpec(lidar2d=Lidar2dSpec(10.0, math.pi, 5))
     elif change == "same":
-        pose = ws.robot.pose
-        ws.robot = RobotState(Pose2(pose.x, pose.y, pose.heading))  # equal floats, a new object
+        pose = ws.pose
+        ws.pose = Pose2(pose.x, pose.y, pose.heading)  # equal floats, a new object
     else:
-        ws.robot = RobotState(nudged(ws.robot.pose, change))
+        ws.pose = nudged(ws.pose, change)
     expected, _ = cold_scan(ws, spec)
     calls.clear()
     got = lidar_scan(ws, spec)
     assert len(calls) == (change != "same")
     assert bits(got.ranges) == bits(expected.ranges)
-    assert ws.wall_ranges.pose_bits == bits(ws.robot.pose)
+    assert ws.wall_ranges.pose_bits == bits(ws.pose)
     assert ws.wall_ranges.lidar == spec.lidar2d
 
 
 def test_stored_wall_ranges_are_read_only():
+    # the stored wall ranges and a scan's beam arrays, which later scans
+    # share, cannot be written through
     ws = make_world_state(tiny_world([wall("w", 3, 0, 3.2, 2)]))
-    lidar_scan(ws, LIDAR)
+    scan = lidar_scan(ws, LIDAR)
     memo = ws.wall_ranges
-    for array in (memo.cos, memo.sin, memo.walls):
+    for array in (memo.cos, memo.sin, memo.walls, scan.angles, scan.ranges, scan.cos, scan.sin):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -595,11 +596,11 @@ def test_lidar_noise_is_seeded_and_bounded():
     scan_a = lidar_scan(a, LIDAR)
     scan_b = lidar_scan(b, LIDAR)
     scan_c = lidar_scan(c, LIDAR)
-    assert scan_a.ranges == scan_b.ranges
-    assert scan_a.ranges != scan_c.ranges
+    assert scan_a.ranges.tolist() == scan_b.ranges.tolist()
+    assert scan_a.ranges.tolist() != scan_c.ranges.tolist()
     assert all(0 < r <= 10.0 for r in scan_a.ranges)
     clean = lidar_scan(make_world_state(world, seed=42), LIDAR)
-    assert clean.ranges != scan_a.ranges
+    assert clean.ranges.tolist() != scan_a.ranges.tolist()
 
 
 def test_only_a_noisy_lidar_gets_a_generator():

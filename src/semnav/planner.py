@@ -283,7 +283,11 @@ def plan(
 ) -> BehaviorPlan | None:
     """A* over fact states; returns a minimum-cost plan or None if the goal
     is unreachable. Ties on f-value break toward the lexicographically
-    smallest action-name sequence."""
+    smallest action-name sequence, and the popped goal entry's name sequence
+    is the plan. Raises ValueError when two actions share a name."""
+    by_name = {a.name: a for a in actions}
+    if len(by_name) != len(actions):
+        raise ValueError("action names must be unique")
     goal = mission.goal
     start = frozenset(initial_facts)
     if goal <= start:
@@ -300,22 +304,21 @@ def plan(
         return math.ceil(unsatisfied / max_yield) * min_cost
 
     ordered = sorted(actions, key=lambda a: a.name)
-    open_heap: list[tuple[float, tuple[str, ...], int, float, frozenset[Fact]]] = []
-    counter = itertools.count()
-    heapq.heappush(open_heap, (heuristic(start), (), next(counter), 0.0, start))
     # per-state best (cost, action-name sequence); a route also wins when it
     # ties on cost with a lexicographically smaller name sequence, so equal-
-    # cost plans resolve to the smallest sequence overall
+    # cost plans resolve to the smallest sequence overall. A push must improve
+    # its state's best, and a name sequence fixes its state, so no two entries
+    # share (f, names) and the heap never compares states.
     best: dict[frozenset[Fact], tuple[float, tuple[str, ...]]] = {start: (0.0, ())}
-    parent: dict[tuple[frozenset[Fact], tuple[str, ...]], tuple] = {(start, ()): None}
-
+    open_heap: list[tuple[float, tuple[str, ...], float, frozenset[Fact]]] = [
+        (heuristic(start), (), 0.0, start)
+    ]
     while open_heap:
-        _f, names, _seq, g, state = heapq.heappop(open_heap)
-        if best.get(state) != (g, names):
+        _f, names, g, state = heapq.heappop(open_heap)
+        if best[state] != (g, names):
             continue
         if goal <= state:
-            plan_actions = _reconstruct(parent, (state, names))
-            return BehaviorPlan(actions=tuple(plan_actions), total_cost=g)
+            return BehaviorPlan(actions=tuple(by_name[n] for n in names), total_cost=g)
         for action in ordered:
             if not action.preconditions <= state:
                 continue
@@ -326,17 +329,5 @@ def plan(
             if incumbent is not None and (ng, nxt_names) >= incumbent:
                 continue
             best[nxt] = (ng, nxt_names)
-            parent[(nxt, nxt_names)] = ((state, names), action)
-            heapq.heappush(
-                open_heap, (ng + heuristic(nxt), nxt_names, next(counter), ng, nxt)
-            )
+            heapq.heappush(open_heap, (ng + heuristic(nxt), nxt_names, ng, nxt))
     return None
-
-
-def _reconstruct(parent, key) -> list[GroundAction]:
-    out: list[GroundAction] = []
-    while parent.get(key) is not None:
-        key, action = parent[key]
-        out.append(action)
-    out.reverse()
-    return out

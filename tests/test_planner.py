@@ -256,6 +256,13 @@ class TestPlan:
             rng.shuffle(shuffled)
             assert plan(chain_initial_facts(), mission, shuffled) == reference
 
+    def test_repeated_action_name_raises(self):
+        # the plan is read back from action names, so a name must name one action
+        grounded = ground_actions(parse_behavior_db(DB), ChainMap3())
+        mission = Mission(goal=frozenset({parse_fact("at(robot,hall_b)")}), start_space="lobby")
+        with pytest.raises(ValueError, match="unique"):
+            plan(chain_initial_facts(), mission, grounded + grounded[:1])
+
 
 class TestValidatePlan:
     def test_swapped_steps_reports_first_violation(self):

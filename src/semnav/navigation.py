@@ -319,35 +319,31 @@ def _move_offsets(stride: int) -> tuple[tuple[int, int, int, bool], ...]:
     )
 
 
-def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
-    """Canonical cost of a cell path on the current composite costmap; None
-    when one of its moves is not allowed."""
-    a = b = 0
-    for (uc, ur), (vc, vr) in zip(path, path[1:]):
-        diagonal = uc != vc and ur != vr
-        if (
-            not dmap.traversable(uc, ur)
-            or not dmap.traversable(vc, vr)
-            or (diagonal and not (dmap.traversable(vc, ur) and dmap.traversable(uc, vr)))
-        ):
-            return None
-        if diagonal:
-            b += 100 + dmap.composite(vc, vr)
-        else:
-            a += 100 + dmap.composite(vc, vr)
-    return PathCost(a, b)
-
-
 def path_reads(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """The cells path_cost reads for the path (both ends of every move, and
-    both corner cells of a diagonal), each mapped to the last move that reads
-    it; move k runs from path[k] to path[k + 1]."""
+    """The cells the moves rule reads for the path (both ends of every move,
+    and both corner cells of a diagonal), each mapped to the last move that
+    reads it; move k runs from path[k] to path[k + 1]."""
     reads: dict[tuple[int, int], int] = {}
     for k, ((uc, ur), (vc, vr)) in enumerate(zip(path, path[1:])):
         reads[uc, ur] = reads[vc, vr] = k
         if uc != vc and ur != vr:
             reads[vc, ur] = reads[uc, vr] = k
     return reads
+
+
+def path_cost(dmap: DrivingMap, path: list[tuple[int, int]]) -> PathCost | None:
+    """Canonical cost of a cell path on the current composite costmap; None
+    when one of its moves is not allowed, that is, when a cell of its
+    path_reads is not traversable."""
+    if not all(dmap.traversable(c, r) for c, r in path_reads(path)):
+        return None
+    a = b = 0
+    for (uc, ur), (vc, vr) in zip(path, path[1:]):
+        if uc != vc and ur != vr:
+            b += 100 + dmap.composite(vc, vr)
+        else:
+            a += 100 + dmap.composite(vc, vr)
+    return PathCost(a, b)
 
 
 def plan_global(

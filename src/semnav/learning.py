@@ -17,6 +17,7 @@ from .geometry import Footprint, Point2, Pose2
 from .mapgen import EpisodeEvent, SemanticEpisodicMap, append_episode
 from .memory import StoredEntry, TierId, TierStore
 from .planner import Fact, _parse_fact_list, format_fact, parse_fact
+from .simulator import Detection
 from .world import ElementRecord, ExplicitModel, Model3d, PhysicalInfo, Relation, SymbolicModel
 
 log = logging.getLogger(__name__)
@@ -28,20 +29,6 @@ LEARNED_HEIGHT = 1.0
 
 NEW_OBJECT = "NEW_OBJECT"
 DISPLACED_OBJECT = "DISPLACED_OBJECT"
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One semantic-sensor return: ground-truth class and world position."""
-
-    symbol: str | None
-    semantic_class: str
-    position: Point2
-    tick: int
-
-    def __post_init__(self) -> None:
-        if self.tick < 0:
-            raise ValueError("detection tick must be >= 0")
 
 
 @dataclass(frozen=True)

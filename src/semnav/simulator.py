@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Point2, Pose2, normalize_angle
-from .learning import Detection
 from .mapgen import Lidar2dSpec, SensorSpec
 from .world import WorldDescription
 
@@ -57,6 +56,20 @@ class LidarScan:
     @property
     def beam_count(self) -> int:
         return len(self.ranges)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One semantic-sensor return: ground-truth class and world position."""
+
+    symbol: str | None
+    semantic_class: str
+    position: Point2
+    tick: int
+
+    def __post_init__(self) -> None:
+        if self.tick < 0:
+            raise ValueError("detection tick must be >= 0")
 
 
 @dataclass(frozen=True)

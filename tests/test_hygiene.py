@@ -168,30 +168,10 @@ def test_the_cli_reaches_pipeline_stages_only_through_the_engine():
     assert (imported | read) & ENGINE_STAGES == set()
 
 
-def test_the_world_model_does_not_import_the_planning_stack():
-    # the simulator is the world the robot acts in; it holds the robot's
-    # pose itself and takes commands, never the robot's navigation or plans
-    tree = ast.parse((ROOT / "src" / "semnav" / "simulator.py").read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name for alias in node.names)
-    assert {name.rpartition(".")[2] for name in names} & {"navigation", "planner", "mission"} == set()
-
-
-@functools.lru_cache(maxsize=1)
-def demo_run_modules() -> frozenset[str]:
-    """The modules a fresh interpreter holds after it imports the CLI and
-    runs the demo mission in process."""
-    code = (
-        "import sys\n"
-        "from semnav.cli import main\n"
-        "from semnav.mission import data_dir\n"
-        "assert main(['run', str(data_dir() / 'demo.scenario')]) == 0\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
+def fresh_interpreter_modules(code: str) -> frozenset[str]:
+    """The modules a fresh interpreter holds after it runs code with this
+    checkout's package on its path."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -201,6 +181,35 @@ def demo_run_modules() -> frozenset[str]:
         check=True,
     )
     return frozenset(proc.stdout.splitlines()[-1].split())
+
+
+def test_the_world_model_does_not_import_the_planning_stack():
+    # the simulator is the world the robot acts in; it holds the robot's
+    # pose itself and takes commands and owns its sensors' output types,
+    # never the robot's learning, navigation or plans, directly or not
+    stack = {"learning", "navigation", "planner", "mission"}
+    tree = ast.parse((ROOT / "src" / "semnav" / "simulator.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert {name.rpartition(".")[2] for name in names} & stack == set()
+    loaded = fresh_interpreter_modules("import semnav.simulator")
+    assert "semnav.simulator" in loaded
+    assert loaded & {f"semnav.{name}" for name in stack} == set()
+
+
+@functools.lru_cache(maxsize=1)
+def demo_run_modules() -> frozenset[str]:
+    """The modules a fresh interpreter holds after it imports the CLI and
+    runs the demo mission in process."""
+    return fresh_interpreter_modules(
+        "from semnav.cli import main\n"
+        "from semnav.mission import data_dir\n"
+        "assert main(['run', str(data_dir() / 'demo.scenario')]) == 0"
+    )
 
 
 def test_the_demo_runs_without_scipy():

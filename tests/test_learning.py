@@ -13,7 +13,6 @@ from semnav.geometry import Footprint, Point2
 from semnav.learning import (
     DISPLACED_OBJECT,
     NEW_OBJECT,
-    Detection,
     NoveltyEvent,
     Rule,
     commit_learned,
@@ -24,6 +23,7 @@ from semnav.learning import (
 from semnav.mapgen import Lidar2dSpec, SensorSpec, generate_map
 from semnav.memory import StoredEntry, TierConfig, TierId, TierStore
 from semnav.planner import Fact, parse_fact
+from semnav.simulator import Detection
 from semnav.world import (
     ElementRecord,
     ExplicitModel,

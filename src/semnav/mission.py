@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import logging
 import math
 import os
 from collections.abc import Callable
@@ -77,8 +76,6 @@ from .world import (
     parse_world,
     validate_world,
 )
-
-log = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "SEMNAV_DATA_DIR"
 

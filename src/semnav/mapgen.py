@@ -326,15 +326,13 @@ def generate_map(
 ) -> SemanticEpisodicMap:
     """Build all four layers from the goal's prefetch closure in the store.
 
-    Elements outside the closure do not appear. Raises UnknownSymbolError for
-    an unknown goal and MapError when the closure contains no spaces.
+    The records are the entries the prefetch fetched, in sorted-key order;
+    the map reads the store no further. Elements outside the closure do not
+    appear. Raises UnknownSymbolError for an unknown goal and MapError when
+    the closure contains no spaces.
     """
     fetched = store.prefetch_mission(mission_goal_symbol)
-    records: list[ElementRecord] = []
-    for key in sorted(fetched):
-        result = store.get(key)
-        if result is not None:
-            records.append(result.entry.payload)
+    records: list[ElementRecord] = [fetched[key].payload for key in sorted(fetched)]
 
     spaces = [r for r in records if r.is_space]
     if not spaces:

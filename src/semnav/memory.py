@@ -237,9 +237,11 @@ class TierStore:
                 edges.setdefault(rel.object, set()).add(rel.subject)
         return edges
 
-    def prefetch_mission(self, goal_symbol: str) -> set[str]:
+    def prefetch_mission(self, goal_symbol: str) -> dict[str, StoredEntry]:
         """Fetch the goal element and its whole relation component: every
-        element linked to it by inside/adjacent/connected, taken undirected."""
+        element linked to it by inside/adjacent/connected, taken undirected.
+        Each is read once, in sorted-key order; returns the fetched entries
+        by key, so a caller needs no second read."""
         goal_key = f"env/{goal_symbol}"
         if goal_key not in self.keys_anywhere():
             raise UnknownSymbolError(goal_symbol)
@@ -251,11 +253,11 @@ class TierStore:
                 if neighbor not in closure:
                     closure.add(neighbor)
                     frontier.append(neighbor)
-        fetched: set[str] = set()
+        fetched: dict[str, StoredEntry] = {}
         for symbol in sorted(closure):
-            key = f"env/{symbol}"
-            if self.get(key) is not None:
-                fetched.add(key)
+            result = self.get(f"env/{symbol}")
+            if result is not None:
+                fetched[result.entry.key] = result.entry
         return fetched
 
     # -- write-back --

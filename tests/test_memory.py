@@ -171,7 +171,10 @@ class TestPrefetch:
                 store.put(StoredEntry(key=f"env/{sym}", payload=rec), TierId.CLOUD)
             goal = rng.choice(symbols)
             expected = {f"env/{s}" for s in bfs_closure(edges, goal)}
-            assert store.prefetch_mission(goal) == expected
+            fetched = store.prefetch_mission(goal)
+            assert fetched.keys() == expected
+            stored = store.peek()
+            assert all(entry is stored[key] for key, entry in fetched.items())
 
     def test_at_relations_do_not_count_as_prefetch_edges(self):
         from semnav.world import ElementRecord, Relation, SymbolicModel
@@ -187,7 +190,9 @@ class TestPrefetch:
         rec_b = ElementRecord(symbolic=SymbolicModel("b", "thing"), explicit=donor.explicit)
         store.put(StoredEntry(key="env/a", payload=rec_a), TierId.CLOUD)
         store.put(StoredEntry(key="env/b", payload=rec_b), TierId.CLOUD)
-        assert store.prefetch_mission("a") == {"env/a"}
+        fetched = store.prefetch_mission("a")
+        assert fetched.keys() == {"env/a"}
+        assert fetched["env/a"] is store.peek()["env/a"]
 
 
 class TestWriteBack:

@@ -6,6 +6,10 @@ A change that is meant to keep behaviour prints the same lines as its parent:
     python3 tests/identity_matrix.py > after.txt   # in each checkout
     diff before.txt after.txt                       # empty when reports agree
 
+tests/identity_matrix.expected holds the lines the committed code prints
+(numpy 2.4.6 draws the noise), and CI fails unless a run prints exactly
+those; a change that alters a report on purpose rewrites that file.
+
 The scenarios are the bundled demo, the benchmark's `noisy` and `tour`, the
 demo under lidar noise (sigma 0.05, 0.1 and 0.2 x seeds 0-7, sigma 0.5 x
 seeds 0-3), and the demo without its semantic sensor and without its lidar.

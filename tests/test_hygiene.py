@@ -184,9 +184,10 @@ def fresh_interpreter_modules(code: str) -> frozenset[str]:
 
 
 def test_the_world_model_does_not_import_the_planning_stack():
-    # the simulator is the world the robot acts in; it holds the robot's
-    # pose itself and takes commands and owns its sensors' output types,
-    # never the robot's learning, navigation or plans, directly or not
+    # the simulator is the world the robot acts in: it holds the robot's
+    # pose, takes commands and owns its sensors' output types, and loads none
+    # of the robot's learning, navigation or plans, directly or through
+    # another module
     stack = {"learning", "navigation", "planner", "mission"}
     tree = ast.parse((ROOT / "src" / "semnav" / "simulator.py").read_text(encoding="utf-8"))
     names = set()

@@ -9,19 +9,28 @@ search when it is the state's first repair).
 The costmap stacks three layers and takes their maximum per cell: a static
 layer from the metric map (occupied 254, unknown 253, free 0), an inflation
 layer around lethal cells (200 within the robot radius, decaying linearly to
-zero at twice the radius), and a dynamic layer of recent sensor hits (254
-with a time-to-live), whose cells each scan yields in one numpy pass over its
-beams. Cells at or above 253 are untraversable.
+zero at twice the radius), and a dynamic layer of the recent sensor hits the
+static layer does not explain (254 with a time-to-live), whose cells each
+scan yields in one numpy pass over its beams. A hit in a static-lethal cell
+or one of its eight neighbours is the static map's own wall and never enters
+the dynamic layer (the obstacle layer of Lu, Hershberger & Smart, "Layered
+Costmaps for Context-Sensitive Navigation", IROS 2014, records only what the
+static layer does not). This assumes that a wall's cross-section contains a
+cell centre within one cell of its surface, so that a return off the wall
+lands in or beside a lethal cell. Cells at or above 253 are untraversable.
 
 Inflation reads the squared cell distance d2 to the nearest lethal cell only
-where d2 < 4*rc*rc (rc the robot radius in cells), and numpy computes it
-exactly there and nowhere else. With k = ceil(2*rc), a column pass finds
-each cell's distance g to the nearest lethal cell in its own column, capped
-at k, and a row pass takes the minimum of dc*dc + g[row, col + dc]**2 over
-|dc| < k. A nearest lethal cell with d2 < 4*rc*rc <= k*k lies fewer than k
-rows and k columns away, so it is one of the candidates; every candidate is
-either the squared distance to some lethal cell or at least k*k. So the
-minimum is d2 wherever d2 < 4*rc*rc, and at least 4*rc*rc elsewhere.
+where d2 < 4*rc*rc (rc the robot radius in cells), and the hit rule only at
+d2 <= 2, and numpy computes it exactly there and nowhere else. With
+k = max(ceil(2*rc), 2), a column pass finds each cell's distance g to the
+nearest lethal cell in its own column, capped at k, and a row pass takes
+the minimum of dc*dc + g[row, col + dc]**2 over |dc| < k. A nearest lethal
+cell with d2 < k*k lies fewer than k rows and k columns away, so it is one
+of the candidates; every candidate is either the squared distance to some
+lethal cell or at least k*k. So the minimum is d2 wherever d2 < k*k, which
+covers d2 < 4*rc*rc and d2 <= 2, and at least k*k elsewhere. The floor
+k >= 2 matters for a robot narrower than a cell: with k = 1 every free cell
+would read d2 = 1 and every hit would be dropped.
 
 Moving into a cell costs step_length * (1 + composite/100) meters, where
 step_length is one resolution unit for cardinal moves and sqrt(2) units for
@@ -166,12 +175,16 @@ class DrivingMap(GridFrame):
         static[metric.cells == OCCUPIED] = LETHAL
         static[metric.cells == UNKNOWN] = UNKNOWN_COST
 
+        # where a hit may enter the dynamic layer: see update_dynamic_layer
+        self._open = np.ones(static.shape, dtype=bool)
         lethal = metric.cells == OCCUPIED
         if lethal.any():
             rc = robot_radius / metric.resolution
             # squared cell distance to the nearest lethal cell, exact below
-            # 4*rc*rc, the only range read below
-            d2 = _near_squared_distances(lethal, math.ceil(2.0 * rc))
+            # max(4*rc*rc, 4): the inflation reads it below 4*rc*rc, and the
+            # hit rule at 2 and below
+            d2 = _near_squared_distances(lethal, max(math.ceil(2.0 * rc), 2))
+            self._open = d2 > 2
             inflation = np.zeros_like(static)
             inflation[d2 <= rc * rc] = INSCRIBED
             band = (d2 > rc * rc) & (d2 < 4.0 * rc * rc)
@@ -181,7 +194,6 @@ class DrivingMap(GridFrame):
             static = np.maximum(static, inflation)
 
         self.static = static
-        self._open = static != LETHAL  # where a hit may enter the dynamic layer
         self.dynamic: dict[tuple[int, int], int] = {}  # cell -> expiry tick
         # (expiry, cells) per fold with hits, oldest first: see update_dynamic_layer
         self._due: deque[tuple[int, tuple[tuple[int, int], ...]]] = deque()
@@ -227,12 +239,14 @@ class DrivingMap(GridFrame):
         scan.tick) into the dynamic layer and age out old entries.
 
         Every hit lands as cost 254 with expiry scan.tick + DEFAULT_TTL
-        unless the cell is already static-lethal; hit cells are found for
-        all beams at once, from the scan's direction and range arrays, and
-        folded in beam order. Returns the cells whose composite cost differs
-        from before the call. A non-finite hit point short of range_max, or
-        a scan dated earlier than the last fold's, raises ValueError before
-        anything changes.
+        unless its cell is static-lethal or touches one (d2 <= 2): such a
+        return is the static map's own wall, on the assumption that a wall's
+        cross-section contains a cell centre within one cell of its surface.
+        Hit cells are found for all beams at once, from the scan's direction
+        and range arrays, and folded in beam order. Returns the cells whose
+        composite cost differs from before the call. A non-finite hit point
+        short of range_max, or a scan dated earlier than the last fold's,
+        raises ValueError before anything changes.
 
         Entries age out by due bucket: each fold queues its hit cells under
         their common expiry, and since every expiry is tick + DEFAULT_TTL and
@@ -261,7 +275,7 @@ class DrivingMap(GridFrame):
         free = self._open[row, col]
         expiry = tick + DEFAULT_TTL
         hits = dict.fromkeys(zip(col[free].tolist(), row[free].tolist()), expiry)  # in beam order
-        # The dynamic layer only ever holds such non-static-lethal hit cells,
+        # The dynamic layer only ever holds such hit cells, none static-lethal,
         # so a cell's composite cost changes exactly when it enters the layer
         # (a fresh hit) or leaves it (expired and not hit again).
         self._last_fold = tick

@@ -28,19 +28,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from semnav.mission import data_dir, execute_mission, load_scenario, report_to_json  # noqa: E402
+from semnav.mission import (  # noqa: E402
+    MissionReport,
+    data_dir,
+    execute_mission,
+    load_scenario,
+    report_to_json,
+)
 
 BENCH_SCENARIOS = ROOT / "missionbench" / "scenarios"
 NOISE_SEEDS = (("0.05", 8), ("0.1", 8), ("0.2", 8), ("0.5", 4))
 
 
-def scenarios():
-    """(name, scenario file, {line: replacement}) for every row."""
+def scenarios(noise_seeds=NOISE_SEEDS):
+    """(name, scenario file, {line: replacement}) for every row, with
+    noise_seeds as (sigma, seed count) pairs."""
     demo = data_dir() / "demo.scenario"
     yield "demo", demo, {}
     yield "noisy", BENCH_SCENARIOS / "noisy.scenario", {}
     yield "tour", BENCH_SCENARIOS / "tour.scenario", {}
-    for sigma, seeds in NOISE_SEEDS:
+    for sigma, seeds in noise_seeds:
         for seed in range(seeds):
             edits = {"seed = 7": f"seed = {seed}", "noise_sigma = 0.0": f"noise_sigma = {sigma}"}
             yield f"noise_{sigma}_seed_{seed}", demo, edits
@@ -49,7 +56,8 @@ def scenarios():
     yield "no_lidar", demo, dict.fromkeys(lidar, "")
 
 
-def report_sha256(path: Path, edits: dict[str, str], scratch: Path) -> str:
+def run_report(path: Path, edits: dict[str, str], scratch: Path) -> MissionReport:
+    """The report of one row's mission, its edited scenario written to scratch."""
     if edits:
         text = path.read_text(encoding="utf-8")
         for line, replacement in edits.items():
@@ -58,7 +66,11 @@ def report_sha256(path: Path, edits: dict[str, str], scratch: Path) -> str:
             text = text.replace(line, replacement)
         path = scratch / "edited.scenario"
         path.write_text(text, encoding="utf-8")
-    text = report_to_json(execute_mission(load_scenario(path)).report)
+    return execute_mission(load_scenario(path)).report
+
+
+def report_sha256(path: Path, edits: dict[str, str], scratch: Path) -> str:
+    text = report_to_json(run_report(path, edits, scratch))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -427,11 +427,19 @@ def reference_point_in_footprint(p, f):
 def reference_dynamic_fold(static, dynamic, origin, resolution, ttl, scan, pose, tick):
     """One beam at a time, the fold of a scan into a {cell: expiry} dynamic
     layer over a static cost grid (rows by columns): expire entries due at
-    tick, then mark each in-range hit cell that is inside the grid and not
-    static-lethal (254) until tick + ttl. Mutates dynamic and returns the
-    cells whose composite cost changed. A non-finite hit point raises
-    ValueError, through Point2."""
+    tick, then mark each in-range hit cell that is inside the grid and has
+    no static-lethal (254) cell in its 3 x 3 block until tick + ttl. Mutates
+    dynamic and returns the cells whose composite cost changed. A non-finite
+    hit point raises ValueError, through Point2."""
     height, width = len(static), len(static[0])
+
+    def touches_lethal(cell):
+        col, row = cell
+        return any(
+            static[r][c] == 254
+            for r in range(max(row - 1, 0), min(row + 2, height))
+            for c in range(max(col - 1, 0), min(col + 2, width))
+        )
 
     def composite(cell):
         return 254 if cell in dynamic else int(static[cell[1]][cell[0]])
@@ -452,7 +460,7 @@ def reference_dynamic_fold(static, dynamic, origin, resolution, ttl, scan, pose,
         )
         if not (0 <= cell[0] < width and 0 <= cell[1] < height):
             continue
-        if static[cell[1]][cell[0]] == 254:
+        if touches_lethal(cell):
             continue
         affected.setdefault(cell, composite(cell))
         dynamic[cell] = tick + ttl

@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,37 @@ def test_hits_on_static_walls_change_nothing():
     assert dmap.dynamic == {}
 
 
+@pytest.mark.parametrize("robot_radius", [0.2, 0.5, 0.8, 1.6])  # ceil(2 * rc): 1, 1, 2, 4
+def test_hits_touching_a_static_lethal_cell_are_dropped(robot_radius):
+    # A return in a lethal cell's 8-neighbourhood is the static map's own
+    # wall surface; one two cells away is kept. The two smallest radii give
+    # ceil(2 * rc) < 2, where the distance transform must still reach d2 = 2.
+    rows = [".......", ".......", "...#...", ".......", "......."]
+    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=robot_radius)
+    pose = Pose2(0.5, 0.5, 0.0)
+    touching = [(2, 1), (3, 1), (4, 1), (2, 2), (4, 2), (2, 3), (3, 3), (4, 3)]
+    scan = scan_hitting([Point2(c + 0.5, r + 0.5) for c, r in touching], pose)
+    assert dmap.update_dynamic_layer(scan) == set()
+    assert dmap.dynamic == {}
+    two_away = [(1, 2), (5, 2), (3, 4), (1, 0), (5, 4)]
+    scan = scan_hitting([Point2(c + 0.5, r + 0.5) for c, r in two_away], pose, tick=1)
+    assert dmap.update_dynamic_layer(scan) == set(two_away)
+    assert dmap.dynamic == dict.fromkeys(two_away, 1 + DEFAULT_TTL)
+
+
+def test_hit_in_open_floor_between_walls_is_marked_until_its_expiry():
+    rows = ["#" * 8] + ["#......#"] * 5 + ["#" * 8]
+    dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.3)
+    pose = Pose2(1.5, 1.5, 0.0)
+    tick = 3
+    assert dmap.update_dynamic_layer(scan_hitting([Point2(4.5, 3.5)], pose, tick=tick)) == {(4, 3)}
+    assert dmap.dynamic == {(4, 3): tick + DEFAULT_TTL}
+    assert dmap.composite(4, 3) == LETHAL
+    assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, tick + DEFAULT_TTL - 1)) == set()
+    assert dmap.update_dynamic_layer(beam_scan((), (), 10.0, pose, tick + DEFAULT_TTL)) == {(4, 3)}
+    assert dmap.composite(4, 3) == 0
+
+
 def test_max_range_beams_do_not_mark_cells():
     dmap = DrivingMap(open_map(6, 6, 1.0), robot_radius=0.5)
     pose = Pose2(0.5, 0.5, 0.0)
@@ -345,7 +377,8 @@ def test_dynamic_layer_matches_full_recompute_oracle():
     pose = Pose2(0.5, 0.5, 0.0)
     last_seen: dict[tuple[int, int], int] = {}
     previous = composite_grid(dmap)
-    # 240 ticks at the default ttl: about 200 hits expire and 80 are refreshed
+    # 240 ticks at the default ttl: about 110 hits expire and 50 are refreshed,
+    # on the 71 cells with no static-lethal cell in their 3 x 3 block
     for tick in range(240):
         points = [
             Point2(rng.uniform(0.2, 11.8), rng.uniform(0.2, 11.8))
@@ -354,9 +387,11 @@ def test_dynamic_layer_matches_full_recompute_oracle():
         changed = dmap.update_dynamic_layer(scan_hitting(points, pose, range_max=40.0, tick=tick))
         # oracle: recompute the whole composite from the observation history
         for p in points:
-            cell = (int(p.x), int(p.y))
-            if static_only[cell[1]][cell[0]] != LETHAL:
-                last_seen[cell] = tick
+            col, row = int(p.x), int(p.y)
+            block = [static_only[r][c] for r in range(max(row - 1, 0), min(row + 2, 12))
+                     for c in range(max(col - 1, 0), min(col + 2, 12))]
+            if LETHAL not in block:
+                last_seen[(col, row)] = tick
         expected = [
             [
                 LETHAL
@@ -495,15 +530,20 @@ def test_fold_at_an_earlier_tick_raises_and_changes_nothing():
 
 
 def test_dynamic_fold_edge_cases_match_reference():
-    rows = ["....", "..#.", "...."]
+    rows = ["......", "....#.", "......"]
     dmap = DrivingMap(metric_from_rows(rows, 1.0), robot_radius=0.5)
     static = dmap.static.tolist()
     pose = Pose2(0.5, 1.5, 0.0)
     cut = 10.0 - 1e-9
     empty = ((), ())
-    # beams: a free cell, static-lethal (2, 1), exactly at the cut, off the
-    # grid ahead and behind, and (0, 2) above
-    full = ((0.0, 0.0, 0.0, 0.0, math.pi, math.pi / 2), (1.0, 2.0, cut, 7.0, 3.0, 1.0))
+    # beams: a free cell, (3, 1) beside static-lethal (4, 1), (4, 1) itself,
+    # (3, 2) diagonal to it, exactly at the cut, off the grid ahead and
+    # behind, and (0, 2) above
+    diagonal = (math.atan2(1.0, 3.0), math.hypot(1.0, 3.0))
+    full = (
+        (0.0, 0.0, 0.0, diagonal[0], 0.0, 0.0, math.pi, math.pi / 2),
+        (1.0, 3.0, 4.0, diagonal[1], cut, 7.0, 3.0, 1.0),
+    )
     above = ((math.pi / 2,), (1.0,))
     ttl = DEFAULT_TTL
     frames = [(0, empty, set()), (1, full, {(1, 1), (0, 2)}), (2, above, set()),
@@ -571,6 +611,34 @@ def test_due_buckets_index_every_live_cell_over_a_noisy_mission(monkeypatch):
     execute_mission(load_scenario(MISSIONS["noisy"]))
     assert [tick for tick, _ in ticks] == list(range(136))
     assert max(live for _, live in ticks) > 10 * DEFAULT_TTL  # many more cells than buckets
+
+
+def test_no_cell_enters_the_dynamic_layer_without_actors_or_noise(tmp_path, monkeypatch):
+    # With the bundled world's actors deleted and no lidar noise, every
+    # return is a wall's, and every wall is in the static map: over the whole
+    # mission no cell enters the dynamic layer.
+    world = (data_dir() / "convention_center.world").read_text()
+    world = re.sub(r"\s*<actor .*?</actor>", "", world, flags=re.S)
+    assert "<actor" not in world
+    (tmp_path / "no_actors.world").write_text(world)
+    text = MISSIONS["demo"].read_text()
+    assert "path = convention_center.world" in text and "noise_sigma = 0.0" in text
+    path = tmp_path / "no_actors.scenario"
+    path.write_text(text.replace("path = convention_center.world", "path = no_actors.world"))
+    fold = DrivingMap.update_dynamic_layer
+    hits = []
+
+    def checked(dmap, scan):
+        changed = fold(dmap, scan)
+        assert dmap.dynamic == {}, scan.tick
+        hits.append(int((scan.ranges < scan.range_max - 1e-9).sum()))
+        return changed
+
+    monkeypatch.setattr(DrivingMap, "update_dynamic_layer", checked)
+    report = execute_mission(load_scenario(path)).report
+    assert report.success
+    assert len(hits) == report.ticks_used + 1  # the arrival tick is scanned too
+    assert sum(hits) > 100 * len(hits)  # the walls return most beams
 
 
 @pytest.mark.parametrize(

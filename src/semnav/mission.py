@@ -584,7 +584,6 @@ class MissionEngine:
         rs = ReplanState(dmap, start_cell, goal_cell)
         path = None if initial is None else initial[0]
         waypoints, reads = _route(dmap, path)
-        pending: set[tuple[int, int]] = set()  # changed since the last repair
         stall = 0
 
         while True:
@@ -596,13 +595,11 @@ class MissionEngine:
                 scan = lidar_scan(ws, scenario.sensor_spec)
                 changed = dmap.update_dynamic_layer(scan)
             if changed:
-                pending |= changed
                 # The driven path is kept while its remaining stretch stays
                 # drivable. Only once it is blocked, or while the robot has
-                # none, is the incremental planner repaired with every cell
-                # changed since its last repair, and its path swapped in (a
-                # replan counted), so equal-cost extraction flips don't
-                # register as replans.
+                # none, does the planner search again from here and swap its
+                # path in (a replan counted), so equal-cost extraction flips
+                # don't register as replans.
                 if path is not None and self._ahead_is_blocked(
                     path, reads, waypoints, ws.pose
                 ):
@@ -610,8 +607,7 @@ class MissionEngine:
                     path = None
                 if path is None:
                     here = dmap.cell_of(ws.pose.position)
-                    new_path = replan_incremental(rs, pending, here)
-                    pending.clear()
+                    new_path = replan_incremental(rs, changed, here)
                     if new_path is not None:
                         self.replans += 1
                         self._episode("REPLAN", subject=destination)

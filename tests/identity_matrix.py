@@ -7,8 +7,9 @@ A change that is meant to keep behaviour prints the same lines as its parent:
     diff before.txt after.txt                       # empty when reports agree
 
 tests/identity_matrix.expected holds the lines the committed code prints
-(numpy 2.4.6 draws the noise), and CI fails unless a run prints exactly
-those; a change that alters a report on purpose rewrites that file.
+(numpy 2.4.6 draws the noise), and tests/test_identity.py and CI fail unless
+a run prints exactly those; a change that alters a report on purpose
+rewrites that file.
 
 The scenarios are the bundled demo, the benchmark's `noisy` and `tour`, the
 demo under lidar noise (sigma 0.05, 0.1 and 0.2 x seeds 0-7, sigma 0.5 x
@@ -74,10 +75,16 @@ def report_sha256(path: Path, edits: dict[str, str], scratch: Path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> None:
+def matrix_lines():
+    """The `name sha256` line of every row, in order."""
     with tempfile.TemporaryDirectory(prefix="identity-matrix-") as scratch:
         for name, path, edits in scenarios():
-            print(name, report_sha256(path, edits, Path(scratch)), flush=True)
+            yield f"{name} {report_sha256(path, edits, Path(scratch))}"
+
+
+def main() -> None:
+    for line in matrix_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -2,19 +2,12 @@
 
 Everything here is deliberately written the straightforward, slow way —
 plain lists, exhaustive scans, fixpoint loops — and shares no code with the
-package beyond its public data types. The exceptions are the eager
-replanner, which keeps the package's search bookkeeping and redoes only the
-rhs updates the package does incrementally; the reference A*, the
-package's earlier dict-based plan_global kept verbatim on the package's
-moves rule, which guards plan_global's cost and its None answers but not
-its path (plan_global is now the replanner's first search, which breaks
-ties its own way); and the reference repair, the package's earlier
-replan_incremental and ReplanState._compute kept verbatim, which update
-every touched vertex and queue each neighbour through the queue helpers,
-and guard the replanner's state and heap entry for entry. The package's
-search now scans the moves rule and writes its keys out inline; the
-helpers these references were written with, _moves and the queue helpers,
-are kept here verbatim as the package had them.
+package beyond its public data types. The exception is the reference A*,
+the package's earlier dict-based plan_global kept verbatim on the package's
+moves rule, _moves, which the package had as a helper and now scans
+inline: it guards plan_global's cost and its None answers but not its path,
+since it breaks ties its own way. reference_search_path derives that path
+with no search at all.
 """
 
 from __future__ import annotations
@@ -28,15 +21,11 @@ import numpy as np
 from semnav.geometry import Point2, Pose2, normalize_angle
 from semnav.memory import TierId
 from semnav.navigation import (
-    _NEIGHBOURHOOD,
     DIAG,
-    INF,
-    PAIR_SUM_LIMIT,
     STRAIGHT,
     UNKNOWN_COST,
     DrivingMap,
     PathCost,
-    ReplanState,
     decode,
     octile,
 )
@@ -387,6 +376,96 @@ def dijkstra_pair_cost(grid, start, goal):
     return None
 
 
+def _pair_less(p, q):
+    return cmp_sqrt2(p[0], p[1], q[0], q[1]) < 0
+
+
+def reference_costs_to_goal(grid, goal):
+    """Uniform-cost search backward from goal with exact pair weights:
+    {cell: the least (a, b) cost of a path from cell to goal} over every
+    cell that reaches it. A move u -> v costs 100 + grid[v] straight or
+    diagonal, as in dijkstra_pair_cost."""
+    dist = {goal: (0, 0)}
+    counter = 0
+    heap = [(_PairPriority(0, 0), counter, goal)]
+    done = set()
+    while heap:
+        _, _, cell = heapq.heappop(heap)
+        if cell in done:
+            continue
+        done.add(cell)
+        a, b = dist[cell]
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dr == 0 and dc == 0:
+                    continue
+                prev = (cell[0] + dc, cell[1] + dr)
+                c = grid_edge_cost(grid, prev, cell)
+                if c is None or prev in done:
+                    continue
+                cand = (a, b + 100 + c) if dr != 0 and dc != 0 else (a + 100 + c, b)
+                old = dist.get(prev)
+                if old is None or _pair_less(cand, old):
+                    dist[prev] = cand
+                    counter += 1
+                    heapq.heappush(heap, (_PairPriority(*cand), counter, prev))
+    return dist
+
+
+def reference_settled_costs(grid, start, goal):
+    """The cells a backward A* from goal to start settles, keyed
+    (dist + octile(start, cell), dist) and popping in key order, each with
+    its exact cost to the goal, derived without a search queue: every cell
+    whose key is below the start's (dist(start), dist(start)), as pairs
+    compared exactly and lexicographically, and the start itself. When the
+    start does not reach the goal, every cell that does. Both end cells must
+    be open."""
+    dist = reference_costs_to_goal(grid, goal)
+    if start not in dist:
+        return dist
+    d_start = dist[start]
+    settled = {}
+    for cell, d in dist.items():
+        dc, dr = abs(cell[0] - start[0]), abs(cell[1] - start[1])
+        lo, hi = min(dc, dr), max(dc, dr)
+        f = (d[0] + 100 * (hi - lo), d[1] + 100 * lo)
+        if _pair_less(f, d_start) or (f == d_start and _pair_less(d, d_start)):
+            settled[cell] = d
+    settled[start] = d_start
+    return settled
+
+
+def reference_search_path(grid, start, goal):
+    """The path plan_global extracts, from reference_settled_costs: from the
+    start, step to the settled neighbour the moves rule allows with the
+    least cost + step, ties to the lower row-major index, until the goal.
+    None when an end cell is blocked or off the grid, or the start does not
+    reach the goal."""
+    if not grid_traversable(grid, *start) or not grid_traversable(grid, *goal):
+        return None
+    settled = reference_settled_costs(grid, start, goal)
+    if start not in settled:
+        return None
+    path = [start]
+    while path[-1] != goal:
+        cell = path[-1]
+        best = best_cost = None
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                nxt = (cell[0] + dc, cell[1] + dr)
+                c = grid_edge_cost(grid, cell, nxt)
+                if nxt == cell or c is None or nxt not in settled:
+                    continue
+                a, b = settled[nxt]
+                through = (a, b + 100 + c) if dr != 0 and dc != 0 else (a + 100 + c, b)
+                if best is None or _pair_less(through, best_cost) or (
+                    through == best_cost and (nxt[1], nxt[0]) < (best[1], best[0])
+                ):
+                    best, best_cost = nxt, through
+        path.append(best)
+    return path
+
+
 # --- point containment ----------------------------------------------------------
 
 def reference_on_segment(p, a, b, eps=1e-12):
@@ -626,83 +705,6 @@ def _moves(costs: list[int], stride: int, i: int) -> list[tuple[int, int]]:
     return moves
 
 
-class QueueHelpers:
-    """ReplanState's queue helpers: the key formula, the push, the peek past
-    stale entries, and the vertex update with its queue half."""
-
-    def _calc_key(self, i: int) -> tuple[int | float, int | float]:
-        m = self.g[i]
-        r = self.rhs[i]
-        if r < m:
-            m = r
-        if m == INF:
-            return (INF, INF)
-        # octile() from the start, whose padded (row, col) is kept
-        row, col = divmod(i, self.dmap.stride)
-        dr = abs(row - self._start_key[0])
-        dc = abs(col - self._start_key[1])
-        if dc < dr:
-            return (m + self._straight[dr - dc] + self._diag[dc] + self.km, m)
-        return (m + self._straight[dc - dr] + self._diag[dr] + self.km, m)
-
-    def _push(self, i: int, key: tuple[int | float, int | float]) -> None:
-        self._key_of[i] = key
-        heapq.heappush(self._heap, (key[0], key[1], i))
-
-    def _peek(self) -> tuple[tuple[int | float, int | float], int] | None:
-        while self._heap:
-            k1, k2, i = self._heap[0]
-            if self._key_of[i] == (k1, k2):
-                return (k1, k2), i
-            heapq.heappop(self._heap)  # stale or removed entry
-        return None
-
-    def _update_vertex(self, costs: list[int], i: int) -> None:
-        if i != self._goal_index:
-            # the minimum of g[j] + step over _moves(costs, stride, i), with
-            # the same rule scanned inline rather than built as a list
-            best = INF
-            if costs[i] < UNKNOWN_COST:
-                g = self.g
-                stride = self.dmap.stride
-                north, south = i + stride, i - stride
-                ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
-                e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
-                if e:
-                    best = g[i + 1] + STRAIGHT[ce]
-                if w:
-                    cand = g[i - 1] + STRAIGHT[cw]
-                    if cand < best:
-                        best = cand
-                for j, c in ((north, cn), (south, cs)):
-                    if c >= UNKNOWN_COST:
-                        continue
-                    cand = g[j] + STRAIGHT[c]
-                    if cand < best:
-                        best = cand
-                    if e and costs[j + 1] < UNKNOWN_COST:
-                        cand = g[j + 1] + DIAG[costs[j + 1]]
-                        if cand < best:
-                            best = cand
-                    if w and costs[j - 1] < UNKNOWN_COST:
-                        cand = g[j - 1] + DIAG[costs[j - 1]]
-                        if cand < best:
-                            best = cand
-            self.rhs[i] = best
-        self._queue(i)
-
-    def _queue(self, i: int) -> None:
-        """The queue half of a vertex update: an inconsistent vertex holds
-        one entry at its current key (an equal key is already in the heap,
-        so it is not pushed again), a consistent one none."""
-        if self.g[i] != self.rhs[i]:
-            key = self._calc_key(i)
-            if self._key_of[i] != key:
-                self._push(i, key)
-        else:
-            self._key_of[i] = None
-
-
 # --- reference A* ----------------------------------------------------------
 
 def _octile(stride: int, i: int, j: int) -> int:
@@ -715,9 +717,10 @@ def reference_plan_global(
     dmap: DrivingMap, start: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[tuple[int, int]], PathCost] | None:
     """The package's A* as it stood with dict and set state: a guard on
-    plan_global's cost and on where it finds no path. plan_global is now the
-    replanner's first search, which breaks ties its own way, so its path
-    may differ from this one among paths of equal cost.
+    plan_global's cost and on where it finds no path. plan_global now searches
+    backward from the goal and breaks ties its own way, so its path may
+    differ from this one among paths of equal cost (reference_search_path
+    guards it).
 
     A* over the composite costmap; None when the goal is unreachable.
 
@@ -760,217 +763,3 @@ def reference_plan_global(
                 h = _octile(stride, j, gi)
                 heapq.heappush(heap, (ng + h, h, j))
     return None
-
-
-# --- eager incremental replanner ----------------------------------------------
-
-# The package's replanner relaxes predecessors in O(1) and sets a repair's
-# cells aside while an end cell is blocked. This is the eager form it must
-# match: it rescans every successor of every predecessor and updates every
-# changed cell's block on every call.
-
-class EagerReplanState(QueueHelpers, ReplanState):
-    """ReplanState with a full rhs rescan for every neighbour of every
-    expanded vertex."""
-
-    def _update_vertex(self, costs: list[int], i: int) -> None:
-        if i != self._goal_index:
-            # the minimum of g[j] + step over _moves(costs, stride, i), with
-            # the same rule scanned inline rather than built as a list
-            best = INF
-            if costs[i] < UNKNOWN_COST:
-                g = self.g
-                stride = self.dmap.stride
-                north, south = i + stride, i - stride
-                ce, cw, cn, cs = costs[i + 1], costs[i - 1], costs[north], costs[south]
-                e, w = ce < UNKNOWN_COST, cw < UNKNOWN_COST
-                if e:
-                    best = g[i + 1] + STRAIGHT[ce]
-                if w:
-                    cand = g[i - 1] + STRAIGHT[cw]
-                    if cand < best:
-                        best = cand
-                for j, c in ((north, cn), (south, cs)):
-                    if c >= UNKNOWN_COST:
-                        continue
-                    cand = g[j] + STRAIGHT[c]
-                    if cand < best:
-                        best = cand
-                    if e and costs[j + 1] < UNKNOWN_COST:
-                        cand = g[j + 1] + DIAG[costs[j + 1]]
-                        if cand < best:
-                            best = cand
-                    if w and costs[j - 1] < UNKNOWN_COST:
-                        cand = g[j - 1] + DIAG[costs[j - 1]]
-                        if cand < best:
-                            best = cand
-            self.rhs[i] = best
-        self._key_of[i] = None
-        if self.g[i] != self.rhs[i]:
-            self._push(i, self._calc_key(i))
-
-    def _compute(self, costs: list[int]) -> None:
-        stride = self.dmap.stride
-        si = self.dmap.index(self.start)
-        while True:
-            g_start = self.g[si]
-            rhs_start = self.rhs[si]
-            top = self._peek()
-            if top is None:
-                break
-            key, i = top
-            start_key = self._calc_key(si)
-            if not (key < start_key or rhs_start != g_start):
-                break
-            heapq.heappop(self._heap)
-            self._key_of[i] = None
-            fresh = self._calc_key(i)
-            if key < fresh:
-                self._push(i, fresh)
-                continue
-            if self.g[i] > self.rhs[i]:
-                self.g[i] = self.rhs[i]
-            else:
-                self.g[i] = INF
-                self._update_vertex(costs, i)
-            for j, _ in _moves(costs, stride, i):
-                self._update_vertex(costs, j)
-
-
-def eager_replan_incremental(
-    rs: EagerReplanState,
-    changed_cells: set[tuple[int, int]],
-    new_start: tuple[int, int] | None = None,
-) -> list[tuple[int, int]] | None:
-    """Every changed cell's block updated on every call, whether or not an
-    end cell is blocked."""
-    dmap = rs.dmap
-    if new_start is not None and new_start != rs.start:
-        if not dmap.in_bounds(*new_start):
-            raise ValueError("new start must lie inside the map")
-        km = rs.km + octile(rs.start, new_start)
-        if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
-            raise ValueError("the start has moved too far for exact path costs")
-        rs.km = km
-        rs._start_key = divmod(dmap.index(new_start), dmap.stride)
-        rs.start = new_start
-    costs = dmap.snapshot()
-    width, height, stride = dmap.width, dmap.height, dmap.stride
-    touched = {
-        (row + dr + 1) * stride + col + dc + 1
-        for col, row in changed_cells
-        if 0 <= col < width and 0 <= row < height
-        for dc, dr in _NEIGHBOURHOOD
-        if 0 <= col + dc < width and 0 <= row + dr < height
-    }
-    for i in sorted(touched):
-        rs._update_vertex(costs, i)
-    if max(costs[dmap.index(rs.start)], costs[dmap.index(rs.goal)]) >= UNKNOWN_COST:
-        return None
-    rs._compute(costs)
-    return rs._extract(costs)
-
-
-# --- reference repair ----------------------------------------------------------
-
-# The package's repair skips touched vertices an update would leave as they
-# are, and its search writes each neighbour's queue update out inline. This
-# is the form before either: every state, queue key and heap entry must
-# stay the same.
-
-class ReferenceReplanState(QueueHelpers, ReplanState):
-    """ReplanState with the search that queues each neighbour through
-    _queue, _calc_key and _push."""
-
-    def _compute(self, costs: list[int]) -> None:
-        stride = self.dmap.stride
-        cardinal = (1, -1, stride, -stride)
-        si = self.dmap.index(self.start)
-        g, rhs, goal = self.g, self.rhs, self._goal_index
-        while True:
-            g_start = g[si]
-            rhs_start = rhs[si]
-            top = self._peek()
-            if top is None:
-                break
-            key, i = top
-            start_key = self._calc_key(si)
-            if not (key < start_key or rhs_start != g_start):
-                break
-            heapq.heappop(self._heap)
-            self._key_of[i] = None
-            fresh = self._calc_key(i)
-            if key < fresh:
-                self._push(i, fresh)
-                continue
-            # i's predecessors are its moves (see the class docstring); the
-            # step from one into i costs STRAIGHT or DIAG of costs[i], and a
-            # blocked i has none
-            moves = _moves(costs, stride, i)
-            if moves:
-                straight, diag = STRAIGHT[costs[i]], DIAG[costs[i]]
-            g_old = g[i]
-            rhs_i = rhs[i]
-            if g_old > rhs_i:
-                g[i] = rhs_i
-                for j, _ in moves:
-                    if j != goal:
-                        through = rhs_i + (straight if j - i in cardinal else diag)
-                        if through < rhs[j]:
-                            rhs[j] = through
-                    self._queue(j)
-            else:
-                g[i] = INF
-                self._update_vertex(costs, i)
-                for j, _ in moves:
-                    if rhs[j] == g_old + (straight if j - i in cardinal else diag):
-                        self._update_vertex(costs, j)
-                    else:
-                        self._queue(j)
-
-
-def reference_replan_incremental(
-    rs: ReplanState,
-    changed_cells: set[tuple[int, int]],
-    new_start: tuple[int, int] | None = None,
-) -> list[tuple[int, int]] | None:
-    """Repair the search after costmap changes (and optionally a moved
-    start), then extract the current optimal path.
-
-    While the start or the goal cell is blocked the changed cells are set
-    aside on the state and None is returned at once, with no vertex updated
-    and no search run: there is no path to find. The first call that finds
-    both cells open updates each in-bounds cell of the 3 x 3 blocks of every
-    cell set aside so far once, in index order, on its own snapshot, then
-    searches. That gives the rhs values an update on every call would: a
-    vertex's rhs reads only its own block, a later change in that block puts
-    it in a later block too, and g does not change while no search runs.
-    """
-    dmap = rs.dmap
-    if new_start is not None and new_start != rs.start:
-        if not dmap.in_bounds(*new_start):
-            raise ValueError("new start must lie inside the map")
-        km = rs.km + octile(rs.start, new_start)
-        if sum(decode(km)) > PAIR_SUM_LIMIT // 2:
-            raise ValueError("the start has moved too far for exact path costs")
-        rs.km = km
-        rs._start_key = divmod(dmap.index(new_start), dmap.stride)
-        rs.start = new_start
-    rs._set_aside |= changed_cells
-    if not (dmap.traversable(*rs.start) and dmap.traversable(*rs.goal)):
-        return None
-    costs = dmap.snapshot()
-    width, height, stride = dmap.width, dmap.height, dmap.stride
-    # a block's border cells are updated too: on the LETHAL border that
-    # leaves g, rhs and the queue as they were
-    touched = {
-        (row + dr + 1) * stride + col + dc + 1
-        for col, row in rs._set_aside
-        if 0 <= col < width and 0 <= row < height
-        for dc, dr in _NEIGHBOURHOOD
-    }
-    rs._set_aside.clear()
-    for i in sorted(touched):
-        rs._update_vertex(costs, i)
-    rs._compute(costs)
-    return rs._extract(costs)

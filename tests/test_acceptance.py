@@ -169,7 +169,7 @@ def test_criterion_2_incremental_replan_equals_fresh_plan():
         dmap = random_costmap(rng, 24, 24, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
-        replan_incremental(rs, set())  # the first search, so the repair below is incremental
+        replan_incremental(rs, set())  # the leg's first search; the call below repairs it
         changed = set()
         for _ in range(rng.randint(1, 20)):
             cell = (rng.randrange(dmap.width), rng.randrange(dmap.height))

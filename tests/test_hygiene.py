@@ -7,14 +7,19 @@ from __future__ import annotations
 import ast
 import functools
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semnav.mission
+from semnav.geometry import Point2
+from semnav.mapgen import FREE, MetricLayer
+from semnav.navigation import DrivingMap
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = (
@@ -147,6 +152,18 @@ def test_benchmark_hooks_bind_to_the_engine():
     assert [name for name in names if not hasattr(semnav.mission, name)] == []
     for cls, methods in classes:
         assert [method for method in methods if method not in cls.__dict__] == [], cls.__name__
+    # The traced run's on_replan counts len(args[1]) as changed cells and
+    # records args[0].dmap, .start and .goal, the start being the one the
+    # call planned from; the search reads no changed cells, so dropping that
+    # parameter would break only the traced run.
+    params = list(inspect.signature(semnav.mission.replan_incremental).parameters)
+    assert params[:3] == ["rs", "changed_cells", "new_start"]
+    metric = MetricLayer(resolution=1.0, origin=Point2(0.0, 0.0), width=3, height=2,
+                         cells=np.full((2, 3), FREE, dtype=np.uint8))
+    dmap = DrivingMap(metric, robot_radius=0.4)
+    rs = semnav.mission.ReplanState(dmap, (0, 0), (2, 1))
+    assert semnav.mission.replan_incremental(rs, set(), (1, 0)) == [(1, 0), (2, 1)]
+    assert (rs.dmap, rs.start, rs.goal) == (dmap, (1, 0), (2, 1))
 
 
 # The pipeline stages the CLI reaches only through MissionEngine.build_map()

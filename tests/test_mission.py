@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semnav import navigation
 from semnav.geometry import Point2, Pose2
 from semnav.mapgen import FREE, OCCUPIED, MetricLayer, episodic_log
 from semnav.memory import TierId, TierStore, UnknownSymbolError
 from semnav.navigation import (
-    INF,
     DrivingMap,
     ReplanState,
     cells_to_points,
@@ -677,14 +677,14 @@ def test_each_tick_is_scanned_once(monkeypatch, path, scans):
 
 
 def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
-    # plan_global is a leg's one search from scratch before the robot moves:
-    # the leg's own ReplanState searches nothing until its first repair, and
-    # the first path driven is plan_global's.
+    # plan_global is a leg's one search before the robot moves: the leg's
+    # own ReplanState searches nothing until its first repair, and the first
+    # path driven is plan_global's.
     import semnav.mission as mission_module
 
     events = []
     drive_to, plan_global = MissionEngine._drive_to, mission_module.plan_global
-    search, step = ReplanState._compute, MissionEngine._step
+    search, step = navigation._search, MissionEngine._step
     follow_step = mission_module.follow_step
 
     def drive_to_spy(self, destination):
@@ -696,10 +696,9 @@ def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
         events.append(("plan", result))
         return result
 
-    def search_spy(self, costs):
-        if all(g == INF for g in self.g):
-            events.append(("scratch", None))
-        search(self, costs)
+    def search_spy(dmap, start, goal):
+        events.append(("scratch", None))
+        return search(dmap, start, goal)
 
     def follow_step_spy(pose, waypoints):
         events.append(("follow", waypoints))
@@ -711,7 +710,7 @@ def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
 
     monkeypatch.setattr(MissionEngine, "_drive_to", drive_to_spy)
     monkeypatch.setattr(mission_module, "plan_global", plan_global_spy)
-    monkeypatch.setattr(ReplanState, "_compute", search_spy)
+    monkeypatch.setattr(navigation, "_search", search_spy)
     monkeypatch.setattr(mission_module, "follow_step", follow_step_spy)
     monkeypatch.setattr(MissionEngine, "_step", step_spy)
     text = report_to_json(execute_mission(load_scenario(DEMO_SCENARIO)).report)
@@ -788,7 +787,7 @@ def test_path_check_equals_path_cost_of_the_remaining_stretch():
         free = [(c, r) for r in range(height) for c in range(width) if dmap.traversable(c, r)]
         start, goal = rng.choice(free), rng.choice(free)
         rs = ReplanState(dmap, start, goal)
-        path = replan_incremental(rs, set())  # the first search; the swaps below repair it
+        path = replan_incremental(rs, set())  # the first search; the swaps below search again
         if path is None:
             continue
         reads, waypoints = path_reads(path), cells_to_points(dmap, path)

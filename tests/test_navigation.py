@@ -1,15 +1,15 @@
 """Driving map and path planning: exact-cost algebra, inflation against an
 exhaustive scan, dynamic-layer aging against full recomputation, the global
-plan against uniform-cost search and the A* it replaced, and incremental
-replanning against fresh plans."""
+plan against uniform-cost search, the A* it replaced and a path derived
+without a search, and repairs against fresh plans."""
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    EagerReplanState,
-    ReferenceReplanState,
     _moves,
     cmp_sqrt2,
     decimal_cmp_sqrt2,
     dijkstra_pair_cost,
-    eager_replan_incremental,
     grid_edge_cost,
     inflation_oracle,
     reference_dynamic_fold,
     reference_plan_global,
-    reference_replan_incremental,
+    reference_search_path,
+    reference_settled_costs,
 )
 from semnav import navigation
 from semnav.geometry import Point2, Pose2
@@ -186,20 +184,13 @@ def test_octile_heuristic_values():
     assert octile((4, 7), (4, 7)) == 0
 
 
-def test_map_and_start_travel_beyond_the_exact_bound_are_rejected(monkeypatch):
+def test_map_beyond_the_exact_bound_is_rejected(monkeypatch):
     # an 8 x 8 map needs 352*64 + 100*16 = 24128 of the map's half
     monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 24128 - 1)
     with pytest.raises(ValueError, match="too large"):
         DrivingMap(open_map(8, 8), robot_radius=0.4)
     monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 24128)
-    dmap = DrivingMap(open_map(8, 8), robot_radius=0.4)
-    rs = ReplanState(dmap, (0, 0), (7, 7))
-    replan_incremental(rs, set())  # the first search
-    monkeypatch.setattr(navigation, "PAIR_SUM_LIMIT", 2 * 200)
-    assert replan_incremental(rs, set(), (2, 0)) is not None  # km = 200
-    with pytest.raises(ValueError, match="too far"):
-        replan_incremental(rs, set(), (3, 0))
-    assert rs.start == (2, 0) and decode(rs.km) == (200, 0)
+    DrivingMap(open_map(8, 8), robot_radius=0.4)
 
 
 # --- driving map construction ---
@@ -765,10 +756,10 @@ def test_plan_global_deterministic_cell_sequence():
 
 
 def test_plan_global_matches_the_reference_a_star():
-    # plan_global is the replanner's first search, the reference the A* it
-    # replaced: the same cost, and None on the same inputs. Its path is the
-    # eager replanner's first search on the same map. Dynamic cells sit on
-    # top, and an endpoint may be blocked or off the map.
+    # The reference is the A* plan_global replaced: the same cost, and None
+    # on the same inputs. Its path is the one reference_search_path derives
+    # without a search. Dynamic cells sit on top, and an endpoint may be
+    # blocked or off the map.
     rng = random.Random(2002)
     found = refused = 0
     for width, height in [(16, 16)] * 80 + list(NON_SQUARE) * 25:
@@ -787,10 +778,8 @@ def test_plan_global_matches_the_reference_a_star():
         expected = reference_plan_global(dmap, start, goal)
         result = plan_global(dmap, start, goal)
         assert (result is None) == (expected is None), (width, height, start, goal)
-        if dmap.in_bounds(*start) and dmap.in_bounds(*goal):
-            eager = EagerReplanState(dmap, start, goal)
-            path = eager_replan_incremental(eager, set())
-            assert (None if result is None else result[0]) == path, (width, height, start, goal)
+        path = reference_search_path(composite_grid(dmap), start, goal)
+        assert (None if result is None else result[0]) == path, (width, height, start, goal)
         if expected is None:
             refused += not (dmap.traversable(*start) and dmap.traversable(*goal))
         else:
@@ -818,29 +807,24 @@ def test_planned_path_avoids_blocked_cells():
 # --- incremental replanning ---
 
 def test_a_new_replan_state_has_searched_nothing(monkeypatch):
-    # A state's first search is its first repair's, the one plan_global
-    # runs: a new state knows no g and queues the goal alone, and the first
-    # repair runs the search.
+    # A state searches nothing until its first repair, which runs the one
+    # search plan_global runs and keeps that search's g.
     dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (11, 4)
     calls = []
-    search = ReplanState._compute
+    search = navigation._search
 
-    def search_spy(self, costs):
-        calls.append("search")
-        search(self, costs)
+    def search_spy(dmap, start, goal):
+        calls.append((start, goal))
+        return search(dmap, start, goal)
 
-    monkeypatch.setattr(ReplanState, "_compute", search_spy)
+    monkeypatch.setattr(navigation, "_search", search_spy)
     rs = ReplanState(dmap, start, goal)
-    gi = dmap.index(goal)
-    assert calls == []
-    assert all(g == INF for g in rs.g)
-    assert [(i, rhs) for i, rhs in enumerate(rs.rhs) if rhs < INF] == [(gi, 0)]
-    assert rs._heap == [(octile(start, goal), 0, gi)]
-    assert [i for i, key in enumerate(rs._key_of) if key is not None] == [gi]
+    assert calls == [] and rs.g == []
     path = replan_incremental(rs, set())
-    assert calls == ["search"]
+    assert calls == [(start, goal)]
     assert (path, decode(rs.g[dmap.index(start)])) == plan_global(dmap, start, goal)
+    assert calls == [(start, goal)] * 2
 
 
 def test_zero_changes_keep_path_identical():
@@ -859,84 +843,6 @@ def test_far_away_block_keeps_cost():
     assert path_cost(dmap, after) == before
 
 
-def test_repair_updates_each_touched_vertex_once(monkeypatch):
-    # The search reaches only the corridor along row 10: g is finite on it
-    # and rhs on rows 9 and 11. (8, 11) is blocked during the first search
-    # and reopened by the repair, so it has g == rhs == INF next to a finite
-    # g; (14, 10) is blocked on the path.
-    dmap = DrivingMap(open_map(20, 20, 1.0), robot_radius=0.8)
-    dmap.dynamic[(8, 11)] = 10_000
-    rs = ReplanState(dmap, (0, 10), (19, 10))
-    replan_incremental(rs, set())  # the first search
-    del dmap.dynamic[(8, 11)]
-    # (40, 40) lies off the map
-    changed = {(0, 0), (1, 0), (5, 5), (6, 6), (8, 11), (14, 10), (40, 40)}
-    for cell in changed - {(8, 11), (40, 40)}:
-        dmap.dynamic[cell] = 10_000
-    costs = dmap.snapshot()
-    before = copy.deepcopy(rs)
-    updated = []
-    original = ReplanState._update_vertex
-    search = ReplanState._compute
-
-    def recording(self, costs, i):
-        updated.append(i)
-        original(self, costs, i)
-
-    def searching(self, costs):
-        updated.append("search")
-        search(self, costs)
-
-    monkeypatch.setattr(ReplanState, "_update_vertex", recording)
-    monkeypatch.setattr(ReplanState, "_compute", searching)
-    replan_incremental(rs, changed)
-    touched = {
-        (col + dc, row + dr)
-        for col, row in changed - {(40, 40)}
-        for dc in (-1, 0, 1)
-        for dr in (-1, 0, 1)
-    }
-
-    def kept(i):
-        # skipped: g == rhs == INF, and blocked or with no finite g around
-        col, row = dmap.cell(i)
-        return before.g[i] < INF or before.rhs[i] < INF or (
-            costs[i] < UNKNOWN_COST
-            and any(
-                before.g[dmap.index((col + dc, row + dr))] < INF
-                for dc in (-1, 0, 1)
-                for dr in (-1, 0, 1)
-            )
-        )
-
-    order = sorted(dmap.index(cell) for cell in touched)
-    # the repair's own pass comes first, in index order, and updates exactly
-    # the touched vertices the rule keeps; the search follows
-    assert updated[: updated.index("search")] == [i for i in order if kept(i)]
-    skipped = [i for i in order if not kept(i)]
-    # every kind of vertex is exercised: kept for a finite g, for a finite
-    # rhs, and for a finite g around it; skipped blocked and open
-    assert any(before.g[i] < INF for i in order if kept(i))
-    assert any(before.g[i] == INF and before.rhs[i] < INF for i in order if kept(i))
-    assert dmap.index((8, 11)) in order and kept(dmap.index((8, 11)))
-    assert any(costs[i] >= UNKNOWN_COST for i in skipped)
-    assert any(costs[i] < UNKNOWN_COST for i in skipped)
-    # a skipped update would have changed nothing: forced on a copy of the
-    # state the pass saw, each leaves g, rhs, the queue keys and the heap
-    forced = copy.deepcopy(before)
-    for i in skipped:
-        original(forced, costs, i)
-        assert forced.g == before.g and forced.rhs == before.rhs, dmap.cell(i)
-        assert forced._key_of == before._key_of and forced._heap == before._heap, dmap.cell(i)
-    # cells of the LETHAL border are touched, skipped, and stay unknown and
-    # unqueued
-    border = [dmap.index(cell) for cell in touched if not dmap.in_bounds(*cell)]
-    assert border
-    for i in border:
-        assert i in skipped
-        assert rs.g[i] == rs.rhs[i] == INF and rs._key_of[i] is None
-
-
 def toggle_cells(rng, dmap, count):
     changed = set()
     for _ in range(count):
@@ -947,6 +853,16 @@ def toggle_cells(rng, dmap, count):
             dmap.dynamic[cell] = 10**9  # never expires during the trial
         changed.add(cell)
     return changed
+
+
+def toggle_cells_at(dmap, cells):
+    """Flip each cell in or out of the dynamic layer; returns them as a set."""
+    for cell in cells:
+        if cell in dmap.dynamic:
+            del dmap.dynamic[cell]
+        else:
+            dmap.dynamic[cell] = 10**9
+    return set(cells)
 
 
 def ends_open(dmap, start, goal):
@@ -972,75 +888,9 @@ def test_replan_equals_fresh_plan_after_random_toggles():
                 assert path_cost(dmap, repaired) == fresh[1], f"trial {trial}"
 
 
-def test_repaired_rhs_is_the_minimum_over_the_moves_rule():
-    # _update_vertex scans the moves of a cell inline and the search relaxes
-    # predecessors; after every repair each stored non-goal rhs must equal
-    # the minimum of g + step over _moves on the snapshot (same maps and
-    # toggles as the test above). A repair that finds an end cell blocked
-    # sets its cells aside, so the rhs of a vertex whose 3 x 3 block holds
-    # one of them is not yet due; after a repair that found a path none is
-    # set aside.
-    rng = random.Random(90210)
-    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 10):
-        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
-        start, goal = pick_free_cells(rng, dmap)
-        rs = ReplanState(dmap, start, goal)
-        replan_incremental(rs, set())  # the first search
-        for _ in range(rng.randint(1, 4)):
-            path = replan_incremental(rs, toggle_cells(rng, dmap, rng.randint(1, 20)))
-            if path is not None:
-                assert not rs._set_aside, f"trial {trial}"
-            not_due = {
-                dmap.index((col + dc, row + dr))
-                for col, row in rs._set_aside
-                for dc in (-1, 0, 1)
-                for dr in (-1, 0, 1)
-            }
-            costs = dmap.snapshot()
-            assert len(rs.rhs) == len(costs)
-            for i, rhs in enumerate(rs.rhs):
-                if i == dmap.index(goal) or i in not_due:
-                    continue
-                moves = _moves(costs, dmap.stride, i)
-                assert rhs == min((rs.g[j] + step for j, step in moves), default=INF), (
-                    f"trial {trial}, cell {dmap.cell(i)}"
-                )
-
-
-def test_replan_matches_the_eager_replanner_state_for_state():
-    # The package relaxes predecessors in O(1), pushes no duplicate keys
-    # and sets a repair's cells aside while an end cell is blocked; the
-    # eager replanner does none of these. Paths must agree on every call,
-    # and g and rhs on every call that found both end cells open.
-    rng = random.Random(31337)
-    calls = open_ends = 0
-    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
-        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
-        start, goal = pick_free_cells(rng, dmap)
-        rs = ReplanState(dmap, start, goal)
-        eager = EagerReplanState(dmap, start, goal)
-        path = replan_incremental(rs, set())  # the first search
-        assert path == eager_replan_incremental(eager, set()), f"trial {trial}"
-        for _ in range(rng.randint(2, 6)):
-            if path is not None and len(path) > 2:
-                start = path[1]  # the robot moves one step along its path
-            changed = toggle_cells(rng, dmap, rng.randint(1, 25))
-            path = replan_incremental(rs, changed, new_start=start)
-            assert path == eager_replan_incremental(eager, changed, new_start=start), (
-                f"trial {trial}"
-            )
-            calls += 1
-            if ends_open(dmap, start, goal):
-                open_ends += 1
-                assert rs.g == eager.g, f"trial {trial}"
-                assert rs.rhs == eager.rhs, f"trial {trial}"
-    # both kinds of call are exercised
-    assert 0 < open_ends < calls
-
-
 def toggle_rim_cells(rng, dmap, count):
     """toggle_cells, plus one to four cells on the map's edges and corners,
-    whose 3 x 3 blocks reach the LETHAL border."""
+    beside the LETHAL border."""
     right, top = dmap.width - 1, dmap.height - 1
     rim = [
         (0, 0), (right, 0), (0, top), (right, top),
@@ -1048,127 +898,44 @@ def toggle_rim_cells(rng, dmap, count):
         (0, rng.randint(0, top)), (right, rng.randint(0, top)),
     ]
     changed = toggle_cells(rng, dmap, count)
-    for cell in rng.sample(rim, rng.randint(1, 4)):
-        if cell in changed:
-            continue
-        if cell in dmap.dynamic:
-            del dmap.dynamic[cell]
-        else:
-            dmap.dynamic[cell] = 10**9
-        changed.add(cell)
-    return changed
+    return changed | toggle_cells_at(
+        dmap, [cell for cell in rng.sample(rim, rng.randint(1, 4)) if cell not in changed]
+    )
 
 
-def repair_trials(seed):
-    """Random repair trials on 16 x 16 and NON_SQUARE maps, the start moving
-    along the path and toggles reaching every edge and corner. Runs the
-    package's replanner and the reference side by side, yielding
-    (trial, rs, ref, path, ref_path, open_ends) after each first search and
-    each repair, open_ends telling whether both end cells were open."""
-    rng = random.Random(seed)
-    for trial, (width, height) in enumerate([(16, 16)] * 60 + list(NON_SQUARE) * 20):
+def test_a_repair_is_plan_global_on_the_same_inputs():
+    # Every repair searches afresh: after random toggles, some on the map's
+    # edges or on the goal, and start moves, some to a random cell that may
+    # be blocked, replan_incremental returns plan_global's path from the new
+    # start, and None on the same inputs. When both end cells are open, the
+    # g it keeps holds exactly the oracle's settled cells and costs.
+    rng = random.Random(8128)
+    seen = Counter()
+    for trial, (width, height) in enumerate([(16, 16)] * 40 + list(NON_SQUARE) * 10):
         dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
         start, goal = pick_free_cells(rng, dmap)
         rs = ReplanState(dmap, start, goal)
-        ref = ReferenceReplanState(dmap, start, goal)
         path = replan_incremental(rs, set())  # the first search
-        ref_path = reference_replan_incremental(ref, set())
-        yield trial, rs, ref, path, ref_path, ends_open(dmap, start, goal)
         for _ in range(rng.randint(2, 6)):
-            if path is not None and len(path) > 2:
+            if path is not None and len(path) > 2 and rng.random() < 0.8:
                 start = path[1]  # the robot moves one step along its path
-            changed = toggle_rim_cells(rng, dmap, rng.randint(1, 25))
-            path = replan_incremental(rs, changed, new_start=start)
-            ref_path = reference_replan_incremental(ref, changed, new_start=start)
-            yield trial, rs, ref, path, ref_path, ends_open(dmap, start, goal)
-
-
-def test_repair_matches_the_reference_repair_entry_for_entry():
-    # The repair skips touched vertices with g == rhs == INF that are blocked
-    # or have no finite g around them, and the search queues neighbours
-    # inline; the reference does neither. Every path, g, rhs, queue key and
-    # heap entry must agree after every call.
-    calls = open_ends = 0
-    for trial, rs, ref, path, ref_path, searched in repair_trials(8128):
-        assert path == ref_path, f"trial {trial}"
-        assert rs.g == ref.g, f"trial {trial}"
-        assert rs.rhs == ref.rhs, f"trial {trial}"
-        assert rs._key_of == ref._key_of, f"trial {trial}"
-        assert rs._heap == ref._heap, f"trial {trial}"
-        calls += 1
-        open_ends += searched
-    # both kinds of call are exercised
-    assert 100 < open_ends < calls
-
-
-def test_repair_updates_a_reopened_vertex_next_to_one_finite_g():
-    # With the start on the goal the search settles the goal alone, so a
-    # neighbour blocked during the first search keeps g == rhs == INF and,
-    # once reopened, has exactly one finite g around it: the goal, in each
-    # of the eight directions in turn. The skip must not drop it.
-    goal = (2, 2)
-    for dc, dr in navigation._NEIGHBOURHOOD[1:]:
-        cell = (goal[0] + dc, goal[1] + dr)
-        dmap = DrivingMap(open_map(5, 5, 1.0), robot_radius=0.4)
-        dmap.dynamic[cell] = 10**9
-        rs = ReplanState(dmap, goal, goal)
-        ref = ReferenceReplanState(dmap, goal, goal)
-        assert replan_incremental(rs, set()) == reference_replan_incremental(ref, set()) == [goal]
-        assert [i for i, g in enumerate(rs.g) if g < INF] == [dmap.index(goal)]
-        assert rs.rhs[dmap.index(cell)] == INF
-        del dmap.dynamic[cell]
-        assert replan_incremental(rs, {cell}) == reference_replan_incremental(ref, {cell}) == [goal]
-        step = DIAG[0] if dc and dr else STRAIGHT[0]
-        assert rs.rhs[dmap.index(cell)] == step, cell
-        assert rs.g == ref.g and rs.rhs == ref.rhs, cell
-        assert rs._key_of == ref._key_of and rs._heap == ref._heap, cell
-
-
-def test_consistent_vertices_hold_no_live_key():
-    # The repair's skip leaves a touched vertex with g == rhs == INF as it
-    # is, which is exact only if such a vertex holds no live queue key:
-    # after every first search and repair, g[i] == rhs[i] means no key.
-    checked = 0
-    for trial, rs, _, _, _, _ in repair_trials(8128):
-        for i, key in enumerate(rs._key_of):
-            if rs.g[i] == rs.rhs[i]:
-                assert key is None, f"trial {trial}, cell {rs.dmap.cell(i)}"
             else:
-                checked += key is not None
-    assert checked > 1000
-
-
-def test_live_queue_keys_match_the_octile_formula():
-    # Each live _key_of entry is its vertex's key as it was queued,
-    # (min(g, rhs) + octile(start, cell) + km, min(g, rhs)), with the start
-    # and km of that moment and min(g, rhs) as it is now. A moved start
-    # leaves an entry queued before the move at its old key until it is
-    # popped, where D*-Lite re-keys it, so it may match an earlier start.
-    rng = random.Random(2718)
-    current = earlier = 0
-    for trial, (width, height) in enumerate([(16, 16)] * 40 + list(NON_SQUARE) * 15):
-        dmap = random_costmap(rng, width=width, height=height, obstacle_rate=0.15)
-        start, goal = pick_free_cells(rng, dmap)
-        rs = ReplanState(dmap, start, goal)
-        path = replan_incremental(rs, set())  # the first search
-        history = [(rs.start, rs.km)]
-        for _ in range(rng.randint(2, 6)):
-            if path is not None and len(path) > 2:
-                start = path[1]  # the robot moves one step along its path
-            changed = toggle_cells(rng, dmap, rng.randint(1, 25))
+                start = (rng.randrange(width), rng.randrange(height))
+            changed = toggle_rim_cells(rng, dmap, rng.randint(1, 25))
+            if rng.random() < 0.1:
+                changed |= toggle_cells_at(dmap, [goal])
             path = replan_incremental(rs, changed, new_start=start)
-            history.append((rs.start, rs.km))
-            for i, key in enumerate(rs._key_of):
-                if key is None:
-                    continue
-                m = min(rs.g[i], rs.rhs[i])
-                assert m < INF, f"trial {trial}, cell {dmap.cell(i)}"
-                keys = [(m + octile(s, dmap.cell(i)) + km, m) for s, km in history]
-                assert key in keys, f"trial {trial}, cell {dmap.cell(i)}"
-                current += key == keys[-1]
-                earlier += key != keys[-1]
-    # both fresh and stale entries are checked
-    assert current > 1000 and earlier > 100
+            fresh = plan_global(dmap, start, goal)
+            assert path == (None if fresh is None else fresh[0]), f"trial {trial}"
+            if not ends_open(dmap, start, goal):
+                seen["blocked start" if dmap.traversable(*goal) else "blocked goal"] += 1
+                continue
+            seen["path" if path is not None else "apart"] += 1
+            settled = {dmap.cell(i): decode(g) for i, g in enumerate(rs.g) if g < INF}
+            assert settled == reference_settled_costs(composite_grid(dmap), start, goal), (
+                f"trial {trial}"
+            )
+    assert min(seen[k] for k in ("blocked start", "blocked goal", "path", "apart")) > 5, seen
 
 
 @st.composite
@@ -1197,11 +964,12 @@ def padded_snapshots(draw):
 @settings(database=None, derandomize=True, max_examples=100, deadline=None)
 @given(snapshot=padded_snapshots())
 def test_moves_rule_is_symmetric(snapshot):
-    # The search relaxes predecessors through _moves(i): that needs j in
-    # _moves(i) exactly when i is in _moves(j), and the step j -> i to cost
-    # STRAIGHT or DIAG of costs[i] by direction. The searches scan the rule
-    # from navigation._move_offsets, which must list the same moves in the
-    # same order.
+    # The search relaxes the moves j of each vertex i it settles as its
+    # predecessors: that needs j in _moves(i) exactly when i is in _moves(j),
+    # and the step j -> i to cost STRAIGHT or DIAG of costs[i] by direction.
+    # The search and the path extraction scan the rule from
+    # navigation._move_offsets, which must list the same moves in the same
+    # order.
     costs, stride, width, height = snapshot
     interior = [(row + 1) * stride + col + 1 for row in range(height) for col in range(width)]
     moves = {i: dict(_moves(costs, stride, i)) for i in interior}
@@ -1268,8 +1036,8 @@ def test_replan_skips_search_while_start_is_cut_off():
         dmap.dynamic[cell] = 10**9
     assert replan_incremental(rs, barrier | {start}) is None
     assert rs.g == g_before  # no expansion ran
-    # reopening only the start must still route round the barrier, so the
-    # barrier's deferred inconsistencies were kept and are repaired now
+    # reopening only the start must still route round the barrier, which
+    # that call was not told of
     del dmap.dynamic[start]
     path = replan_incremental(rs, {start})
     fresh = plan_global(dmap, start, goal)
@@ -1280,8 +1048,7 @@ def test_replan_skips_search_while_start_is_cut_off():
 def test_first_search_between_walled_off_cells_settles_the_goal_side():
     # Both end cells are open but a dynamic wall parts them: the first
     # repair searches, finds no path and leaves the goal's side settled, each
-    # finite g the exact cost to the goal, and a later repair goes on from
-    # that state.
+    # finite g the exact cost to the goal, and a later repair searches afresh.
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (7, 4)
     for row in range(8):

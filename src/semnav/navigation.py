@@ -12,8 +12,7 @@ repairs fall far from the goal. ReplanState and replan_incremental keep
 their names and parameters from that design because the benchmark harness
 hooks both by name (ENGINE_NAMES in missionbench/bench.py) and reads the
 state's dmap, start and goal and the size of the changed cells it is
-passed; a ReplanState holds no more than a leg's map, goal, last start and
-last search's g.
+passed; a ReplanState holds no more than a leg's map, goal and last start.
 
 The costmap stacks three layers and takes their maximum per cell: a static
 layer from the metric map (occupied 254, unknown 253, free 0), an inflation
@@ -462,9 +461,8 @@ def _extract(
 
 
 class ReplanState:
-    """One drive leg's search inputs: its map, its goal, its start (moved by
-    each repair given a new one), and g, the settled costs to the goal of
-    its last search over the padded index (empty before the first).
+    """One drive leg's search inputs: its map, its goal and its start (moved
+    by each repair given a new one).
 
     Nothing else is kept between searches, since every repair searches
     afresh (see replan_incremental).
@@ -476,7 +474,6 @@ class ReplanState:
         self.dmap = dmap
         self.start = start
         self.goal = goal
-        self.g: list[int | float] = []
 
 
 def replan_incremental(
@@ -486,7 +483,7 @@ def replan_incremental(
 ) -> list[tuple[int, int]] | None:
     """The leg's path on the costmap as it stands now, from its start (moved
     to new_start when one is given): plan_global's path for the same start,
-    goal and costmap, from a fresh search whose g is kept on rs.
+    goal and costmap, from a fresh search.
 
     While the start or the goal cell is blocked there is no path, and None
     is returned at once without a search. None is also returned when both
@@ -506,8 +503,7 @@ def replan_incremental(
         rs.start = new_start
     if not (dmap.traversable(*rs.start) and dmap.traversable(*rs.goal)):
         return None
-    path, rs.g = _search(dmap, rs.start, rs.goal)
-    return path
+    return _search(dmap, rs.start, rs.goal)[0]
 
 
 # -- waypoint following --

@@ -9,6 +9,7 @@ import functools
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,21 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_module_imports_are_all_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_identity_table_sha256_is_repeated_in_a_test_source():
+    # tests/identity_matrix.expected is the one place a report is pinned; a
+    # copy of one of its sha256 values in a test would need its own re-pin
+    # whenever that row changes. Other 64-hex literals, such as test_cli.py's
+    # genmap artifact pins, are not the table's and may stay.
+    table = (ROOT / "tests" / "identity_matrix.expected").read_text(encoding="utf-8")
+    digests = set(re.findall(r"\b[0-9a-f]{64}\b", table))
+    assert len(digests) > 30
+    repeats = {
+        path.name: sorted(digest for digest in digests if digest in path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "tests").glob("*.py"))
+    }
+    assert {name: found for name, found in repeats.items() if found} == {}
 
 
 # Definitions that nothing inside src/semnav references, each kept for a

@@ -1,24 +1,11 @@
-"""The report identity matrix and the noise grid against their committed
-expectations: a change to any report row or grid row fails here. A change
-that alters one on purpose rewrites the expected file (see each script)."""
+"""The report identity matrix against its committed expectation: a change to
+any row fails here. A change that alters one on purpose rewrites
+tests/identity_matrix.expected (see tests/identity_matrix.py)."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from identity_matrix import matrix_lines
-from noise_grid import grid_lines
-
-HERE = Path(__file__).resolve().parent
-
-
-def expected(name: str) -> list[str]:
-    return (HERE / name).read_text(encoding="utf-8").splitlines()
+from identity_matrix import EXPECTED, matrix_lines
 
 
 def test_identity_matrix_prints_the_committed_lines():
-    assert list(matrix_lines()) == expected("identity_matrix.expected")
-
-
-def test_noise_grid_prints_the_committed_table():
-    assert list(grid_lines()) == expected("noise_grid.expected")
+    assert list(matrix_lines()) == EXPECTED.read_text(encoding="utf-8").splitlines()

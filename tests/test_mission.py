@@ -4,7 +4,6 @@ report invariants, and topology-level replanning."""
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
 import math
 import random
@@ -45,6 +44,8 @@ from semnav.mission import (
 )
 from semnav.planner import Fact, ground_actions, parse_behavior_db
 from semnav.world import parse_world
+
+from identity_matrix import expected_line, matrix_line
 
 DEMO_SCENARIO = data_dir() / "demo.scenario"
 
@@ -519,89 +520,7 @@ def test_noisy_mission_ends_within_its_tick_cap(tmp_path, sigma, seed):
 
 # --- report serialization ---
 
-TOUR_GOAL = (
-    "inspected(booth_1),inspected(booth_2),inspected(booth_3),inspected(booth_4),"
-    "waited(hall_b),at(robot,lobby)"
-)
-
-
-@pytest.mark.parametrize(
-    "edits, digest, ticks, replans",
-    [
-        ({}, "e9f3f5f2e0966e8a", 141, 5),
-        ({"goal = at(robot,hall_b)": f"goal = {TOUR_GOAL}"}, "9da0a55e09b829c4", 311, 16),
-        # Lidar noise, missions that succeed at sigma 0.05 and 0.2: noisy hits
-        # stall the robot in hall B on all but the first (217-277 ticks, against
-        # 141 without noise), and the mission must still end in bounded wall time.
-        ({"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.05"},
-         "b5ca6e577bc85f3e", 142, 1),
-        ({"seed = 7": "seed = 1", "noise_sigma = 0.0": "noise_sigma = 0.05"},
-         "ae6f3cc6a61d27ae", 220, 4),
-        ({"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.05"},
-         "420fb795564d4e37", 217, 4),
-        ({"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.2"},
-         "b7ef9178fafdf763", 277, 19),
-        ({"seed = 7": "seed = 6", "noise_sigma = 0.0": "noise_sigma = 0.2"},
-         "e7d3eb07665b0fbc", 219, 13),
-    ],
-    ids=["demo", "tour", "noise_0.05_seed_0", "noise_0.05_seed_1", "noise_0.05_seed_2",
-         "noise_0.2_seed_2", "noise_0.2_seed_6"],
-)
-def test_mission_trace_digest_is_pinned(tmp_path, edits, digest, ticks, replans):
-    text = DEMO_SCENARIO.read_text()
-    for line, replacement in edits.items():
-        assert line in text
-        text = text.replace(line, replacement)
-    path = tmp_path / "pinned.scenario"
-    path.write_text(text)
-    report = execute_mission(load_scenario(path)).report
-    assert report.success
-    assert (report.trace_digest, report.ticks_used, report.replan_count) == (
-        digest, ticks, replans
-    )
-
-
 NOISY_SCENARIO = Path(__file__).resolve().parents[1] / "missionbench" / "scenarios" / "noisy.scenario"
-
-
-@pytest.mark.parametrize(
-    "path, edits, sha256",
-    [
-        (DEMO_SCENARIO, {}, "dc937f0839efb4c256d126ebde32be0c11c6d221370e7c4e7114f40f75f1ecd7"),
-        # ends in a timeout at tick 136; the pinned trace digests above assert success
-        (NOISY_SCENARIO, {},
-         "295a8b9e612bc47bc1b36be31dc8d6fdb2c7da2258c92a43c806bcf81ed67d5e"),
-        # succeeds after 220 ticks and 5 replans
-        (DEMO_SCENARIO, {"seed = 7": "seed = 1", "noise_sigma = 0.0": "noise_sigma = 0.2"},
-         "f3325717575130c2bae153f596260dd96946f7302dc2cd2305f36be00e341a18"),
-        # ends unreachable after replanning on the way, a path no other pinned
-        # report covers
-        (DEMO_SCENARIO, {"seed = 7": "seed = 2", "noise_sigma = 0.0": "noise_sigma = 0.5"},
-         "6e5ebc946e8f9a4a815ae83b23c844efea046f5f26a3ce9594ddf8b22e600ff4"),
-        # also unreachable, after a long stretch with the goal cell blocked (all
-        # its no-path verdicts), during which the replanner sets its changed
-        # cells aside
-        (DEMO_SCENARIO, {"seed = 7": "seed = 5", "noise_sigma = 0.0": "noise_sigma = 0.2"},
-         "ff5d80d7571f083856eda7bfa5f650b3fd5e977f03ee4e4b782f0aa9c1efc399"),
-        (DEMO_SCENARIO, {"seed = 7": "seed = 0", "noise_sigma = 0.0": "noise_sigma = 0.5"},
-         "aff0021e25b12488da0548c9681c05693971cdee12387e2c270318d16b60e8b7"),
-        # succeeds after 220 ticks
-        (DEMO_SCENARIO, {"seed = 7": "seed = 3", "noise_sigma = 0.0": "noise_sigma = 0.1"},
-         "4c517a39aec057c83a0643589bbcab041fb9d8b4d39cc0cc12af134544f6dca1"),
-    ],
-    ids=["demo", "noisy", "noise_0.2_seed_1", "noise_0.5_seed_2", "noise_0.2_seed_5",
-         "noise_0.5_seed_0", "noise_0.1_seed_3"],
-)
-def test_report_bytes_are_pinned(tmp_path, path, edits, sha256):
-    if edits:
-        text = path.read_text()
-        for line, replacement in edits.items():
-            assert line in text
-            text = text.replace(line, replacement)
-        path = tmp_path / "pinned.scenario"
-        path.write_text(text)
-    text = report_to_json(execute_mission(load_scenario(path)).report)
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_semantic_frames_are_taken_only_at_action_boundaries(monkeypatch):
@@ -622,12 +541,10 @@ def test_semantic_frames_are_taken_only_at_action_boundaries(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(mission_module, name, counted(name))
-    text = report_to_json(execute_mission(load_scenario(DEMO_SCENARIO)).report)
+    report = execute_mission(load_scenario(DEMO_SCENARIO)).report
     assert calls == {"semantic_detect": 2, "infer_facts": 2}
-    # the same bytes as the pinned demo report above
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dc937f0839efb4c256d126ebde32be0c11c6d221370e7c4e7114f40f75f1ecd7"
-    )
+    # the same report as the identity table's demo row
+    assert matrix_line("demo", report) == expected_line("demo")
 
 
 def test_demo_recomputes_wall_ranges_only_where_the_robot_moved(monkeypatch):
@@ -713,7 +630,7 @@ def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
     monkeypatch.setattr(navigation, "_search", search_spy)
     monkeypatch.setattr(mission_module, "follow_step", follow_step_spy)
     monkeypatch.setattr(MissionEngine, "_step", step_spy)
-    text = report_to_json(execute_mission(load_scenario(DEMO_SCENARIO)).report)
+    report = execute_mission(load_scenario(DEMO_SCENARIO)).report
     legs = []
     for kind, value in events:
         if kind == "leg":
@@ -725,10 +642,8 @@ def test_each_leg_searches_from_scratch_once_before_its_first_step(monkeypatch):
         (_, dmap), _, (_, (path, _)), (_, waypoints) = leg[:4]
         assert kinds[:kinds.index("step") + 1] == ["leg", "scratch", "plan", "follow", "step"]
         assert waypoints == cells_to_points(dmap, path)
-    # the same bytes as the pinned demo report above
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dc937f0839efb4c256d126ebde32be0c11c6d221370e7c4e7114f40f75f1ecd7"
-    )
+    # the same report as the identity table's demo row
+    assert matrix_line("demo", report) == expected_line("demo")
 
 
 def test_report_json_is_canonical(demo_run):

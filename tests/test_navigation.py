@@ -468,7 +468,9 @@ def test_dynamic_fold_matches_per_beam_reference(case):
             static, reference, metric.origin, metric.resolution, DEFAULT_TTL, scan, pose, tick
         )
         assert dmap.update_dynamic_layer(scan) == expected, tick
-        # insertion order too: the snapshot and connectivity walk the dict
+        # insertion order too: the fold keeps the beam order its docstring
+        # states, which missionbench's plan captures copy with
+        # tuple(dmap.dynamic); no snapshot or search reads the order
         assert list(dmap.dynamic.items()) == list(reference.items()), tick
         assert_due_index(dmap, tick)
 
@@ -806,11 +808,8 @@ def test_planned_path_avoids_blocked_cells():
 
 # --- incremental replanning ---
 
-def test_a_new_replan_state_has_searched_nothing(monkeypatch):
-    # A state searches nothing until its first repair, which runs the one
-    # search plan_global runs and keeps that search's g.
-    dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
-    start, goal = (0, 4), (11, 4)
+def spy_on_searches(monkeypatch) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (start, goal) of every navigation._search run from now on."""
     calls = []
     search = navigation._search
 
@@ -819,11 +818,20 @@ def test_a_new_replan_state_has_searched_nothing(monkeypatch):
         return search(dmap, start, goal)
 
     monkeypatch.setattr(navigation, "_search", search_spy)
+    return calls
+
+
+def test_a_new_replan_state_has_searched_nothing(monkeypatch):
+    # A state searches nothing until its first repair, which runs the one
+    # search plan_global runs.
+    dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
+    start, goal = (0, 4), (11, 4)
+    calls = spy_on_searches(monkeypatch)
     rs = ReplanState(dmap, start, goal)
-    assert calls == [] and rs.g == []
+    assert calls == []
     path = replan_incremental(rs, set())
     assert calls == [(start, goal)]
-    assert (path, decode(rs.g[dmap.index(start)])) == plan_global(dmap, start, goal)
+    assert path == plan_global(dmap, start, goal)[0]
     assert calls == [(start, goal)] * 2
 
 
@@ -908,7 +916,7 @@ def test_a_repair_is_plan_global_on_the_same_inputs():
     # edges or on the goal, and start moves, some to a random cell that may
     # be blocked, replan_incremental returns plan_global's path from the new
     # start, and None on the same inputs. When both end cells are open, the
-    # g it keeps holds exactly the oracle's settled cells and costs.
+    # search on those inputs settles exactly the oracle's cells and costs.
     rng = random.Random(8128)
     seen = Counter()
     for trial, (width, height) in enumerate([(16, 16)] * 40 + list(NON_SQUARE) * 10):
@@ -931,7 +939,8 @@ def test_a_repair_is_plan_global_on_the_same_inputs():
                 seen["blocked start" if dmap.traversable(*goal) else "blocked goal"] += 1
                 continue
             seen["path" if path is not None else "apart"] += 1
-            settled = {dmap.cell(i): decode(g) for i, g in enumerate(rs.g) if g < INF}
+            g = navigation._search(dmap, start, goal)[1]
+            settled = {dmap.cell(i): decode(d) for i, d in enumerate(g) if d < INF}
             assert settled == reference_settled_costs(composite_grid(dmap), start, goal), (
                 f"trial {trial}"
             )
@@ -1023,19 +1032,19 @@ def test_replan_unreachable_after_walling_off():
     assert path is not None and path_cost(dmap, path) == fresh[1]
 
 
-def test_replan_skips_search_while_start_is_cut_off():
+def test_replan_skips_search_while_start_is_cut_off(monkeypatch):
     dmap = DrivingMap(open_map(12, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (11, 4)
     rs = ReplanState(dmap, start, goal)
     replan_incremental(rs, set())  # the first search
-    g_before = list(rs.g)
+    calls = spy_on_searches(monkeypatch)
     # block the start cell, and at the same time block the straight route
     # everywhere but a gap in the top row
     barrier = {(6, row) for row in range(7)}
     for cell in barrier | {start}:
         dmap.dynamic[cell] = 10**9
     assert replan_incremental(rs, barrier | {start}) is None
-    assert rs.g == g_before  # no expansion ran
+    assert calls == []  # no search ran
     # reopening only the start must still route round the barrier, which
     # that call was not told of
     del dmap.dynamic[start]
@@ -1047,8 +1056,9 @@ def test_replan_skips_search_while_start_is_cut_off():
 
 def test_first_search_between_walled_off_cells_settles_the_goal_side():
     # Both end cells are open but a dynamic wall parts them: the first
-    # repair searches, finds no path and leaves the goal's side settled, each
-    # finite g the exact cost to the goal, and a later repair searches afresh.
+    # repair finds no path, its search on those inputs settles the goal's
+    # side, each finite g the exact cost to the goal, and a later repair
+    # searches afresh.
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     start, goal = (0, 4), (7, 4)
     for row in range(8):
@@ -1056,7 +1066,8 @@ def test_first_search_between_walled_off_cells_settles_the_goal_side():
     rs = ReplanState(dmap, start, goal)
     assert replan_incremental(rs, set()) is None
     grid = composite_grid(dmap)
-    settled = {dmap.cell(i): g for i, g in enumerate(rs.g) if g < INF}
+    settled = {dmap.cell(i): g for i, g in enumerate(navigation._search(dmap, start, goal)[1])
+               if g < INF}
     assert set(settled) == {(col, row) for col in range(5, 8) for row in range(8)}
     for cell, g in settled.items():
         assert decode(g) == dijkstra_pair_cost(grid, cell, goal), cell
@@ -1066,14 +1077,14 @@ def test_first_search_between_walled_off_cells_settles_the_goal_side():
     assert path is not None and path_cost(dmap, path) == fresh[1]
 
 
-def test_replan_skips_search_when_goal_is_blocked():
+def test_replan_skips_search_when_goal_is_blocked(monkeypatch):
     dmap = DrivingMap(open_map(8, 8, 1.0), robot_radius=0.8)
     rs = ReplanState(dmap, (0, 4), (7, 4))
     replan_incremental(rs, set())  # the first search
-    g_before = list(rs.g)
+    calls = spy_on_searches(monkeypatch)
     dmap.dynamic[(7, 4)] = 10**9
     assert replan_incremental(rs, {(7, 4)}) is None
-    assert rs.g == g_before
+    assert calls == []
 
 
 # --- waypoint following ---

@@ -26,8 +26,9 @@ class TierId(IntEnum):
     CLOUD = 3
 
 
-class UnknownSymbolError(KeyError):
-    """Prefetch goal symbol absent from every tier."""
+class UnknownSymbolError(LookupError):
+    """A goal names no symbol, or one absent from every tier; the message
+    says which."""
 
 
 class OversizeEntryError(ValueError):
@@ -244,7 +245,7 @@ class TierStore:
         by key, so a caller needs no second read."""
         goal_key = f"env/{goal_symbol}"
         if goal_key not in self.keys_anywhere():
-            raise UnknownSymbolError(goal_symbol)
+            raise UnknownSymbolError(f"unknown goal symbol '{goal_symbol}'")
         edges = self._relation_edges()
         closure = {goal_symbol}
         frontier = [goal_symbol]

@@ -659,8 +659,19 @@ class MissionEngine:
 
     # -- pipeline --
 
+    def check_goal(self) -> None:
+        """Raise UnknownSymbolError naming the first goal symbol that no tier
+        stores."""
+        stored = self.store.keys_anywhere()
+        for symbol in _goal_symbols(self.scenario.goal):
+            if f"env/{symbol}" not in stored:
+                raise UnknownSymbolError(f"unknown goal symbol '{symbol}'")
+
     def build_map(self) -> SemanticEpisodicMap:
-        """Prefetch the goal anchor's knowledge closure and generate the map."""
+        """Check the goal, prefetch its anchor's knowledge closure and
+        generate the map. Raises UnknownSymbolError when the goal names no
+        environment symbol or one that no tier stores."""
+        self.check_goal()
         scenario = self.scenario
         self.emap = generate_map(
             self.store, scenario.sensor_spec, goal_anchor(scenario.goal), scenario.resolution
@@ -676,13 +687,10 @@ class MissionEngine:
 
     def run(self) -> MissionRun:
         scenario = self.scenario
-
-        stored = self.store.keys_anywhere()
-        symbols = _goal_symbols(scenario.goal)
-        if not symbols or any(f"env/{symbol}" not in stored for symbol in symbols):
+        try:
+            self.build_map()
+        except UnknownSymbolError:
             return self._report(False, FAIL_UNKNOWN_GOAL)
-
-        self.build_map()
         self._episode("MISSION_START")
         self.behavior_plan = self.plan_task()
         if self.behavior_plan is None:

@@ -6,6 +6,16 @@ world. Costs are constants or `topo_distance(?a,?b)`, resolved against the
 map's space topology at grounding time, which couples task plans to map
 geometry. Search is forward A* with an admissible goal-count heuristic and a
 lexicographic tie-break so equal-cost plans resolve deterministically.
+
+Before searching, a backward relevance pass (Nebel, Dimopoulos & Koehler,
+"Ignoring Irrelevant Facts and Operators in Plan Generation", ECP 1997)
+keeps only the actions that can contribute to the goal: those that add a
+goal fact or a precondition of an action already kept. The pruning is exact.
+Every action costs more than zero and preconditions are positive, so taking
+the irrelevant actions out of any valid plan leaves a valid, strictly cheaper
+plan; every optimal plan therefore uses relevant actions only. The tie-break
+orders plans by name sequence, not by heuristic, so the search returns the
+same plan over the relevant actions as over all of them.
 """
 
 from __future__ import annotations
@@ -278,13 +288,37 @@ def ground_actions(templates, emap) -> list[GroundAction]:
 
 # --- search ---
 
+def relevant_actions(goal: frozenset[Fact], actions: list[GroundAction]) -> list[GroundAction]:
+    """The actions that can contribute to the goal, in input order: the
+    backward fixpoint from the goal facts, where an action that adds a needed
+    fact is relevant and its preconditions become needed."""
+    needed = set(goal)
+    relevant: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for action in actions:
+            if action.name not in relevant and not needed.isdisjoint(action.add_effects):
+                relevant.add(action.name)
+                needed |= action.preconditions
+                grew = True
+    return [a for a in actions if a.name in relevant]
+
+
 def plan(
     initial_facts, mission: Mission, actions: list[GroundAction]
 ) -> BehaviorPlan | None:
-    """A* over fact states; returns a minimum-cost plan or None if the goal
-    is unreachable. Ties on f-value break toward the lexicographically
-    smallest action-name sequence, and the popped goal entry's name sequence
-    is the plan. Raises ValueError when two actions share a name."""
+    """A* over fact states, searching only the goal-relevant actions; returns
+    a minimum-cost plan or None if the goal is unreachable. Ties on f-value
+    break toward the lexicographically smallest action-name sequence, and the
+    popped goal entry's name sequence is the plan. Raises ValueError when two
+    actions share a name.
+
+    Dropping the irrelevant actions (`relevant_actions`) changes no returned
+    plan: costs are positive and preconditions positive, so every optimal
+    plan uses relevant actions only, and the tie-break does not depend on the
+    heuristic. Logs one DEBUG record with the grounded and relevant action
+    counts and the states popped."""
     by_name = {a.name: a for a in actions}
     if len(by_name) != len(actions):
         raise ValueError("action names must be unique")
@@ -292,12 +326,30 @@ def plan(
     start = frozenset(initial_facts)
     if goal <= start:
         return BehaviorPlan(actions=(), total_cost=0.0)
+    relevant = relevant_actions(goal, actions)
+    result, popped = _search(start, goal, relevant, by_name)
+    log.debug(
+        "plan: %d grounded actions, %d relevant, %d states popped",
+        len(actions), len(relevant), popped,
+    )
+    return result
 
-    min_cost = min((a.cost for a in actions), default=0.0)
+
+def _search(
+    start: frozenset[Fact],
+    goal: frozenset[Fact],
+    actions: list[GroundAction],
+    by_name: dict[str, GroundAction],
+) -> tuple[BehaviorPlan | None, int]:
+    """plan()'s A* from a state short of the goal; returns the plan (None if
+    unreachable) and the number of states popped."""
+    if not goal - start <= set().union(*(a.add_effects for a in actions)):
+        return None, 0  # some missing goal fact has no adder
+    min_cost = min(a.cost for a in actions)
     # One action can satisfy several goal facts at once; divide by the best
-    # per-action goal yield so the estimate stays a lower bound.
-    max_yield = max((len(a.add_effects & goal) for a in actions), default=0)
-    max_yield = max(max_yield, 1)
+    # per-action goal yield so the estimate stays a lower bound. Some action
+    # adds a missing goal fact, so the yield is at least 1.
+    max_yield = max(len(a.add_effects & goal) for a in actions)
 
     def heuristic(state: frozenset[Fact]) -> float:
         unsatisfied = len(goal - state)
@@ -313,12 +365,14 @@ def plan(
     open_heap: list[tuple[float, tuple[str, ...], float, frozenset[Fact]]] = [
         (heuristic(start), (), 0.0, start)
     ]
+    popped = 0
     while open_heap:
         _f, names, g, state = heapq.heappop(open_heap)
+        popped += 1
         if best[state] != (g, names):
             continue
         if goal <= state:
-            return BehaviorPlan(actions=tuple(by_name[n] for n in names), total_cost=g)
+            return BehaviorPlan(actions=tuple(by_name[n] for n in names), total_cost=g), popped
         for action in ordered:
             if not action.preconditions <= state:
                 continue
@@ -330,4 +384,4 @@ def plan(
                 continue
             best[nxt] = (ng, nxt_names)
             heapq.heappush(open_heap, (ng + heuristic(nxt), nxt_names, ng, nxt))
-    return None
+    return None, popped

@@ -115,10 +115,27 @@ def test_genmap_artifacts_are_pinned(tmp_path, case):
     assert got == pinned
 
 
+# an unknown anchor (the symbol the map is built around) and an unknown
+# symbol beside a known anchor, each with the symbol the error names
+UNKNOWN_GOALS = [
+    ("at(robot,atrium_9)", "atrium_9"),
+    ("inspected(booth_9), at(robot,hall_b)", "booth_9"),
+]
+
+
 def test_genmap_unknown_goal_is_domain_error(tmp_path, capsys):
-    scenario = make_scenario(tmp_path, goal="at(robot,atrium_9)")
+    for goal, symbol in UNKNOWN_GOALS:
+        scenario = make_scenario(tmp_path, goal=goal)
+        out = tmp_path / "m"
+        assert main(["genmap", scenario, "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: unknown goal symbol '{symbol}'\n"
+        assert not out.exists()
+
+
+def test_goal_without_an_environment_symbol_is_domain_error(tmp_path, capsys):
+    scenario = make_scenario(tmp_path, goal="docked(robot)")
     assert main(["genmap", scenario, "-o", str(tmp_path / "m")]) == EXIT_DOMAIN
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: goal names no environment symbol\n"
 
 
 def test_genmap_unwritable_output_is_usage_error(tmp_path):
@@ -154,6 +171,18 @@ def test_plan_unsolvable_goal_is_domain_error(tmp_path, capsys):
     scenario = make_scenario(tmp_path, goal="at(robot,wall_south)")
     assert main(["plan", scenario]) == EXIT_DOMAIN
     assert "unsolvable" in capsys.readouterr().out
+
+
+def test_plan_unknown_goal_is_domain_error(tmp_path, capsys):
+    # plan fails on the goal before it plans, the same way genmap and run do
+    for goal, symbol in UNKNOWN_GOALS:
+        scenario = make_scenario(tmp_path, goal=goal)
+        assert main(["plan", scenario]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown goal symbol '{symbol}'\n"
+        assert captured.out == ""
+        run = execute_mission(load_scenario(scenario))
+        assert run.report.failure_code == "unknown goal symbol" and run.emap is None
 
 
 def test_plan_on_an_oversized_world_is_domain_error_before_rasterizing(

@@ -4,10 +4,13 @@ oracles in oracles.py."""
 
 from __future__ import annotations
 
+import heapq
+import logging
 import random
 
 import pytest
 
+import semnav.planner
 from semnav.planner import (
     ActionTemplate,
     BehaviorPlan,
@@ -20,6 +23,7 @@ from semnav.planner import (
     parse_behavior_db,
     parse_fact,
     plan,
+    relevant_actions,
 )
 
 from oracles import enumerate_optimal_plans, optimal_plan_cost, replay_plan, validate_plan
@@ -212,6 +216,14 @@ cost: 2
             GroundAction(name="navigate(lobby,hall_a)", preconditions=frozenset(),
                          add_effects=frozenset(), del_effects=frozenset(), cost=1.0)
 
+    @pytest.mark.parametrize("cost", [0.0, -1.0])
+    def test_nonpositive_cost_rejected(self, cost):
+        # the relevance pruning in plan() is exact only because every action
+        # costs more than zero
+        with pytest.raises(ValueError, match="positive"):
+            GroundAction(template="wait", args=("lobby",), preconditions=frozenset(),
+                         add_effects=frozenset(), del_effects=frozenset(), cost=cost)
+
 
 class TestPlan:
     def test_goal_already_satisfied(self):
@@ -364,3 +376,108 @@ class TestOptimalityAgainstOracle:
                     assert result is None
                 else:
                     assert result.total_cost == expected
+
+
+def padded(rng: random.Random, initial, goal, actions, n_pads: int = 3):
+    """A random domain plus actions that add only fresh facts nothing needs,
+    each cheaper than every original action; some delete goal or precondition
+    facts. Each is enabled once, by its own token in the initial state, so the
+    exhaustive oracles stay small."""
+    needed = sorted(goal | {f for a in actions for f in a.preconditions}, key=format_fact)
+    cost = min(a.cost for a in actions) / 2
+    tokens, pads = [], []
+    for i in range(n_pads):
+        token = Fact(f"token{i}", ())
+        deleted = frozenset(rng.sample(needed, rng.randint(0, min(2, len(needed)))))
+        pads.append(
+            GroundAction(
+                template=f"pad_{i}",
+                args=(),
+                preconditions=frozenset({token}),
+                add_effects=frozenset({Fact(f"fresh{i}", ())}),
+                del_effects=deleted | {token},
+                cost=cost,
+            )
+        )
+        tokens.append(token)
+    return initial | frozenset(tokens), actions + pads
+
+
+def plan_and_pops(monkeypatch, initial, mission, actions):
+    """plan()'s result and the number of heap pops its search made."""
+    pops = 0
+    real_pop = heapq.heappop
+
+    def counting_pop(heap):
+        nonlocal pops
+        pops += 1
+        return real_pop(heap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semnav.planner.heapq, "heappop", counting_pop)
+        result = plan(initial, mission, actions)
+    return result, pops
+
+
+WAIT_DB = DB + """
+action wait(?s:space)
+pre: at(robot,?s)
+add: waited(?s)
+cost: 0.5
+"""
+
+
+class TestRelevancePruning:
+    def test_relevant_actions_are_the_backward_fixpoint_from_the_goal(self):
+        grounded = ground_actions(parse_behavior_db(WAIT_DB), ChainMap3())
+        navigates = [a.name for a in grounded if a.template == "navigate"]
+        assert len(navigates) == 6
+        # at(robot,?) is the one precondition fact any action adds, so
+        # every navigate is needed to reach a space and no wait is needed
+        relevant = relevant_actions(frozenset({parse_fact("at(robot,hall_b)")}), grounded)
+        assert [a.name for a in relevant] == navigates
+        relevant = relevant_actions(frozenset({parse_fact("inspected(booth_2)")}), grounded)
+        assert [a.name for a in relevant] == [
+            a.name for a in grounded if a.template in ("navigate", "inspect")
+        ]
+        assert relevant_actions(frozenset({parse_fact("at(robot,moon)")}), grounded) == []
+
+    def test_padding_changes_neither_the_plan_nor_the_search(self, monkeypatch):
+        rng = random.Random(29)
+        checked = solvable = 0
+        while checked < 60:
+            initial, goal, actions = random_domain(rng, rng.randint(3, 6), rng.randint(2, 8))
+            mission = Mission(goal=goal, start_space="s")
+            pad_initial, pad_actions = padded(rng, initial, goal, actions)
+            expected = optimal_plan_cost(pad_initial, goal, pad_actions)
+            if expected is not None and expected > 12:
+                continue
+            result, pops = plan_and_pops(monkeypatch, initial, mission, actions)
+            pad_result, pad_pops = plan_and_pops(monkeypatch, pad_initial, mission, pad_actions)
+            assert pad_pops == pops
+            checked += 1
+            if expected is None:
+                assert result is None and pad_result is None
+                continue
+            solvable += 1
+            assert pad_result.total_cost == expected == result.total_cost
+            names = tuple(a.name for a in pad_result.actions)
+            assert names == min(enumerate_optimal_plans(pad_initial, goal, pad_actions, expected))
+            assert names == tuple(a.name for a in result.actions)
+        assert solvable > 20
+
+    def test_an_unaddable_goal_fact_is_unsolvable_without_a_search(self, monkeypatch):
+        grounded = ground_actions(parse_behavior_db(WAIT_DB), ChainMap3())
+        mission = Mission(goal=frozenset({parse_fact("at(robot,moon)")}), start_space="lobby")
+        assert plan_and_pops(monkeypatch, chain_initial_facts(), mission, grounded) == (None, 0)
+
+    def test_plan_logs_grounded_relevant_and_popped_counts(self, monkeypatch, caplog):
+        grounded = ground_actions(parse_behavior_db(WAIT_DB), ChainMap3())
+        mission = Mission(goal=frozenset({parse_fact("at(robot,hall_b)")}), start_space="lobby")
+        with caplog.at_level(logging.DEBUG, logger="semnav.planner"):
+            result, pops = plan_and_pops(monkeypatch, chain_initial_facts(), mission, grounded)
+        assert result.total_cost == 22.0
+        assert [(r.name, r.levelno) for r in caplog.records] == [("semnav.planner", logging.DEBUG)]
+        assert caplog.records[0].getMessage() == (
+            f"plan: 12 grounded actions, 6 relevant, {pops} states popped"
+        )
